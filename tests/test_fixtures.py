@@ -45,3 +45,14 @@ def test_labeled_pairs_consistent(small_fixture):
     # both sides share the block key
     bk_a = prs["record_id_a"].map(tru["block_key"])
     assert (bk_a == prs["block_key"]).all()
+
+
+def test_seeds_past_the_randomstate_range():
+    """Seeds whose per-block RandomState seed passes 2**32 (614 overflows
+    the labeled-pair sampler, 4,295 the block generator) still generate,
+    deterministically."""
+    for seed in (614, 2**40):
+        spec = FixtureSpec(n_blocks=2, seed=seed)
+        a = generate_tables(spec)
+        assert a["records"].num_rows > 0
+        assert a["records"].equals(generate_tables(spec)["records"])

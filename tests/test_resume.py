@@ -89,6 +89,92 @@ class TestResume:
         assert {"n_pairs", "salted", "truncated_pairs"} <= set(bm.columns)
 
 
+class TestShuffleWidth:
+    """The checkpointed path records its blocking-shuffle width per stage,
+    and the width never changes the clusters."""
+
+    @pytest.mark.parametrize("width", [1, 32])
+    def test_checkpointed_equals_inmemory_at_forced_width(self, tiny_tables, tmp_path,
+                                                          monkeypatch, width):
+        import whoiswho_ray.pipelines.snd as snd
+
+        monkeypatch.setattr(snd, "shuffle_partitions", lambda: width)
+        tabs = tiny_tables
+        a = run_snd(_input_ds(tabs), out_dir=str(tmp_path / "w")).to_pandas()
+        b = run_snd(_input_ds(tabs)).to_pandas()
+        a = a.sort_values("record_id").reset_index(drop=True)
+        b = b.sort_values("record_id").reset_index(drop=True)
+        pd.testing.assert_frame_equal(a[["record_id", "cluster_id"]], b[["record_id", "cluster_id"]])
+        stages = snd_summary(str(tmp_path / "w"))["stages"]
+        for name in ("edges", "block_metrics", "clusters"):
+            assert stages[name]["metrics"] == {"shuffle_partitions": width}
+
+    def test_width_recorded_on_edge_partitions(self, tiny_tables, tmp_path):
+        from whoiswho_ray.stages.pairs import shuffle_partitions
+
+        out = str(tmp_path / "pw")
+        run_snd(_input_ds(tiny_tables), out_dir=out, partition_resume=True,
+                n_edge_partitions=2)
+        stages = snd_summary(out)["stages"]
+        want = shuffle_partitions()
+        assert stages["edges/part=1"]["metrics"] == {"partition": 1,
+                                                     "shuffle_partitions": want}
+        assert stages["clusters"]["metrics"] == {"shuffle_partitions": want}
+
+    def test_block_metrics_lineage_and_older_format_recomputes(self, tiny_tables, tmp_path):
+        """block_metrics is counted over the idf-built encoding, and a
+        checkpoint from the previous format (tok_ids-salted counts) is
+        recomputed, not mixed with the new edges."""
+        out = str(tmp_path / "fmt")
+        run_snd(_input_ds(tiny_tables), out_dir=out)
+        man = snd_summary(out)
+        assert man["stages"]["block_metrics"]["inputs"] == ["normalized", "idf"]
+        assert man["config_hash"].endswith("-fmt3")
+        stale = os.path.join(man["stages"]["block_metrics"]["path"], "stale")
+        open(stale, "w").close()
+        man["config_hash"] = man["config_hash"].replace("-fmt3", "-fmt2")
+        with open(os.path.join(out, "manifest.json"), "w") as f:
+            json.dump(man, f)
+        run_snd(_input_ds(tiny_tables), out_dir=out)
+        assert snd_summary(out)["config_hash"].endswith("-fmt3")
+        assert not os.path.exists(stale)
+
+    def test_block_metrics_count_the_scored_encoding(self, tiny_tables, tmp_path):
+        """On salted, truncating blocks the stage's totals equal
+        ``pairs.block_metrics`` over the compact groups the edges stage
+        scores (hot-block salting keys on tfv_ids there)."""
+        import numpy as np
+        import pyarrow as pa
+        import ray
+
+        from whoiswho_ray.stages.idf import build_idf
+        from whoiswho_ray.stages.normalize import normalize_records
+        from whoiswho_ray.stages.pairs import EDGE_SHUFFLE_COLUMNS, block_metrics
+        from whoiswho_ray.stages.scoring import vectorize
+
+        # every block but the smallest (57 records) is salted, and the
+        # pair budget truncates its sub-buckets
+        cfg = SNDConfig(max_allpairs_block=64, max_pairs_per_group=200)
+        out = str(tmp_path / "bm")
+        run_snd(_input_ds(tiny_tables), cfg=cfg, out_dir=out)
+        bm = pq.read_table(snd_summary(out)["stages"]["block_metrics"]["path"]).to_pandas()
+        assert bm["salted"].sum() == 3
+
+        norm = normalize_records(_input_ds(tiny_tables), cfg).materialize()
+        idf = build_idf(norm, cfg)
+        vec = pa.concat_tables(ray.get(vectorize(
+            norm, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS, compact=True).to_arrow_refs()))
+        assert "tok_ids" not in vec.column_names  # the compact encoding
+        vec = vec.sort_by("block_key")
+        keys = vec.column("block_key").to_numpy(zero_copy_only=False)
+        bounds = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1], True])
+        want = pa.concat_tables([block_metrics(vec.slice(s, e - s), cfg)
+                                 for s, e in zip(bounds[:-1], bounds[1:])])
+        assert want.column("truncated_pairs").to_numpy().sum() > 0
+        assert bm["n_pairs"].sum() == want.column("n_pairs").to_numpy().sum()
+        assert bm["truncated_pairs"].sum() == want.column("truncated_pairs").to_numpy().sum()
+
+
 class TestPartitionResume:
     """North-rule mid-shuffle resume: the edges stage commits one
     block-hash partition at a time with its own lineage/metrics."""

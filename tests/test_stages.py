@@ -173,6 +173,20 @@ class TestPairs:
         assert list(row["tok_a"]) == [1, 2] and list(row["tok_b"]) == [2, 3]
 
 
+class TestShufflePartitions:
+    """``2 × CPUs``, with no floor and no row term."""
+
+    @pytest.mark.parametrize("n_cpus,want", [(1, 2), (2, 4), (8, 16), (32, 64)])
+    def test_two_per_cpu(self, monkeypatch, n_cpus, want):
+        import ray
+
+        from whoiswho_ray.stages.pairs import shuffle_partitions
+
+        monkeypatch.setattr(ray, "is_initialized", lambda: True)
+        monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(n_cpus)})
+        assert shuffle_partitions() == want
+
+
 class TestScoring:
     def test_score_pair_known_values(self):
         cfg = SNDConfig(w_tokens=1.0, w_repo=1.0, w_ctx=0.0, w_tfidf=0.0, w_name=0.0)

@@ -68,7 +68,9 @@ def _basename_variants(root: str, ext: str, rng: np.random.RandomState) -> str:
 
 def gen_block(spec: FixtureSpec, block_idx: int) -> dict[str, list]:
     """Generate one block's records + truth rows. Pure in (spec, block_idx)."""
-    rng = np.random.RandomState(spec.seed * 1_000_003 + block_idx)
+    # RandomState takes a seed below 2**32; reducing keeps every seed
+    # that fit byte-identical
+    rng = np.random.RandomState((spec.seed * 1_000_003 + block_idx) % 2**32)
     root = f"module{block_idx:04d}"
     hot = spec.hot_factor if block_idx == 0 else 1
 
@@ -125,7 +127,7 @@ def gen_block(spec: FixtureSpec, block_idx: int) -> dict[str, list]:
 
 def _pairs_for_block(truth: dict[str, list], spec: FixtureSpec, block_idx: int) -> dict[str, list]:
     """Labeled within-block pairs (FIXTURES.md §3), sampled for hot blocks."""
-    rng = np.random.RandomState(spec.seed * 7_000_003 + block_idx)
+    rng = np.random.RandomState((spec.seed * 7_000_003 + block_idx) % 2**32)
     rids = truth["record_id"]
     ents = truth["entity_id"]
     n = len(rids)

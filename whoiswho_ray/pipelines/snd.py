@@ -38,7 +38,8 @@ from whoiswho_ray.config import SNDConfig
 from whoiswho_ray.stages.cluster import cluster_blocks
 from whoiswho_ray.stages.idf import IdfModel, build_idf
 from whoiswho_ray.stages.normalize import normalize_records
-from whoiswho_ray.stages.pairs import generate_block_metrics, generate_scored_edges
+from whoiswho_ray.stages.pairs import (EDGE_SHUFFLE_COLUMNS, generate_block_metrics,
+                                       generate_scored_edges, shuffle_partitions)
 from whoiswho_ray.stages.scoring import vectorize
 from whoiswho_ray.state.manifest import Manifest
 
@@ -105,7 +106,7 @@ def snd_cluster(
         edges = generate_scored_edges(vectorized, cfg)
         union = _node_rows(normalized).union(_edge_rows(edges))
         return cluster_blocks(union, cfg)
-    from whoiswho_ray.stages.pairs import make_block_clusters, shuffle_partitions
+    from whoiswho_ray.stages.pairs import make_block_clusters
 
     if pre_partitioned:
         # the caller repartitioned BEFORE materializing the normalized
@@ -162,9 +163,7 @@ def snd_vote_cluster(
     majority-voted edges — bond's threshold-grid ensemble
     (``autotrain_bond_ensemble.py:241-260``) re-expressed for the
     weighted-score kernel."""
-    from whoiswho_ray.stages.pairs import (default_vote_configs,
-                                           make_block_vote_clusters,
-                                           shuffle_partitions)
+    from whoiswho_ray.stages.pairs import default_vote_configs, make_block_vote_clusters
 
     cfgs = cfgs or default_vote_configs()
     mv = (len(cfgs) // 2 + 1) if min_votes is None else min_votes
@@ -214,8 +213,7 @@ def snd_sgc_cluster(
     the strong-edge graph before the pair score — computed in Gram space
     (``pairs.make_block_sgc_clusters``), so nothing extra crosses the
     shuffle."""
-    from whoiswho_ray.stages.pairs import (make_block_sgc_clusters,
-                                           shuffle_partitions)
+    from whoiswho_ray.stages.pairs import make_block_sgc_clusters
 
     cfg = cfg or SNDConfig()
     idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
@@ -291,8 +289,7 @@ def run_snd(
         # (The checkpointed path gets the same effect from its parquet
         # stage boundary; at 100 TB use out_dir so the normalized table
         # lives in parquet, not the object store.)
-        from whoiswho_ray.stages.pairs import (CLUSTER_SHUFFLE_COLUMNS,
-                                               shuffle_partitions)
+        from whoiswho_ray.stages.pairs import CLUSTER_SHUFFLE_COLUMNS
 
         # repartition to the shuffle width BEFORE the materialize: the
         # barrier is absorbed into the (mandatory) normalize pass, the
@@ -310,10 +307,11 @@ def run_snd(
 
     # the format version guards stage schemas: resuming with checkpoints
     # written by an older engine layout recomputes instead of mixing
-    man = Manifest(out_dir, f"{cfg.config_hash()}-fmt2")
+    man = Manifest(out_dir, f"{cfg.config_hash()}-fmt3")
 
     def checkpointed(name: str, inputs: list[str], build,
-                     partition_on: str | None = None) -> "rd.Dataset":
+                     partition_on: str | None = None,
+                     metrics: dict | None = None) -> "rd.Dataset":
         if man.stage_done(name):
             return rd.read_parquet(man.stage_path(name))
         t0 = time.time()
@@ -335,7 +333,7 @@ def run_snd(
             ds.write_parquet(tmp)
         out = rd.read_parquet(tmp)
         rows = out.count()
-        man.complete_stage(name, tmp, rows, time.time() - t0, inputs)
+        man.complete_stage(name, tmp, rows, time.time() - t0, inputs, metrics)
         return rd.read_parquet(man.stage_path(name))
 
     normalized = checkpointed("normalized", ["input"], lambda: normalize_records(records, cfg))
@@ -359,6 +357,13 @@ def run_snd(
             "wall_sec": round(time.time() - t0, 3),
         })
 
+    # every blocking shuffle below runs at this width, recorded per stage
+    partitions = shuffle_partitions()
+    width = {"shuffle_partitions": partitions}
+    # the edges are scored from, and the block metrics counted over, this
+    # compact encoding (hot-block salting keys on tfv_ids in it, not tok_ids)
+    edge_vec = vectorize(normalized, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS, compact=True)
+
     if partition_resume:
         import zlib
 
@@ -378,35 +383,35 @@ def run_snd(
 
             sub = normalized.map_batches(bucket_filter, batch_format="pyarrow",
                                          zero_copy_batch=True)
-            from whoiswho_ray.stages.pairs import EDGE_SHUFFLE_COLUMNS
-
             part_edges = generate_scored_edges(
-                vectorize(sub, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS, compact=True), cfg)
+                vectorize(sub, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS, compact=True), cfg,
+                partitions)
             tmp = man.begin_stage(name.replace("/", "_"))
             part_edges.write_parquet(tmp)
             rows = rd.read_parquet(tmp).count()
             man.complete_stage(name, tmp, rows, time.time() - t0,
                                ["normalized", "idf"],
-                               metrics={"partition": part})
+                               metrics={"partition": part, **width})
         part_sets = [rd.read_parquet(man.stage_path(f"edges/part={p}"))
                      for p in range(n_edge_partitions)]
         edges = part_sets[0].union(*part_sets[1:]) if len(part_sets) > 1 else part_sets[0]
     else:
-        from whoiswho_ray.stages.pairs import EDGE_SHUFFLE_COLUMNS
-
         edges = checkpointed(
             "edges", ["normalized", "idf"],
-            lambda: generate_scored_edges(
-                vectorize(normalized, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS, compact=True), cfg),
+            lambda: generate_scored_edges(edge_vec, cfg, partitions),
+            metrics=width,
         )
     checkpointed(
-        "block_metrics", ["normalized"],
-        lambda: generate_block_metrics(normalized, cfg),
+        "block_metrics", ["normalized", "idf"],
+        lambda: generate_block_metrics(edge_vec, cfg, partitions),
+        metrics=width,
     )
     clusters = checkpointed(
         "clusters", ["normalized", "edges"],
-        lambda: cluster_blocks(_node_rows(normalized).union(_edge_rows(edges)), cfg),
+        lambda: cluster_blocks(_node_rows(normalized).union(_edge_rows(edges)), cfg,
+                               partitions),
         partition_on="block_key",
+        metrics=width,
     )
     return clusters
 
@@ -440,9 +445,7 @@ def run_snd_pr_curve(
     import pandas as pd
 
     from whoiswho_ray.stages.agg import grouped_agg
-    from whoiswho_ray.stages.pairs import (CLUSTER_SHUFFLE_COLUMNS,
-                                           make_block_pr_counts,
-                                           shuffle_partitions)
+    from whoiswho_ray.stages.pairs import CLUSTER_SHUFFLE_COLUMNS, make_block_pr_counts
 
     cfg = cfg or SNDConfig()
     if isinstance(records, str):

@@ -181,12 +181,13 @@ def cluster_block(group: pd.DataFrame, cfg: SNDConfig) -> pd.DataFrame:
     )
 
 
-def cluster_blocks(union_ds: "ray.data.Dataset", cfg: SNDConfig | None = None) -> "ray.data.Dataset":
+def cluster_blocks(union_ds: "ray.data.Dataset", cfg: SNDConfig | None = None,
+                   partitions: int | None = None) -> "ray.data.Dataset":
     cfg = cfg or SNDConfig()
     from whoiswho_ray.stages.pairs import shuffle_partitions
 
-    return union_ds.repartition(shuffle_partitions()).groupby("block_key").map_groups(
-        lambda g: cluster_block(g, cfg), batch_format="pandas")
+    return union_ds.repartition(partitions or shuffle_partitions()).groupby(
+        "block_key").map_groups(lambda g: cluster_block(g, cfg), batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

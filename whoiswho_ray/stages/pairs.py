@@ -791,22 +791,28 @@ def _empty_edges_table() -> pa.Table:
     return pa.table(cols)
 
 
-def shuffle_partitions() -> int:
-    """Target partition count for the wide ops: enough blocks that the
-    sort-shuffle and the per-group map tasks can use every core (tasks
-    after a groupby ≈ number of blocks entering it). The multiplier is
-    tunable (``WHOISWHO_SHUFFLE_MULT``); the default 2 comes from a
-    round-3 interleaved sweep at 32 CPUs (6 pairs: mult=2 beat mult=4 in
-    4/6 with min 24.2 s vs 27.7 s and mean 29.7 vs 31.7; mult=8 was
-    consistently worst) — at ≤ 8 CPUs the max(32, ·) floor makes 2 and 4
-    identical, so the change only affects high-core single-node runs."""
-    import os
+SHUFFLE_CPU_MULT = 2
 
+
+def shuffle_partitions() -> int:
+    """Partition count for the SND wide ops (the blocking shuffles):
+    ``2 × CPUs``.
+
+    Two partitions per core give the sort-shuffle and the per-group map
+    tasks (about one per block entering the groupby) two tasks per core.
+    The multiplier 2 comes from a round-3 interleaved sweep at 32 CPUs
+    (6 pairs: 2 beat 4 in 4/6 with min 24.2 s vs 27.7 s; 8 was
+    consistently worst). There is no floor: each partition costs a
+    sort-map, a sort-reduce and a group task per shuffle, so the old
+    ``max(32, ·)`` floor bought nothing below 16 CPUs but task overhead
+    (at 1 CPU it made the checkpointed run ≈ 4× slower on 2,210
+    records). The width does not grow with the row count: no measured
+    input shows that more partitions than 2 × CPUs help. Partitioning
+    never changes the output: every block lands whole in one group."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    mult = int(os.environ.get("WHOISWHO_SHUFFLE_MULT", "2"))
-    return max(32, cpus * mult)
+    return SHUFFLE_CPU_MULT * cpus
 
 
 # Columns the SND block kernels actually read — pass as ``keep=`` to
@@ -822,14 +828,16 @@ EDGE_SHUFFLE_COLUMNS = [
 CLUSTER_SHUFFLE_COLUMNS = EDGE_SHUFFLE_COLUMNS + ["content_sha256"]
 
 
-def generate_scored_edges(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None) -> "ray.data.Dataset":
+def generate_scored_edges(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None,
+                          partitions: int | None = None) -> "ray.data.Dataset":
     """vectorized records → scored edges (fused blocking + scoring).
 
-    Repartitions to ~4×CPU blocks first so the sort shuffle and the
-    per-group map tasks use every core."""
+    Repartitions to ``partitions`` blocks first (default
+    :func:`shuffle_partitions`) so the sort shuffle and the per-group map
+    tasks use every core."""
     cfg = cfg or SNDConfig()
-    return vectorized.repartition(shuffle_partitions()).groupby("block_key").map_groups(
-        lambda g: make_scored_edges(g, cfg), batch_format="pyarrow")
+    return vectorized.repartition(partitions or shuffle_partitions()).groupby(
+        "block_key").map_groups(lambda g: make_scored_edges(g, cfg), batch_format="pyarrow")
 
 
 def generate_pairs(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None) -> "ray.data.Dataset":
@@ -839,10 +847,15 @@ def generate_pairs(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None)
         lambda g: make_pairs(g, cfg), batch_format="pyarrow")
 
 
-def generate_block_metrics(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None) -> "ray.data.Dataset":
+def generate_block_metrics(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None,
+                           partitions: int | None = None) -> "ray.data.Dataset":
+    """vectorized records → one ``block_metrics`` row per block. Give it
+    the same encoding the edges are scored from: hot-block salting keys
+    on ``tfv_ids`` under the compact encoding and on ``tok_ids`` under
+    the full one, so the pair counts differ between the two."""
     cfg = cfg or SNDConfig()
-    return vectorized.repartition(shuffle_partitions()).groupby("block_key").map_groups(
-        lambda g: block_metrics(g, cfg), batch_format="pyarrow")
+    return vectorized.repartition(partitions or shuffle_partitions()).groupby(
+        "block_key").map_groups(lambda g: block_metrics(g, cfg), batch_format="pyarrow")
 
 
 def make_block_pr_counts(group: pa.Table, cfg: SNDConfig,
