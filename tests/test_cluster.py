@@ -7,7 +7,8 @@ import pytest
 import ray.data as rd
 
 from whoiswho_ray.config import SNDConfig
-from whoiswho_ray.stages.cluster import UnionFind, cluster_block, connected_components
+from whoiswho_ray.stages.cluster import UnionFind, cluster_edge_arrays, connected_components
+from whoiswho_ray.stages.pairs import _cluster_rows
 
 
 def brute_components(n: int, edges: list[tuple[int, int]]) -> list[int]:
@@ -53,56 +54,54 @@ class TestUnionFind:
         assert uf.find(4) == uf.find(3) == 2
 
 
-def _mk_group(node_ids, edges, shas=None):
-    """Build the union-frame a cluster_block group receives (edges carry
-    block-local positions in record_id-sorted order, like make_scored_edges
-    emits)."""
-    shas = shas or {r: f"sha-{r}" for r in node_ids}
-    pos = {r: i for i, r in enumerate(sorted(node_ids))}
-    rows = []
-    for r in node_ids:
-        rows.append({"block_key": "bk", "ix_a": -1, "ix_b": -1, "score": np.nan,
-                     "record_id": r, "content_sha256": shas[r]})
-    for a, b, s in edges:
-        rows.append({"block_key": "bk", "ix_a": pos[a], "ix_b": pos[b], "score": s,
-                     "record_id": "", "content_sha256": ""})
-    return pd.DataFrame(rows)
+def cluster_block(node_ids, edges, cfg):
+    """Cluster one block the way the fused block kernel does: edge
+    endpoints become positions in record_id-sorted order,
+    ``cluster_edge_arrays`` labels them and ``pairs._cluster_rows``
+    emits the (block_key, record_id, cluster_id, content_sha256) rows."""
+    rids = np.asarray(node_ids, dtype=object)
+    order = np.argsort(rids, kind="stable")
+    pos = {r: i for i, r in enumerate(rids[order])}
+    ia = np.array([pos[a] for a, _, _ in edges], dtype=np.int64)
+    ib = np.array([pos[b] for _, b, _ in edges], dtype=np.int64)
+    es = np.array([s for _, _, s in edges], dtype=np.float64)
+    labels = cluster_edge_arrays(rids.size, ia, ib, es, cfg)
+    shas = np.asarray([f"sha-{r}" for r in rids[order]], dtype=object)
+    return _cluster_rows("bk", rids, order, shas, labels).to_pandas()
+
+
+def _ids(node_ids, edges, cfg):
+    return cluster_block(node_ids, edges, cfg).set_index("record_id")["cluster_id"]
 
 
 class TestClusterBlock:
     def test_basic_transitive(self):
         cfg = SNDConfig()
-        g = _mk_group(["r1", "r2", "r3", "r4"],
-                      [("r1", "r2", 2.0), ("r2", "r3", 2.0)])
-        out = cluster_block(g, cfg)
+        out = cluster_block(["r1", "r2", "r3", "r4"],
+                            [("r1", "r2", 2.0), ("r2", "r3", 2.0)], cfg)
         cl = out.set_index("record_id")["cluster_id"]
         assert cl["r1"] == cl["r2"] == cl["r3"]
         assert cl["r4"] != cl["r1"]
-        assert out["content_sha256"].tolist() != [""] * 4
+        assert out["content_sha256"].tolist() == [f"sha-r{i}" for i in range(1, 5)]
 
     def test_postmatch_attach(self):
         """An edge in [tau_attach, tau_edge) attaches a singleton to the
         cluster of its best partner (AutoTrainSND.py:163-206 analog)."""
         cfg = SNDConfig(tau_edge=1.5, tau_attach=1.3)
-        g = _mk_group(["r1", "r2", "r3"],
-                      [("r1", "r2", 2.0), ("r2", "r3", 1.4)])
-        out = cluster_block(g, cfg).set_index("record_id")["cluster_id"]
+        out = _ids(["r1", "r2", "r3"], [("r1", "r2", 2.0), ("r2", "r3", 1.4)], cfg)
         assert out["r3"] == out["r1"]
 
     def test_postmatch_below_attach_stays_singleton(self):
         cfg = SNDConfig(tau_edge=1.5, tau_attach=1.3)
-        g = _mk_group(["r1", "r2", "r3"],
-                      [("r1", "r2", 2.0), ("r2", "r3", 1.0)])
-        out = cluster_block(g, cfg).set_index("record_id")["cluster_id"]
+        out = _ids(["r1", "r2", "r3"], [("r1", "r2", 2.0), ("r2", "r3", 1.0)], cfg)
         assert out["r3"] != out["r1"]
 
     def test_two_members_never_rewired_by_postmatch(self):
         """Post-match only moves singletons — a weak edge between two
         multi-member clusters must NOT merge them."""
         cfg = SNDConfig(tau_edge=1.5, tau_attach=1.3)
-        g = _mk_group(["a1", "a2", "b1", "b2"],
-                      [("a1", "a2", 2.0), ("b1", "b2", 2.0), ("a2", "b1", 1.4)])
-        out = cluster_block(g, cfg).set_index("record_id")["cluster_id"]
+        out = _ids(["a1", "a2", "b1", "b2"],
+                   [("a1", "a2", 2.0), ("b1", "b2", 2.0), ("a2", "b1", 1.4)], cfg)
         assert out["a1"] == out["a2"]
         assert out["b1"] == out["b2"]
         assert out["a1"] != out["b1"]
@@ -111,28 +110,25 @@ class TestClusterBlock:
         """ALL singleton–singleton attach edges merge (AutoTrainSND.py
         paper_pair1 loop) — not only each side's best partner (ADVICE r1)."""
         cfg = SNDConfig(tau_edge=1.5, tau_attach=1.3)
-        g = _mk_group(["r1", "r2", "r3", "r4"],
-                      [("r1", "r2", 1.45), ("r3", "r4", 1.45), ("r2", "r3", 1.35)])
-        out = cluster_block(g, cfg).set_index("record_id")["cluster_id"]
+        out = _ids(["r1", "r2", "r3", "r4"],
+                   [("r1", "r2", 1.45), ("r3", "r4", 1.45), ("r2", "r3", 1.35)], cfg)
         assert out["r1"] == out["r2"] == out["r3"] == out["r4"]
 
     def test_postmatch_attach_prefers_best_nonsingleton(self):
         """A singleton with attach edges into two clusters joins only the
         best-scoring one (reference argmax over non-outlier clusters)."""
         cfg = SNDConfig(tau_edge=1.5, tau_attach=1.3)
-        g = _mk_group(["a1", "a2", "b1", "b2", "s0"],
-                      [("a1", "a2", 2.0), ("b1", "b2", 2.0),
-                       ("s0", "a1", 1.35), ("s0", "b1", 1.4)])
-        out = cluster_block(g, cfg).set_index("record_id")["cluster_id"]
+        out = _ids(["a1", "a2", "b1", "b2", "s0"],
+                   [("a1", "a2", 2.0), ("b1", "b2", 2.0),
+                    ("s0", "a1", 1.35), ("s0", "b1", 1.4)], cfg)
         assert out["s0"] == out["b1"]
         assert out["a1"] != out["b1"]
 
     def test_row_order_invariance(self):
         cfg = SNDConfig()
-        g = _mk_group(["r3", "r1", "r2"], [("r2", "r3", 2.0)])
-        a = cluster_block(g, cfg).sort_values("record_id").reset_index(drop=True)
-        b = cluster_block(g.iloc[::-1].reset_index(drop=True), cfg)
-        b = b.sort_values("record_id").reset_index(drop=True)
+        nodes, edges = ["r3", "r1", "r2"], [("r2", "r3", 2.0), ("r1", "r2", 1.0)]
+        a = cluster_block(nodes, edges, cfg)
+        b = cluster_block(nodes[::-1], [(y, x, s) for x, y, s in edges[::-1]], cfg)
         pd.testing.assert_frame_equal(a, b)
 
 

@@ -24,6 +24,10 @@ def _input_ds(tabs):
     return rd.from_arrow(tabs["records"])
 
 
+def _mtimes(path):
+    return {p: os.path.getmtime(os.path.join(path, p)) for p in os.listdir(path)}
+
+
 class TestResume:
     def test_checkpointed_equals_inmemory(self, tiny_tables, tmp_path):
         tabs = tiny_tables
@@ -65,6 +69,61 @@ class TestResume:
         a = first.sort_values("record_id").reset_index(drop=True)
         b = second.sort_values("record_id").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b)
+
+    @pytest.mark.parametrize("done", [0, 2])
+    def test_resume_after_each_block_stage_matches(self, tiny_tables, tmp_path, done):
+        """A run killed after ``done`` of the three stages the blocking
+        pass commits resumes to byte-identical clusters and leaves the
+        committed stages as they were (``done=1``, a kill after
+        ``edges``, is the test above)."""
+        out = str(tmp_path / f"kill{done}")
+        run_snd(_input_ds(tiny_tables), out_dir=out)
+        man_path = os.path.join(out, "manifest.json")
+        with open(man_path) as f:
+            man = json.load(f)
+        fresh = pq.read_table(man["stages"]["clusters"]["path"]).sort_by("record_id")
+        kept = ["edges", "block_metrics", "clusters"][:done]
+        for stage in ["edges", "block_metrics", "clusters"][done:]:
+            shutil.rmtree(man["stages"][stage]["path"])
+            del man["stages"][stage]
+        with open(man_path, "w") as f:
+            json.dump(man, f)
+        before = {s: man["stages"][s]["completed_at"] for s in kept}
+        mtimes = {s: _mtimes(man["stages"][s]["path"]) for s in kept}
+        resumed = run_snd(_input_ds(tiny_tables), out_dir=out)
+        man = snd_summary(out)
+        assert {s: man["stages"][s]["completed_at"] for s in kept} == before
+        assert {s: _mtimes(man["stages"][s]["path"]) for s in kept} == mtimes
+        got = pq.read_table(man["stages"]["clusters"]["path"]).sort_by("record_id")
+        assert got.equals(fresh)
+        assert resumed.count() == fresh.num_rows
+
+    def test_checkpointed_schema_equals_streaming(self, tiny_tables, tmp_path):
+        """Both paths return the same four cluster columns and types (the
+        checkpointed stage used to add a hive ``part`` column)."""
+        a = run_snd(_input_ds(tiny_tables), out_dir=str(tmp_path / "s")).schema()
+        b = run_snd(_input_ds(tiny_tables)).schema()
+        assert a.names == b.names == ["block_key", "record_id", "cluster_id",
+                                      "content_sha256"]
+        assert a.types == b.types
+
+    def test_one_blocking_shuffle_per_pass(self, tiny_tables, tmp_path, monkeypatch):
+        """A cold checkpointed run groups by block_key once; under
+        partition_resume once per bucket."""
+        keys = []
+        orig = rd.Dataset.groupby
+
+        def counting(self, key, *args, **kwargs):
+            keys.append(key)
+            return orig(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(rd.Dataset, "groupby", counting)
+        run_snd(_input_ds(tiny_tables), out_dir=str(tmp_path / "one"))
+        assert keys.count("block_key") == 1
+        keys.clear()
+        run_snd(_input_ds(tiny_tables), out_dir=str(tmp_path / "parts"),
+                partition_resume=True, n_edge_partitions=3)
+        assert keys.count("block_key") == 3
 
     def test_config_change_invalidates(self, tiny_tables, tmp_path):
         out = str(tmp_path / "run4")
@@ -117,27 +176,29 @@ class TestShuffleWidth:
                 n_edge_partitions=2)
         stages = snd_summary(out)["stages"]
         want = shuffle_partitions()
-        assert stages["edges/part=1"]["metrics"] == {"partition": 1,
-                                                     "shuffle_partitions": want}
-        assert stages["clusters"]["metrics"] == {"shuffle_partitions": want}
+        for stage in ("edges", "block_metrics", "clusters"):
+            assert stages[f"{stage}/part=1"]["metrics"] == {"partition": 1,
+                                                            "shuffle_partitions": want}
 
     def test_block_metrics_lineage_and_older_format_recomputes(self, tiny_tables, tmp_path):
         """block_metrics is counted over the idf-built encoding, and a
-        checkpoint from the previous format (tok_ids-salted counts) is
-        recomputed, not mixed with the new edges."""
+        checkpoint from an older format (fmt2: tok_ids-salted counts;
+        fmt3: staged clusters with a ``part`` column, crc32 buckets) is
+        recomputed, not mixed with the new stages."""
         out = str(tmp_path / "fmt")
         run_snd(_input_ds(tiny_tables), out_dir=out)
-        man = snd_summary(out)
-        assert man["stages"]["block_metrics"]["inputs"] == ["normalized", "idf"]
-        assert man["config_hash"].endswith("-fmt3")
-        stale = os.path.join(man["stages"]["block_metrics"]["path"], "stale")
-        open(stale, "w").close()
-        man["config_hash"] = man["config_hash"].replace("-fmt3", "-fmt2")
-        with open(os.path.join(out, "manifest.json"), "w") as f:
-            json.dump(man, f)
-        run_snd(_input_ds(tiny_tables), out_dir=out)
-        assert snd_summary(out)["config_hash"].endswith("-fmt3")
-        assert not os.path.exists(stale)
+        for old in ("-fmt2", "-fmt3"):
+            man = snd_summary(out)
+            assert man["stages"]["block_metrics"]["inputs"] == ["normalized", "idf"]
+            assert man["config_hash"].endswith("-fmt4")
+            stale = os.path.join(man["stages"]["block_metrics"]["path"], "stale")
+            open(stale, "w").close()
+            man["config_hash"] = man["config_hash"].replace("-fmt4", old)
+            with open(os.path.join(out, "manifest.json"), "w") as f:
+                json.dump(man, f)
+            run_snd(_input_ds(tiny_tables), out_dir=out)
+            assert snd_summary(out)["config_hash"].endswith("-fmt4")
+            assert not os.path.exists(stale)
 
     def test_block_metrics_count_the_scored_encoding(self, tiny_tables, tmp_path):
         """On salted, truncating blocks the stage's totals equal
@@ -176,8 +237,9 @@ class TestShuffleWidth:
 
 
 class TestPartitionResume:
-    """North-rule mid-shuffle resume: the edges stage commits one
-    block-hash partition at a time with its own lineage/metrics."""
+    """North-rule mid-shuffle resume: the blocking pass commits one
+    block-hash bucket at a time, each bucket's edges, block metrics and
+    clusters with their own lineage/metrics."""
 
     def test_partitioned_edges_match_default_and_resume_mid_shuffle(
         self, tiny_tables, tmp_path
@@ -193,27 +255,30 @@ class TestPartitionResume:
         pd.testing.assert_frame_equal(a[["record_id", "cluster_id"]],
                                       b[["record_id", "cluster_id"]])
         man = snd_summary(out)
-        parts = [s for s in man["stages"] if s.startswith("edges/part=")]
-        assert len(parts) == 4
-        assert all("wall_sec" in man["stages"][p] for p in parts)
+        for stage in ("edges", "block_metrics", "clusters"):
+            parts = [s for s in man["stages"] if s.startswith(f"{stage}/part=")]
+            assert len(parts) == 4
+            assert all("wall_sec" in man["stages"][p] for p in parts)
+        assert sum(man["stages"][f"clusters/part={p}"]["rows"] for p in range(4)) \
+            == tabs["records"].num_rows
+        assert not any(s in man["stages"] for s in ("edges", "block_metrics", "clusters"))
 
-        # simulate a crash after two edge partitions: drop the others + all
-        # downstream stages, rerun, and verify survivors were not rebuilt
-        import json as _json
-        import shutil as _shutil
+        # simulate a crash in the middle of bucket 1 (its edges and block
+        # metrics committed, its clusters not) with buckets 2-3 not run:
+        # drop those stages, rerun, and verify survivors were not rebuilt
         with open(os.path.join(out, "manifest.json")) as f:
-            m = _json.load(f)
-        for victim in ["edges/part=2", "edges/part=3", "clusters", "block_metrics"]:
-            if victim in m["stages"]:
-                _shutil.rmtree(m["stages"][victim]["path"], ignore_errors=True)
-                del m["stages"][victim]
+            m = json.load(f)
+        victims = ["clusters/part=1"] + [f"{s}/part={p}" for p in (2, 3)
+                                         for s in ("edges", "block_metrics", "clusters")]
+        for victim in victims:
+            shutil.rmtree(m["stages"][victim]["path"], ignore_errors=True)
+            del m["stages"][victim]
         with open(os.path.join(out, "manifest.json"), "w") as f:
-            _json.dump(m, f)
-        survivor = m["stages"]["edges/part=0"]["path"]
-        mt = {p: os.path.getmtime(os.path.join(survivor, p)) for p in os.listdir(survivor)}
+            json.dump(m, f)
+        survivors = ["edges/part=0", "clusters/part=0", "edges/part=1", "block_metrics/part=1"]
+        mt = {s: _mtimes(m["stages"][s]["path"]) for s in survivors}
         second = run_snd(_input_ds(tabs), out_dir=out, partition_resume=True,
                          n_edge_partitions=4).to_pandas()
-        mt2 = {p: os.path.getmtime(os.path.join(survivor, p)) for p in os.listdir(survivor)}
-        assert mt == mt2
+        assert {s: _mtimes(m["stages"][s]["path"]) for s in survivors} == mt
         c = second.sort_values("record_id").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, c)

@@ -81,24 +81,31 @@ def test_batch_kernel_on_sliced_table():
     assert out["cos"].tolist() == [1.0, 1.0]
 
 
-def test_fused_edges_match_two_stage_path(small_fixture):
-    """generate_scored_edges (fused) == generate_pairs → PairScorer."""
+def test_fused_edges_match_two_stage_path(small_fixture, tmp_path):
+    """The checkpointed run's ``edges`` stage (scored inside the fused
+    block kernel) == generate_pairs → PairScorer."""
     import pandas as pd
+    import pyarrow.parquet as pq
     import ray.data as rd
 
+    from whoiswho_ray.pipelines.snd import run_snd, snd_summary
     from whoiswho_ray.stages.idf import build_idf
     from whoiswho_ray.stages.normalize import normalize_records
-    from whoiswho_ray.stages.pairs import generate_pairs, generate_scored_edges
+    from whoiswho_ray.stages.pairs import generate_pairs
     from whoiswho_ray.stages.scoring import score_pairs, vectorize
 
     spec, tabs = small_fixture
     cfg = SNDConfig()
-    norm = normalize_records(rd.from_arrow(tabs["records"].slice(0, 800)), cfg)
+    records = tabs["records"].slice(0, 800)
+    out = str(tmp_path / "run")
+    run_snd(rd.from_arrow(records), cfg, out_dir=out)
+    fused = pq.read_table(snd_summary(out)["stages"]["edges"]["path"]).to_pandas()
+    norm = normalize_records(rd.from_arrow(records), cfg)
     idf = build_idf(norm, cfg)
     vec = vectorize(norm, idf, cfg).materialize()
-    fused = generate_scored_edges(vec, cfg).to_pandas()
     staged = score_pairs(generate_pairs(vec, cfg), cfg).to_pandas()
     key = ["block_key", "id_a", "id_b"]
     a = fused.sort_values(key).reset_index(drop=True)
     b = staged.sort_values(key).reset_index(drop=True)
+    assert len(a) > 0
     pd.testing.assert_frame_equal(a[key + ["score"]], b[key + ["score"]], rtol=1e-12)

@@ -84,29 +84,6 @@ def test_f1_gate_holds_across_seeds(seed):
     assert mean_f1 >= 0.99
 
 
-def test_fused_clusters_equal_staged(small_fixture):
-    """The fused one-shuffle path (make_block_clusters) must produce
-    exactly the staged edges->union->cluster path's clusters."""
-    import ray.data as rd
-
-    from whoiswho_ray.config import SNDConfig
-    from whoiswho_ray.pipelines.snd import snd_cluster
-    from whoiswho_ray.stages.idf import build_idf
-    from whoiswho_ray.stages.normalize import normalize_records
-    from whoiswho_ray.stages.scoring import vectorize
-
-    spec, tabs = small_fixture
-    cfg = SNDConfig()
-    norm = normalize_records(rd.from_arrow(tabs["records"]), cfg).materialize()
-    idf = build_idf(norm, cfg)
-    vec = vectorize(norm, idf, cfg).materialize()
-    fused = snd_cluster(norm, vec, cfg).to_pandas().sort_values("record_id").reset_index(drop=True)
-    staged = snd_cluster(norm, vec, cfg, staged=True).to_pandas().sort_values(
-        "record_id").reset_index(drop=True)
-    import pandas as pd
-    pd.testing.assert_frame_equal(fused, staged)
-
-
 def test_compact_clusters_equal_full(small_fixture):
     """The compact shuffle encoding (int32 tfv positions + tok_n scalar,
     scoring.vectorize(compact=True)) must produce exactly the full
@@ -136,10 +113,6 @@ def test_compact_clusters_equal_full(small_fixture):
     b = snd_cluster(norm, compact, cfg).to_pandas().sort_values(
         "record_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
-    # staged path over the compact encoding agrees too
-    c = snd_cluster(norm, compact, cfg, staged=True).to_pandas().sort_values(
-        "record_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, c)
 
 
 def test_compact_f1_holds_on_salted_hot_block():

@@ -142,7 +142,7 @@ def _profile_scores(group: pa.Table, cfg: SNDConfig) -> pa.Table:
     flag = np.zeros(n, dtype=bool)
     scored = _score_block(group, cfg) if n >= 2 else None
     if scored is not None:
-        rids, ii, jj, feats = scored
+        rids, ii, jj, feats, _ = scored
         sorted_pos = np.empty(n, dtype=np.int64)
         sorted_pos[np.argsort(rids, kind="stable")] = np.arange(n, dtype=np.int64)
         si, sj = sorted_pos[ii], sorted_pos[jj]
@@ -215,7 +215,7 @@ def _profile_features(group: pa.Table, cfg: SNDConfig) -> pa.Table:
     feats_out["f_frac"] = np.full(n, 1.0 / max(n, 1))
     scored = _score_block(group, cfg) if n >= 2 else None
     if scored is not None:
-        rids, ii, jj, feats = scored
+        rids, ii, jj, feats, _ = scored
         sorted_pos = np.empty(n, dtype=np.int64)
         sorted_pos[np.argsort(rids, kind="stable")] = np.arange(n, dtype=np.int64)
         si, sj = sorted_pos[ii], sorted_pos[jj]

@@ -7,15 +7,19 @@ preprocessing, SURVEY.md §3.1), as a streaming Dataset pipeline:
     read_parquet(records)
       → normalize            map_batches, zero-copy Arrow   (stage "normalized")
       → build_idf            pre-aggregated groupby(token)  (artifact "idf")
-      → vectorize            actor pool, broadcast IdfModel
-      → generate_pairs       groupby(block_key).map_groups  (the blocking shuffle)
-      → score_pairs          actor pool map_batches         (stage "edges")
-      → cluster_blocks       groupby(block_key).map_groups  (stage "clusters")
+      → vectorize            task-pool map, broadcast IdfModel
+      → score + cluster      ONE groupby(block_key).map_groups, the fused
+                             block kernel (the blocking shuffle)
 
-With ``out_dir`` set, each stage checkpoints to Parquet through an atomic
-manifest (see ``state/manifest.py``) and a rerun resumes from the last
-completed stage; per-block lineage/metrics go to stage "block_metrics".
-Without ``out_dir`` the pipeline is one lazy streaming plan end-to-end.
+No component spans a block, so the transitive closure runs inside the
+blocking task and needs no communication round of its own. With
+``out_dir`` set, the normalized table and the idf are checkpointed, and
+one pass of the blocking shuffle (``pairs.make_block_stages``) yields the
+kept edges, one metrics row per block and the clusters, committed as the
+stages "edges", "block_metrics" and "clusters" through an atomic manifest
+(see ``state/manifest.py``); a rerun resumes from the last completed
+stage. Without ``out_dir`` the pipeline is one lazy streaming plan
+end-to-end.
 
 Every cluster row carries ``content_sha256`` so the BASELINE.json per-row
 invariant (output sha256 == input sha256 per record) is checkable without
@@ -30,110 +34,63 @@ import time
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
 
 from whoiswho_ray.config import SNDConfig
-from whoiswho_ray.stages.cluster import cluster_blocks
 from whoiswho_ray.stages.idf import IdfModel, build_idf
 from whoiswho_ray.stages.normalize import normalize_records
-from whoiswho_ray.stages.pairs import (EDGE_SHUFFLE_COLUMNS, generate_block_metrics,
-                                       generate_scored_edges, shuffle_partitions)
+from whoiswho_ray.stages.pairs import (BLOCK_STAGES, CLUSTER_SHUFFLE_COLUMNS,
+                                       block_stage_schemas, make_block_clusters,
+                                       make_block_stages, shuffle_partitions)
 from whoiswho_ray.stages.scoring import vectorize
 from whoiswho_ray.state.manifest import Manifest
 
-NODE_MARKER = -1  # ix_a value marking a node (non-edge) row in the cluster input
 
+def _blocked(vectorized: "rd.Dataset", kernel, idf=None,
+             partitions: int | None = None) -> "rd.Dataset":
+    """The blocking shuffle: ``kernel(group, idf_w)`` on every block of one
+    ``groupby("block_key").map_groups``, after a repartition to
+    ``partitions`` (None: the caller already partitioned).
 
-def _node_rows(normalized: "rd.Dataset") -> "rd.Dataset":
-    """Records as node rows for the cluster stage (singletons must cluster
-    too — never rely on them having edges)."""
-    def to_nodes(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "block_key": t.column("block_key"),
-            "ix_a": pa.array(np.full(n, NODE_MARKER, dtype=np.int32)),
-            "ix_b": pa.array(np.full(n, NODE_MARKER, dtype=np.int32)),
-            "score": pa.array(np.full(n, np.nan, dtype=np.float64)),
-            "record_id": t.column("record_id"),
-            "content_sha256": t.column("content_sha256"),
-        })
-    return normalized.map_batches(to_nodes, batch_format="pyarrow", zero_copy_batch=True)
+    ``idf``: required when ``vectorized`` was built with
+    ship_weights=False — the block kernel re-derives tfv_w from the
+    broadcast idf array instead of reading it off the shuffle. The array
+    ships through the object store ONCE (ray.put) and each worker
+    process fetches it once (plasma-local after the first get)."""
+    idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
 
+    def fused(g):
+        w = _idf_w_cached(idf_w_ref) if idf_w_ref is not None else None
+        return kernel(g, w)
 
-def _edge_rows(edges: "rd.Dataset") -> "rd.Dataset":
-    """Compact edge rows: block-local int32 positions (in record_id-sorted
-    order, assigned by make_scored_edges) + float64 score — no strings
-    beyond the block key travel through the cluster shuffle. The score
-    stays float64 so the cluster stage compares against tau_edge/tau_attach
-    with exactly the same rounding as the make_scored_edges filter (a
-    float32 round-trip would drop near-threshold edges: float32(1.3) < 1.3).
-    The id columns are all-null arrays (validity bitmap only — no per-row
-    string payload) purely to align the node/edge union schema."""
-    def to_edges(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.table({
-            "block_key": t.column("block_key"),
-            "ix_a": t.column("ix_a"),
-            "ix_b": t.column("ix_b"),
-            "score": t.column("score"),
-            "record_id": pa.nulls(n, pa.string()),
-            "content_sha256": pa.nulls(n, pa.string()),
-        })
-    return edges.map_batches(to_edges, batch_format="pyarrow", zero_copy_batch=True)
+    if partitions:
+        vectorized = vectorized.repartition(partitions)
+    return vectorized.groupby("block_key").map_groups(fused, batch_format="pyarrow")
 
 
 def snd_cluster(
     normalized: "rd.Dataset",
     vectorized: "rd.Dataset",
     cfg: SNDConfig | None = None,
-    staged: bool = False,
     idf=None,
     pre_partitioned: bool = False,
 ) -> "rd.Dataset":
     """Clustering tail of the pipeline for callers that already hold the
     normalized/vectorized records (e.g. the RND pipeline, which reuses
-    them for profile building).
+    them for profile building); only ``vectorized`` is read.
 
-    Default is the FUSED path: scoring and clustering run inside the one
-    blocking groupby (``pairs.make_block_clusters``) — no edge shuffle, no
-    node/edge union, no second sort. ``staged=True`` keeps the explicit
-    edges→union→cluster chain (the resume-granular shape the checkpointed
-    pipeline uses); both produce identical clusters (asserted in tests)."""
+    Scoring and clustering run inside the one blocking groupby
+    (``pairs.make_block_clusters``) — no edge shuffle, no node/edge union,
+    no second sort. ``pre_partitioned``: the caller repartitioned before
+    materializing the normalized table (run_snd does), so the task-pool
+    vectorize map feeds the sort directly — one fewer barrier."""
     cfg = cfg or SNDConfig()
-    if staged:
-        edges = generate_scored_edges(vectorized, cfg)
-        union = _node_rows(normalized).union(_edge_rows(edges))
-        return cluster_blocks(union, cfg)
-    from whoiswho_ray.stages.pairs import make_block_clusters
-
-    if pre_partitioned:
-        # the caller repartitioned BEFORE materializing the normalized
-        # table (run_snd does), so the task-pool vectorize map feeds the
-        # sort directly — one fewer barrier on the flagship path
-        idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
-
-        def fused_pre(g):
-            w = _idf_w_cached(idf_w_ref) if idf_w_ref is not None else None
-            return make_block_clusters(g, cfg, idf_w=w)
-
-        return vectorized.groupby("block_key").map_groups(
-            fused_pre, batch_format="pyarrow")
-
-    # ``idf``: required when ``vectorized`` was built with
-    # ship_weights=False — the block kernel re-derives tfv_w from the
-    # broadcast idf array instead of reading it off the shuffle. The array
-    # ships through the object store ONCE (ray.put) and each worker
-    # process fetches it once (plasma-local after the first get).
-    idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
-
-    def fused(g):
-        w = _idf_w_cached(idf_w_ref) if idf_w_ref is not None else None
-        return make_block_clusters(g, cfg, idf_w=w)
-
-    return vectorized.repartition(shuffle_partitions()).groupby("block_key").map_groups(
-        fused, batch_format="pyarrow")
+    return _blocked(vectorized, lambda g, w: make_block_clusters(g, cfg, idf_w=w), idf,
+                    None if pre_partitioned else shuffle_partitions())
 
 
 _IDF_W_CACHE: dict = {}
@@ -167,14 +124,8 @@ def snd_vote_cluster(
 
     cfgs = cfgs or default_vote_configs()
     mv = (len(cfgs) // 2 + 1) if min_votes is None else min_votes
-    idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
-
-    def fused(g):
-        w = _idf_w_cached(idf_w_ref) if idf_w_ref is not None else None
-        return make_block_vote_clusters(g, cfgs, mv, idf_w=w)
-
-    return vectorized.repartition(shuffle_partitions()).groupby("block_key").map_groups(
-        fused, batch_format="pyarrow")
+    return _blocked(vectorized, lambda g, w: make_block_vote_clusters(g, cfgs, mv, idf_w=w),
+                    idf, shuffle_partitions())
 
 
 def run_snd_vote(
@@ -184,8 +135,6 @@ def run_snd_vote(
 ) -> "rd.Dataset":
     """records → majority-voted ensemble clusters, the run_snd sibling
     (same compact/ship_weights/sha_binary shuffle encoding)."""
-    from whoiswho_ray.stages.pairs import CLUSTER_SHUFFLE_COLUMNS
-
     base = (cfgs[0] if cfgs else SNDConfig())
     if isinstance(records, str):
         records = rd.read_parquet(records)
@@ -216,16 +165,13 @@ def snd_sgc_cluster(
     from whoiswho_ray.stages.pairs import make_block_sgc_clusters
 
     cfg = cfg or SNDConfig()
-    idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
 
-    def fused(g):
-        w = _idf_w_cached(idf_w_ref) if idf_w_ref is not None else None
+    def kernel(g, w):
         return make_block_sgc_clusters(g, cfg, tau_strong=tau_strong, idf_w=w,
                                        refine_rounds=refine_rounds,
                                        learned_rounds=learned_rounds)
 
-    return vectorized.repartition(shuffle_partitions()).groupby("block_key").map_groups(
-        fused, batch_format="pyarrow")
+    return _blocked(vectorized, kernel, idf, shuffle_partitions())
 
 
 def run_snd_sgc(
@@ -239,8 +185,6 @@ def run_snd_sgc(
     (same compact/ship_weights/sha_binary shuffle encoding).
     ``refine_rounds`` > 0 adds bond's iterated pseudo-label refinement
     loop on top (see ``pairs.make_block_sgc_clusters``)."""
-    from whoiswho_ray.stages.pairs import CLUSTER_SHUFFLE_COLUMNS
-
     cfg = cfg or SNDConfig()
     if isinstance(records, str):
         records = rd.read_parquet(records)
@@ -256,7 +200,6 @@ def run_snd_sgc(
 
 
 def run_snd(
-
     records: "rd.Dataset | str",
     cfg: SNDConfig | None = None,
     out_dir: str | None = None,
@@ -268,12 +211,13 @@ def run_snd(
 
     ``records``: a Dataset or a parquet path of the input_hint table.
     ``out_dir``: enables checkpoint/resume through a manifest.
-    ``partition_resume``: computes the edges stage (the expensive blocked
-    shuffle) one block-hash partition at a time, committing each partition
-    to the manifest with its own rows/wall metrics — a killed run resumes
-    *mid-shuffle*, re-doing only unfinished partitions. Costs one extra
-    read of the (compact) normalized checkpoint per partition; off by
-    default for lowest wall time.
+    ``partition_resume``: runs the blocking pass one block-hash bucket at
+    a time (``n_edge_partitions`` buckets), committing each bucket's
+    ``edges/part=k``, ``block_metrics/part=k`` and ``clusters/part=k``
+    stages with their own rows/wall metrics — a killed run resumes
+    *mid-shuffle*, re-doing only unfinished buckets. Costs one extra
+    read of the normalized checkpoint per bucket; off by default for
+    lowest wall time.
     """
     cfg = cfg or SNDConfig()
     if isinstance(records, str):
@@ -289,8 +233,7 @@ def run_snd(
         # (The checkpointed path gets the same effect from its parquet
         # stage boundary; at 100 TB use out_dir so the normalized table
         # lives in parquet, not the object store.)
-        from whoiswho_ray.stages.pairs import CLUSTER_SHUFFLE_COLUMNS
-
+        #
         # repartition to the shuffle width BEFORE the materialize: the
         # barrier is absorbed into the (mandatory) normalize pass, the
         # task-pool vectorize map preserves the block layout, and the
@@ -305,38 +248,18 @@ def run_snd(
                         compact=True, ship_weights=False, sha_binary=True)
         return snd_cluster(normalized, vec, cfg, idf=idf, pre_partitioned=True)
 
-    # the format version guards stage schemas: resuming with checkpoints
-    # written by an older engine layout recomputes instead of mixing
-    man = Manifest(out_dir, f"{cfg.config_hash()}-fmt3")
+    # the format version guards stage schemas and bucket assignment:
+    # resuming with checkpoints written by an older engine layout
+    # recomputes instead of mixing
+    man = Manifest(out_dir, f"{cfg.config_hash()}-fmt4")
 
-    def checkpointed(name: str, inputs: list[str], build,
-                     partition_on: str | None = None,
-                     metrics: dict | None = None) -> "rd.Dataset":
-        if man.stage_done(name):
-            return rd.read_parquet(man.stage_path(name))
+    if not man.stage_done("normalized"):
         t0 = time.time()
-        ds = build()
-        tmp = man.begin_stage(name)
-        if partition_on is not None:
-            # resumable layout: one hive partition per key-hash bucket, so
-            # a consumer (or a finer-grained resume) can skip finished
-            # partitions instead of rereading one monolithic output
-            def add_part(t: pa.Table) -> pa.Table:
-                keys = t.column(partition_on).to_pylist()
-                import zlib
-                part = [zlib.crc32(k.encode()) % 64 for k in keys]
-                return t.append_column("part", pa.array(part, pa.int32()))
-
-            ds.map_batches(add_part, batch_format="pyarrow").write_parquet(
-                tmp, partition_cols=["part"])
-        else:
-            ds.write_parquet(tmp)
-        out = rd.read_parquet(tmp)
-        rows = out.count()
-        man.complete_stage(name, tmp, rows, time.time() - t0, inputs, metrics)
-        return rd.read_parquet(man.stage_path(name))
-
-    normalized = checkpointed("normalized", ["input"], lambda: normalize_records(records, cfg))
+        tmp = man.begin_stage("normalized")
+        normalize_records(records, cfg).write_parquet(tmp)
+        man.complete_stage("normalized", tmp, man.parquet_rows(tmp), time.time() - t0,
+                           ["input"])
+    normalized = rd.read_parquet(man.stage_path("normalized"))
 
     idf_path = os.path.join(out_dir, "idf.npz")
     if man.stage_done("idf"):
@@ -357,63 +280,51 @@ def run_snd(
             "wall_sec": round(time.time() - t0, 3),
         })
 
-    # every blocking shuffle below runs at this width, recorded per stage
+    # every blocking pass runs at this width, recorded per stage
     partitions = shuffle_partitions()
-    width = {"shuffle_partitions": partitions}
-    # the edges are scored from, and the block metrics counted over, this
-    # compact encoding (hot-block salting keys on tfv_ids in it, not tok_ids)
-    edge_vec = vectorize(normalized, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS, compact=True)
+    schemas = block_stage_schemas(cfg)
 
-    if partition_resume:
-        import zlib
-
-        def part_of(key: str) -> int:
-            return zlib.crc32(key.encode()) % n_edge_partitions
-
-        for part in range(n_edge_partitions):
-            name = f"edges/part={part}"
-            if man.stage_done(name):
-                continue
+    def block_pass(recs: "rd.Dataset", suffix: str = "",
+                   metrics: dict | None = None) -> "rd.Dataset":
+        """One blocking pass over ``recs``; commits each of BLOCK_STAGES
+        (name + ``suffix``) not yet done. The pass's wall counts on the
+        first stage it commits, each later stage counts only its write."""
+        metrics = {**(metrics or {}), "shuffle_partitions": partitions}
+        todo = [s for s in BLOCK_STAGES if not man.stage_done(s + suffix)]
+        t0 = time.time()
+        if todo:
+            vec = vectorize(recs, idf, cfg, keep=CLUSTER_SHUFFLE_COLUMNS,
+                            compact=True, ship_weights=False, sha_binary=True)
+            tagged = _blocked(vec, lambda g, w: make_block_stages(g, cfg, idf_w=w),
+                              idf, partitions).materialize()
+        for stage in todo:
+            kind, cols = BLOCK_STAGES.index(stage), schemas[stage].names
+            tmp = man.begin_stage(stage + suffix)
+            tagged.map_batches(
+                lambda t, kind=kind, cols=cols: t.filter(pc.equal(t["kind"], kind)).select(cols),
+                batch_format="pyarrow", batch_size=None).write_parquet(tmp)
+            rows = man.parquet_rows(tmp)
+            if not rows:  # keep an empty stage readable, with its schema
+                pq.write_table(schemas[stage].empty_table(), os.path.join(tmp, "empty.parquet"))
+            man.complete_stage(stage + suffix, tmp, rows, time.time() - t0,
+                               ["normalized", "idf"], metrics)
             t0 = time.time()
+        return rd.read_parquet(man.stage_path("clusters" + suffix))
 
-            def bucket_filter(t: pa.Table, part=part) -> pa.Table:
-                keys = t.column("block_key").to_pylist()
-                mask = [part_of(k) == part for k in keys]
-                return t.filter(pa.array(mask))
+    if not partition_resume:
+        return block_pass(normalized)
 
-            sub = normalized.map_batches(bucket_filter, batch_format="pyarrow",
-                                         zero_copy_batch=True)
-            part_edges = generate_scored_edges(
-                vectorize(sub, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS, compact=True), cfg,
-                partitions)
-            tmp = man.begin_stage(name.replace("/", "_"))
-            part_edges.write_parquet(tmp)
-            rows = rd.read_parquet(tmp).count()
-            man.complete_stage(name, tmp, rows, time.time() - t0,
-                               ["normalized", "idf"],
-                               metrics={"partition": part, **width})
-        part_sets = [rd.read_parquet(man.stage_path(f"edges/part={p}"))
-                     for p in range(n_edge_partitions)]
-        edges = part_sets[0].union(*part_sets[1:]) if len(part_sets) > 1 else part_sets[0]
-    else:
-        edges = checkpointed(
-            "edges", ["normalized", "idf"],
-            lambda: generate_scored_edges(edge_vec, cfg, partitions),
-            metrics=width,
-        )
-    checkpointed(
-        "block_metrics", ["normalized", "idf"],
-        lambda: generate_block_metrics(edge_vec, cfg, partitions),
-        metrics=width,
-    )
-    clusters = checkpointed(
-        "clusters", ["normalized", "edges"],
-        lambda: cluster_blocks(_node_rows(normalized).union(_edge_rows(edges)), cfg,
-                               partitions),
-        partition_on="block_key",
-        metrics=width,
-    )
-    return clusters
+    from whoiswho_ray.stages.joins import _key_hash
+
+    parts = []
+    for part in range(n_edge_partitions):
+        def bucket(t: pa.Table, part=part) -> pa.Table:
+            b = _key_hash(t, ["block_key"]) % np.uint64(n_edge_partitions)
+            return t.filter(pa.array(b == part))
+
+        sub = normalized.map_batches(bucket, batch_format="pyarrow", zero_copy_batch=True)
+        parts.append(block_pass(sub, f"/part={part}", {"partition": part}))
+    return parts[0].union(*parts[1:]) if len(parts) > 1 else parts[0]
 
 
 def snd_summary(out_dir: str) -> dict:
@@ -445,7 +356,7 @@ def run_snd_pr_curve(
     import pandas as pd
 
     from whoiswho_ray.stages.agg import grouped_agg
-    from whoiswho_ray.stages.pairs import CLUSTER_SHUFFLE_COLUMNS, make_block_pr_counts
+    from whoiswho_ray.stages.pairs import make_block_pr_counts
 
     cfg = cfg or SNDConfig()
     if isinstance(records, str):
@@ -459,13 +370,7 @@ def run_snd_pr_curve(
                     keep=[c for c in CLUSTER_SHUFFLE_COLUMNS
                           if c != "content_sha256"],
                     compact=True, ship_weights=False)
-    idf_w_ref = ray.put(np.asarray(idf.idf))
-
-    def fused(g):
-        return make_block_pr_counts(g, cfg, taus,
-                                    idf_w=_idf_w_cached(idf_w_ref))
-
-    parts = vec.groupby("block_key").map_groups(fused, batch_format="pyarrow")
+    parts = _blocked(vec, lambda g, w: make_block_pr_counts(g, cfg, taus, idf_w=w), idf)
     tot = grouped_agg(parts, "tau_cents",
                       {"tp": ("tp", "sum"), "fp": ("fp", "sum"),
                        "truth_pairs": ("truth_pairs", "sum")})

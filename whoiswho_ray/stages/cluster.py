@@ -3,9 +3,11 @@
 Two paths, as laid out in SURVEY.md §7.1(6):
 
 * **Per-block path** (the default): clusters never span blocks, so the
-  cluster step is one ``groupby(block_key).map_groups`` — embarrassingly
-  parallel across blocks, local union-find over the block's above-threshold
-  edges, O(E·α). This replaces the reference's DBSCAN on a dense
+  cluster step runs inside the blocking task that scores the block
+  (``pairs.make_block_clusters``) — embarrassingly parallel across blocks,
+  local components over the block's above-threshold edges
+  (:func:`cluster_edge_arrays`), with no shuffle of its own. This
+  replaces the reference's DBSCAN on a dense
   precomputed distance matrix (``/root/reference/whoiswho/loadmodel/
   ClusterModels.py:5-22``) with threshold edges + union-find, which is the
   scalable equivalent (eps-neighborhood graph connectivity ≡ single-link
@@ -98,8 +100,8 @@ def cluster_edge_arrays(
     cfg: SNDConfig,
 ) -> np.ndarray:
     """Core clustering over dense int edge arrays: strong-edge components
-    + the reference's post-match. Shared by the staged (node/edge-union)
-    path and the fused in-block path — equivalence asserted in tests."""
+    + the reference's post-match. ``ia``/``ib`` are block-local positions
+    in record_id-sorted order (partner index order == record_id order)."""
     strong = es >= cfg.tau_edge
     labels = cc_labels(n, ia[strong], ib[strong])
 
@@ -141,53 +143,6 @@ def cluster_edge_arrays(
             labels = cc_labels(n, np.concatenate([ia[strong], *extra_a]),
                                np.concatenate([ib[strong], *extra_b]))
     return labels
-
-
-def cluster_block(group: pd.DataFrame, cfg: SNDConfig) -> pd.DataFrame:
-    """One block's node+edge rows → (block_key, record_id, cluster_id, content_sha256).
-
-    Input rows are the union of node rows (id_b == "") and scored edge rows
-    (see ``pipelines/snd.py``). Fully vectorized: record ids map to dense
-    indices via searchsorted, components via ``cc_labels``, and the
-    post-match best-partner selection via one lexsort."""
-    is_node = group["ix_a"].to_numpy() < 0
-    nodes = group[is_node]
-    edges = group[~is_node]
-    block_key = group["block_key"].iloc[0]
-
-    rids = np.sort(nodes["record_id"].to_numpy())
-    order_sha = np.argsort(nodes["record_id"].to_numpy(), kind="stable")
-    shas = nodes["content_sha256"].to_numpy()[order_sha]
-    n = rids.size
-
-    # edge endpoints are block-local positions in record_id-sorted order
-    # (assigned in make_scored_edges against the same block membership)
-    ia = edges["ix_a"].to_numpy().astype(np.int64)
-    ib = edges["ix_b"].to_numpy().astype(np.int64)
-    es = edges["score"].to_numpy(dtype=np.float64)
-    if ia.size:
-        ok = (ia >= 0) & (ia < n) & (ib >= 0) & (ib < n)
-        ia, ib, es = ia[ok], ib[ok], es[ok]
-
-    labels = cluster_edge_arrays(n, ia, ib, es, cfg)
-    roots = rids[labels]
-    return pd.DataFrame(
-        {
-            "block_key": np.repeat(block_key, n),
-            "record_id": rids,
-            "cluster_id": np.char.add(np.char.add(str(block_key), "#"), roots.astype(str)),
-            "content_sha256": shas,
-        }
-    )
-
-
-def cluster_blocks(union_ds: "ray.data.Dataset", cfg: SNDConfig | None = None,
-                   partitions: int | None = None) -> "ray.data.Dataset":
-    cfg = cfg or SNDConfig()
-    from whoiswho_ray.stages.pairs import shuffle_partitions
-
-    return union_ds.repartition(partitions or shuffle_partitions()).groupby(
-        "block_key").map_groups(lambda g: cluster_block(g, cfg), batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

@@ -262,20 +262,28 @@ def block_metrics(group: pa.Table, cfg: SNDConfig) -> pa.Table:
         rids, tv, to, rf = _block_arrays(group)
         ii, jj, truncated = candidate_index_pairs(rids, tv, to, rf, cfg)
         n_pairs = int(ii.size)
-    return pa.table({
-        "block_key": pa.array([group.column("block_key")[0].as_py()], pa.string()),
-        "n_records": pa.array([n], pa.int64()),
-        "n_pairs": pa.array([n_pairs], pa.int64()),
-        "salted": pa.array([n > cfg.max_allpairs_block], pa.bool_()),
-        "truncated_pairs": pa.array([truncated], pa.int64()),
-    })
+    return _metrics_row(group.column("block_key")[0].as_py(), n, n_pairs, truncated, cfg)
+
+
+BLOCK_METRICS_SCHEMA = pa.schema([
+    ("block_key", pa.string()), ("n_records", pa.int64()), ("n_pairs", pa.int64()),
+    ("salted", pa.bool_()), ("truncated_pairs", pa.int64())])
+
+
+def _metrics_row(block_key: str, n: int, n_pairs: int, truncated: int,
+                 cfg: SNDConfig) -> pa.Table:
+    return pa.Table.from_pylist([{
+        "block_key": block_key, "n_records": n, "n_pairs": n_pairs,
+        "salted": n > cfg.max_allpairs_block, "truncated_pairs": truncated,
+    }], schema=BLOCK_METRICS_SCHEMA)
 
 
 def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
                  want_gram: bool = False):
-    """One block → (rids, ii, jj, feats) — candidate generation + fused
-    scoring; None when the block yields no candidate pairs. Shared by the
-    edge-emitting and the fused cluster-emitting kernels.
+    """One block → (rids, ii, jj, feats, truncated) — candidate generation
+    + fused scoring, with the count of pairs the candidate budget dropped;
+    None when the block yields no candidate pairs. Shared by every block
+    kernel.
 
     ``idf_w``: the broadcast idf float32 array, required when the group
     was vectorized with ``ship_weights=False`` (no ``tfv_w`` column) —
@@ -293,7 +301,7 @@ def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
     if n < 2:
         return None
     rids, tok_values, tok_offsets, repo_first = _block_arrays(group)
-    ii, jj, _trunc = candidate_index_pairs(rids, tok_values, tok_offsets, repo_first, cfg)
+    ii, jj, truncated = candidate_index_pairs(rids, tok_values, tok_offsets, repo_first, cfg)
     if ii.size == 0:
         return None
 
@@ -438,81 +446,146 @@ def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
         from whoiswho_ray.stages.relational import relational_adjust
 
         feats = relational_adjust(n, ii, jj, feats, cfg)
-    return rids, ii, jj, feats
+    return rids, ii, jj, feats, truncated
 
 
-def make_scored_edges(group: pa.Table, cfg: SNDConfig) -> pa.Table:
-    """One block → scored edge rows directly (pair generation and scoring
-    fused in the block task).
-
-    This is the flagship path at scale: pair payloads (token signatures)
-    never leave the task — only scored edges (~100 B/row, and only those ≥
-    min(tau_attach, tau_edge)) enter the object store, a ~16× reduction
-    over materializing payload-carrying pair rows. The standalone
-    ``scoring.PairScorer`` actor pool remains for decoupled scoring of
-    externally-supplied pair tables; both run the same
-    ``score_flat_components`` kernel (equivalence is asserted in tests).
-    """
-    scored = _score_block(group, cfg)
-    if scored is None:
-        return _empty_edges_table()
-    rids, ii, jj, feats = scored
+def _block_records(group: pa.Table):
+    """(block_key, record ids, their record_id-sorted order, hex sha256 in
+    that order) of one block — the decoding every cluster-emitting kernel
+    starts from. ``content_sha256`` may arrive as fixed_size_binary(32)
+    (the compact shuffle encoding) and leaves as hex."""
     n = group.num_rows
-    keep = feats["score"] >= min(cfg.tau_attach, cfg.tau_edge)
-    # block-local indices in record_id-sorted order: the cluster stage
-    # re-sorts node rids and joins edges by POSITION — edge rows then carry
-    # two int32s instead of two 40-char ids (≈3× less shuffle volume)
-    sorted_pos = np.empty(n, dtype=np.int32)
-    sorted_pos[np.argsort(rids, kind="stable")] = np.arange(n, dtype=np.int32)
+    block_key = group.column("block_key")[0].as_py() if n else ""
+    rids = np.asarray(group.column("record_id").to_pylist(), dtype=object)
+    shas = group.column("content_sha256").to_pylist()
+    if pa.types.is_fixed_size_binary(group.schema.field("content_sha256").type):
+        shas = [b.hex() for b in shas]
+    order = np.argsort(rids, kind="stable")
+    return block_key, rids, order, np.asarray(shas, dtype=object)[order]
+
+
+def _sorted_pos(order: np.ndarray) -> np.ndarray:
+    """Each row's position in record_id-sorted order (inverse of ``order``)."""
+    pos = np.empty(order.size, dtype=np.int64)
+    pos[order] = np.arange(order.size, dtype=np.int64)
+    return pos
+
+
+def _cluster_rows(block_key: str, rids: np.ndarray, order: np.ndarray,
+                  shas_sorted: np.ndarray, labels: np.ndarray) -> pa.Table:
+    """Cluster rows of one block in record_id order; ``labels`` are
+    sorted positions of each record's component root."""
+    rids_sorted = rids[order]
+    roots = rids_sorted[labels]
     return pa.table({
-        "block_key": pa.array(np.repeat(group.column("block_key")[0].as_py(), int(keep.sum())),
-                              pa.string()),
-        "id_a": pa.array(rids[ii[keep]], pa.string()),
-        "id_b": pa.array(rids[jj[keep]], pa.string()),
-        "ix_a": pa.array(sorted_pos[ii[keep]]),
-        "ix_b": pa.array(sorted_pos[jj[keep]]),
-        **{k: pa.array(v[keep]) for k, v in feats.items()},
+        "block_key": pa.array(np.repeat(block_key, rids.size), pa.string()),
+        "record_id": pa.array(rids_sorted, pa.string()),
+        "cluster_id": pa.array([f"{block_key}#{r}" for r in roots], pa.string()),
+        "content_sha256": pa.array(shas_sorted, pa.string()),
     })
+
+
+def _cluster_scored(group: pa.Table, cfg: SNDConfig, idf_w=None):
+    """Score and cluster one block: (decoded records, scored or None,
+    kept-edge mask, labels). Edges at or above ``min(tau_attach,
+    tau_edge)`` feed ``cluster_edge_arrays`` as sorted positions."""
+    from whoiswho_ray.stages.cluster import cluster_edge_arrays
+
+    rec = _block_records(group)
+    n = group.num_rows
+    scored = _score_block(group, cfg, idf_w=idf_w)
+    if scored is None:
+        return rec, None, None, np.arange(n, dtype=np.int64)
+    _, ii, jj, feats, _ = scored
+    keep = feats["score"] >= min(cfg.tau_attach, cfg.tau_edge)
+    pos = _sorted_pos(rec[2])
+    labels = cluster_edge_arrays(n, pos[ii[keep]], pos[jj[keep]],
+                                 feats["score"][keep], cfg)
+    return rec, scored, keep, labels
 
 
 def make_block_clusters(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
     """One block → cluster rows DIRECTLY: scoring and clustering fused in
     the blocking task, so the whole SND tail is ONE all-to-all (the
     blocking groupby) — no edge shuffle, no node/edge union, no second
-    sort. Semantics identical to the staged edges→cluster path (the same
-    ``cluster_edge_arrays`` core; equivalence asserted in tests). The
-    checkpointed pipeline keeps the staged path for resume granularity."""
-    from whoiswho_ray.stages.cluster import cluster_edge_arrays
+    sort. No component spans a block, so the closure needs no round of
+    its own."""
+    rec, _, _, labels = _cluster_scored(group, cfg, idf_w)
+    return _cluster_rows(*rec, labels)
 
+
+# The stages the checkpointed pipeline commits from one pass of
+# :func:`make_block_stages`; a row's ``kind`` is its stage's index here.
+BLOCK_STAGES = ("edges", "block_metrics", "clusters")
+
+
+def block_stage_schemas(cfg: SNDConfig) -> dict[str, pa.Schema]:
+    """The Parquet schema of each of :data:`BLOCK_STAGES`. Edges carry
+    both ids, block-local sorted positions and every score feature
+    (``relational_adjust`` adds three when ``w_rel`` is set)."""
+    feats = ["j_tok", "t_repo", "t_ctx", "cos", "jw", "score"] + (
+        ["cn", "rel", "aa"] if cfg.w_rel else [])
+    s = pa.string()
+    return {
+        "edges": pa.schema([("block_key", s), ("id_a", s), ("id_b", s),
+                            ("ix_a", pa.int32()), ("ix_b", pa.int32())]
+                           + [(f, pa.float64()) for f in feats]),
+        "block_metrics": BLOCK_METRICS_SCHEMA,
+        "clusters": pa.schema([(c, s) for c in
+                               ("block_key", "record_id", "cluster_id", "content_sha256")]),
+    }
+
+
+def tagged_schema(cfg: SNDConfig) -> pa.Schema:
+    """``kind`` (int8) plus the union of the stage schemas' columns."""
+    fields = {"kind": pa.field("kind", pa.int8())}
+    for schema in block_stage_schemas(cfg).values():
+        for f in schema:
+            fields.setdefault(f.name, f)
+    return pa.schema(list(fields.values()))
+
+
+def make_block_stages(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
+    """One block → its rows of every checkpointed stage in one table:
+    kept edges (``make_block_clusters``' edge set, with ids, sorted
+    positions and features), one ``block_metrics`` row and the cluster
+    rows, tagged by ``kind`` and padded with typed nulls to
+    :func:`tagged_schema` (as ``joins.arrow_tagged_union`` pads). One
+    blocking pass thus feeds all three stages. Pair payloads never leave
+    the task: only edges at or above ``min(tau_attach, tau_edge)`` (~100
+    B/row) enter the object store."""
+    rec, scored, keep, labels = _cluster_scored(group, cfg, idf_w)
+    block_key, rids, order = rec[0], rec[1], rec[2]
+    schemas = block_stage_schemas(cfg)
     n = group.num_rows
-    block_key = group.column("block_key")[0].as_py() if n else ""
-    rid_col = np.asarray(group.column("record_id").to_pylist(), dtype=object)
-    sha_list = group.column("content_sha256").to_pylist()
-    if pa.types.is_fixed_size_binary(group.schema.field("content_sha256").type):
-        sha_list = [b.hex() for b in sha_list]  # undo the compact shuffle encoding
-    sha_col = np.asarray(sha_list, dtype=object)
-    order = np.argsort(rid_col, kind="stable")
-    rids_sorted = rid_col[order]
-    shas_sorted = sha_col[order]
-
-    scored = _score_block(group, cfg, idf_w=idf_w)
     if scored is None:
-        labels = np.arange(n, dtype=np.int64)
+        edges = schemas["edges"].empty_table()
+        # a block with no candidate pairs can still have truncated some
+        # (a zero pair budget), so count them the standalone way
+        metrics = block_metrics(group, cfg)
     else:
-        rids, ii, jj, feats = scored
-        keep = feats["score"] >= min(cfg.tau_attach, cfg.tau_edge)
-        sorted_pos = np.empty(n, dtype=np.int64)
-        sorted_pos[np.argsort(rids, kind="stable")] = np.arange(n, dtype=np.int64)
-        labels = cluster_edge_arrays(
-            n, sorted_pos[ii[keep]], sorted_pos[jj[keep]],
-            feats["score"][keep], cfg)
-    roots = rids_sorted[labels]
-    return pa.table({
-        "block_key": pa.array(np.repeat(block_key, n), pa.string()),
-        "record_id": pa.array(rids_sorted, pa.string()),
-        "cluster_id": pa.array([f"{block_key}#{r}" for r in roots], pa.string()),
-        "content_sha256": pa.array(shas_sorted, pa.string()),
-    })
+        _, ii, jj, feats, truncated = scored
+        ia, ib = ii[keep], jj[keep]
+        pos = _sorted_pos(order).astype(np.int32)
+        edges = pa.table({
+            "block_key": pa.array(np.repeat(block_key, ia.size), pa.string()),
+            "id_a": pa.array(rids[ia], pa.string()),
+            "id_b": pa.array(rids[ib], pa.string()),
+            "ix_a": pa.array(pos[ia]),
+            "ix_b": pa.array(pos[ib]),
+            **{k: pa.array(v[keep]) for k, v in feats.items()},
+        })
+        metrics = _metrics_row(block_key, n, int(ii.size), truncated, cfg)
+    parts = [edges, metrics, _cluster_rows(*rec, labels)]
+    target = tagged_schema(cfg)
+    out = []
+    for kind, t in enumerate(parts):
+        m = t.num_rows
+        cols = [pa.array(np.full(m, kind, np.int8))] + [
+            t.column(f.name) if f.name in t.column_names else pa.nulls(m, f.type)
+            for f in target if f.name != "kind"]
+        out.append(pa.Table.from_arrays(cols, schema=target))
+    return pa.concat_tables(out)
 
 
 def default_vote_configs(base: SNDConfig | None = None,
@@ -568,15 +641,7 @@ def make_block_vote_clusters(
     """
     base = cfgs[0]
     n = group.num_rows
-    block_key = group.column("block_key")[0].as_py() if n else ""
-    rid_col = np.asarray(group.column("record_id").to_pylist(), dtype=object)
-    sha_list = group.column("content_sha256").to_pylist()
-    if pa.types.is_fixed_size_binary(group.schema.field("content_sha256").type):
-        sha_list = [b.hex() for b in sha_list]
-    sha_col = np.asarray(sha_list, dtype=object)
-    order = np.argsort(rid_col, kind="stable")
-    rids_sorted = rid_col[order]
-    shas_sorted = sha_col[order]
+    rec = _block_records(group)
 
     from whoiswho_ray.stages.cluster import cc_labels
 
@@ -584,9 +649,8 @@ def make_block_vote_clusters(
     if scored is None:
         labels = np.arange(n, dtype=np.int64)
     else:
-        rids, ii, jj, feats = scored
-        sorted_pos = np.empty(n, dtype=np.int64)
-        sorted_pos[np.argsort(rids, kind="stable")] = np.arange(n, dtype=np.int64)
+        _, ii, jj, feats, _ = scored
+        sorted_pos = _sorted_pos(rec[2])
         pi, pj = sorted_pos[ii], sorted_pos[jj]
         votes = np.zeros(ii.size, dtype=np.int64)
         for c in cfgs:
@@ -598,13 +662,7 @@ def make_block_vote_clusters(
             votes += (lab_c[pi] == lab_c[pj])  # co-assignment vote
         keep = votes >= min_votes
         labels = cc_labels(n, pi[keep], pj[keep])
-    roots = rids_sorted[labels]
-    return pa.table({
-        "block_key": pa.array(np.repeat(block_key, n), pa.string()),
-        "record_id": pa.array(rids_sorted, pa.string()),
-        "cluster_id": pa.array([f"{block_key}#{r}" for r in roots], pa.string()),
-        "content_sha256": pa.array(shas_sorted, pa.string()),
-    })
+    return _cluster_rows(*rec, labels)
 
 
 def _fit_pair_logistic(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
@@ -698,15 +756,7 @@ def make_block_sgc_clusters(
     """
     ts = cfg.tau_edge if tau_strong is None else tau_strong
     n = group.num_rows
-    block_key = group.column("block_key")[0].as_py() if n else ""
-    rid_col = np.asarray(group.column("record_id").to_pylist(), dtype=object)
-    sha_list = group.column("content_sha256").to_pylist()
-    if pa.types.is_fixed_size_binary(group.schema.field("content_sha256").type):
-        sha_list = [b.hex() for b in sha_list]
-    sha_col = np.asarray(sha_list, dtype=object)
-    order = np.argsort(rid_col, kind="stable")
-    rids_sorted = rid_col[order]
-    shas_sorted = sha_col[order]
+    rec = _block_records(group)
 
     from whoiswho_ray.stages.cluster import cc_labels
 
@@ -714,7 +764,7 @@ def make_block_sgc_clusters(
     if scored is None:
         labels = np.arange(n, dtype=np.int64)
     else:
-        rids, ii, jj, feats = scored
+        _, ii, jj, feats, _ = scored
         G = feats.pop("_gram", None)
         if G is None:  # beyond matrix_block_cap: raw-score fallback
             score2 = feats["score"]
@@ -731,8 +781,7 @@ def make_block_sgc_clusters(
             score2 = (feats["score"]
                       + cfg.w_tfidf * (cos2 - feats["cos"]))
         keep = score2 >= cfg.tau_edge
-        sorted_pos = np.empty(n, dtype=np.int64)
-        sorted_pos[np.argsort(rids, kind="stable")] = np.arange(n, dtype=np.int64)
+        sorted_pos = _sorted_pos(rec[2])
         labels = cc_labels(n, sorted_pos[ii[keep]], sorted_pos[jj[keep]])
         if G is not None:
             for _ in range(max(0, refine_rounds)):
@@ -773,22 +822,7 @@ def make_block_sgc_clusters(
                 if np.array_equal(new_labels, labels):
                     break
                 labels = new_labels
-    roots = rids_sorted[labels]
-    return pa.table({
-        "block_key": pa.array(np.repeat(block_key, n), pa.string()),
-        "record_id": pa.array(rids_sorted, pa.string()),
-        "cluster_id": pa.array([f"{block_key}#{r}" for r in roots], pa.string()),
-        "content_sha256": pa.array(shas_sorted, pa.string()),
-    })
-
-
-def _empty_edges_table() -> pa.Table:
-    cols = {c: pa.array([], pa.string()) for c in ("block_key", "id_a", "id_b")}
-    cols["ix_a"] = pa.array([], pa.int32())
-    cols["ix_b"] = pa.array([], pa.int32())
-    for c in ("j_tok", "t_repo", "t_ctx", "cos", "jw", "score"):
-        cols[c] = pa.array([], pa.float64())
-    return pa.table(cols)
+    return _cluster_rows(*rec, labels)
 
 
 SHUFFLE_CPU_MULT = 2
@@ -828,34 +862,11 @@ EDGE_SHUFFLE_COLUMNS = [
 CLUSTER_SHUFFLE_COLUMNS = EDGE_SHUFFLE_COLUMNS + ["content_sha256"]
 
 
-def generate_scored_edges(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None,
-                          partitions: int | None = None) -> "ray.data.Dataset":
-    """vectorized records → scored edges (fused blocking + scoring).
-
-    Repartitions to ``partitions`` blocks first (default
-    :func:`shuffle_partitions`) so the sort shuffle and the per-group map
-    tasks use every core."""
-    cfg = cfg or SNDConfig()
-    return vectorized.repartition(partitions or shuffle_partitions()).groupby(
-        "block_key").map_groups(lambda g: make_scored_edges(g, cfg), batch_format="pyarrow")
-
-
 def generate_pairs(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None) -> "ray.data.Dataset":
     """vectorized records → pair rows (the blocking shuffle, operator A1)."""
     cfg = cfg or SNDConfig()
     return vectorized.repartition(shuffle_partitions()).groupby("block_key").map_groups(
         lambda g: make_pairs(g, cfg), batch_format="pyarrow")
-
-
-def generate_block_metrics(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None,
-                           partitions: int | None = None) -> "ray.data.Dataset":
-    """vectorized records → one ``block_metrics`` row per block. Give it
-    the same encoding the edges are scored from: hot-block salting keys
-    on ``tfv_ids`` under the compact encoding and on ``tok_ids`` under
-    the full one, so the pair counts differ between the two."""
-    cfg = cfg or SNDConfig()
-    return vectorized.repartition(partitions or shuffle_partitions()).groupby(
-        "block_key").map_groups(lambda g: block_metrics(g, cfg), batch_format="pyarrow")
 
 
 def make_block_pr_counts(group: pa.Table, cfg: SNDConfig,
@@ -889,7 +900,7 @@ def make_block_pr_counts(group: pa.Table, cfg: SNDConfig,
         return pa.table({"tau_cents": pa.array(tau_cents),
                          "tp": pa.array(z), "fp": pa.array(z),
                          "truth_pairs": pa.array(z)})
-    _rids, ii, jj, feats = scored
+    _rids, ii, jj, feats, _ = scored
     n = group.num_rows
     s = feats["score"]
     strong = s >= cfg.tau_edge

@@ -152,7 +152,7 @@ def make_relational_rows(group: pa.Table, cfg: SNDConfig) -> pa.Table:
             "deg_b": pa.array([], pa.int64()),
             "s": pa.array([], pa.int64()),
         })
-    rids, ii, jj, feats = scored
+    rids, ii, jj, feats, _ = scored
     n = group.num_rows
     strong = feats["score"] >= cfg.tau_edge
     nbr, offsets, deg = strong_adjacency(n, ii, jj, strong)

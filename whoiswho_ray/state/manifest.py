@@ -57,7 +57,8 @@ class Manifest:
 
     def begin_stage(self, name: str) -> str:
         """Returns a temp dir to write into; commit with ``complete_stage``."""
-        tmp = os.path.join(self.out_dir, f".{name}.tmp-{uuid.uuid4().hex[:8]}")
+        tmp = os.path.join(self.out_dir,
+                           f".{name.replace('/', '_')}.tmp-{uuid.uuid4().hex[:8]}")
         os.makedirs(tmp, exist_ok=True)
         return tmp
 
@@ -79,6 +80,16 @@ class Manifest:
         }
         self._flush()
         return final
+
+    @staticmethod
+    def parquet_rows(path: str) -> int:
+        """Rows of every Parquet file under ``path``, read from the file
+        footers (no scan, no Ray job)."""
+        import pyarrow.parquet as pq
+
+        return sum(pq.read_metadata(os.path.join(d, f)).num_rows
+                   for d, _, files in os.walk(path)
+                   for f in files if f.endswith(".parquet"))
 
     def record_artifact(self, name: str, path: str, meta: dict) -> None:
         self.data["stages"][name] = {"path": path, "artifact": True, **meta}
