@@ -198,6 +198,20 @@ class TestDateSpineGaps:
                 {"d": pd.Series([], dtype="datetime64[us]")})), "d")
         assert len(empty) == 0 and "gap_day" in empty.columns
 
+    def test_nat_rows_are_ignored(self):
+        """A NaT date is a NULL: it must not become int64 min and widen
+        the spine to ~9.2e18 days."""
+        from whoiswho_ray.stages.windows import date_spine_gaps
+        days = pd.to_datetime(["2020-01-01", "2020-01-04", "2020-01-06"])
+        want = date_spine_gaps(rd.from_pandas(pd.DataFrame({"d": days})), "d")
+        with_nat = pd.DataFrame({"d": days.append(pd.DatetimeIndex([pd.NaT]))})
+        got = date_spine_gaps(rd.from_pandas(with_nat).repartition(2), "d")
+        pd.testing.assert_frame_equal(got, want)
+        assert got["gap_date"].tolist() == ["2020-01-02", "2020-01-03", "2020-01-05"]
+        only_nat = date_spine_gaps(rd.from_pandas(
+            pd.DataFrame({"d": pd.Series([pd.NaT], dtype="datetime64[ns]")})), "d")
+        assert len(only_nat) == 0
+
 
 class TestFuzzyDedupeComposition:
     def test_transitive_canonicalization(self, ray_session):

@@ -653,7 +653,7 @@ def run_rnd_learned(
     known_norm = normalize_records(known_records, cfg).materialize()
     idf = build_idf(known_norm, cfg)
     known_vec = vectorize(known_norm, idf, cfg).materialize()
-    clusters = snd_cluster(known_norm, known_vec, cfg).materialize()
+    clusters = snd_cluster(known_norm, known_vec, cfg)
     profiles = build_profiles(known_vec, clusters, cfg,
                               keep_members=keep_members).materialize()
     model, _diag = fit_rnd_ensemble(known_vec, profiles, clusters,

@@ -18,8 +18,10 @@ one pass of the blocking shuffle (``pairs.make_block_stages``) yields the
 kept edges, one metrics row per block and the clusters, committed as the
 stages "edges", "block_metrics" and "clusters" through an atomic manifest
 (see ``state/manifest.py``); a rerun resumes from the last completed
-stage. Without ``out_dir`` the pipeline is one lazy streaming plan
-end-to-end.
+stage. Either way the blocking pass is executed once and returned
+materialized: Ray 2.49 cannot infer a ``map_groups`` schema, so the first
+``schema``/``to_arrow_refs``/``join`` on a lazy result would re-run
+vectorize → sort → block kernels under ``limit(1)``.
 
 Every cluster row carries ``content_sha256`` so the BASELINE.json per-row
 invariant (output sha256 == input sha256 per record) is checkable without
@@ -60,7 +62,8 @@ def _blocked(vectorized: "rd.Dataset", kernel, idf=None,
     ship_weights=False — the block kernel re-derives tfv_w from the
     broadcast idf array instead of reading it off the shuffle. The array
     ships through the object store ONCE (ray.put) and each worker
-    process fetches it once (plasma-local after the first get)."""
+    process fetches it once (plasma-local after the first get). Returned
+    materialized, so no schema fetch re-runs the kernels (module doc)."""
     idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
 
     def fused(g):
@@ -69,7 +72,8 @@ def _blocked(vectorized: "rd.Dataset", kernel, idf=None,
 
     if partitions:
         vectorized = vectorized.repartition(partitions)
-    return vectorized.groupby("block_key").map_groups(fused, batch_format="pyarrow")
+    return vectorized.groupby("block_key").map_groups(
+        fused, batch_format="pyarrow").materialize()
 
 
 def snd_cluster(
@@ -87,7 +91,8 @@ def snd_cluster(
     (``pairs.make_block_clusters``) — no edge shuffle, no node/edge union,
     no second sort. ``pre_partitioned``: the caller repartitioned before
     materializing the normalized table (run_snd does), so the task-pool
-    vectorize map feeds the sort directly — one fewer barrier."""
+    vectorize map feeds the sort directly — one fewer barrier. Returns
+    the pass executed (:func:`_blocked`): no schema fetch re-runs it."""
     cfg = cfg or SNDConfig()
     return _blocked(vectorized, lambda g, w: make_block_clusters(g, cfg, idf_w=w), idf,
                     None if pre_partitioned else shuffle_partitions())
@@ -296,7 +301,7 @@ def run_snd(
             vec = vectorize(recs, idf, cfg, keep=CLUSTER_SHUFFLE_COLUMNS,
                             compact=True, ship_weights=False, sha_binary=True)
             tagged = _blocked(vec, lambda g, w: make_block_stages(g, cfg, idf_w=w),
-                              idf, partitions).materialize()
+                              idf, partitions)
         for stage in todo:
             kind, cols = BLOCK_STAGES.index(stage), schemas[stage].names
             tmp = man.begin_stage(stage + suffix)

@@ -16,11 +16,23 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 import ray.data
 
 _PARTIAL = {"sum": "sum", "count": "count", "min": "min", "max": "max"}
 _FINAL = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def collect_blocks(ds: "ray.data.Dataset", fetch: bool = True) -> list:
+    """The blocks of ``ds`` in dataset order as Arrow tables, or their refs
+    (``fetch=False``), running its plan once. ``ds.to_arrow_refs()`` then
+    asks for the schema, which re-runs a lazy map plan under ``limit(1)``
+    — after an all-to-all, the whole shuffle again (NOTES fact 10)."""
+    from ray.data.block import BlockAccessor
+
+    refs = [ref for bundle in ds.iter_internal_ref_bundles() for ref, _ in bundle.blocks]
+    return [BlockAccessor.for_block(b).to_arrow() for b in ray.get(refs)] if fetch else refs
 
 
 def grouped_agg(
@@ -76,12 +88,8 @@ def grouped_agg(
         return df.drop(columns=drop)
 
     if final == "driver":
-        import ray
-
-        parts = [ray.get(r) for r in partials.to_arrow_refs()]
-        import pyarrow as pa
-
-        merged = pa.concat_tables(parts, promote_options="default").to_pandas()
+        merged = pa.concat_tables(collect_blocks(partials),
+                                  promote_options="default").to_pandas()
         if len(merged) == 0:
             return finish(merged)
         combined = merged.groupby(keys, sort=False, dropna=False).agg(
@@ -113,8 +121,6 @@ def grouped_agg(
 
 
 def _num_buckets() -> int:
-    import ray
-
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     return max(32, cpus * 4)
 
@@ -146,8 +152,6 @@ def group_apply(
     nb = num_buckets or _num_buckets()
 
     if batch_format == "pyarrow":
-        import pyarrow as pa
-
         def add_bucket_arrow(t: pa.Table) -> pa.Table:
             # hash only the key column — the payload never converts
             keys = t.column(key).to_pandas()
@@ -209,12 +213,8 @@ def distinct(ds: "ray.data.Dataset", cols: list[str], final: str = "driver"):
         lambda df: df[cols].drop_duplicates(), batch_format="pandas", batch_size=262144
     )
     if final == "driver":
-        import pyarrow as pa
-        import ray
-
-        parts = [ray.get(r) for r in local.to_arrow_refs()]
-        return pa.concat_tables(parts, promote_options="default").to_pandas().drop_duplicates(
-        ).reset_index(drop=True)
+        return pa.concat_tables(collect_blocks(local), promote_options="default").to_pandas(
+        ).drop_duplicates().reset_index(drop=True)
 
     # distributed final: one Ray group per hash bucket, vectorized
     # drop_duplicates inside (never one Ray group per distinct value)
@@ -239,7 +239,6 @@ def distinct(ds: "ray.data.Dataset", cols: list[str], final: str = "driver"):
 def _drop_null_values(ds: "ray.data.Dataset", value_col: str) -> "ray.data.Dataset":
     """Drop rows whose value column is NULL or (for floats) NaN — the rows
     DuckDB's ``quantile_disc`` ignores."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     def f(t: pa.Table) -> pa.Table:
@@ -274,8 +273,6 @@ def exact_quantiles(
     pluck, matching ``quantile_disc``'s NULL handling (ADVICE r2).
     """
     import math
-
-    import pyarrow as pa
 
     s = _drop_null_values(ds, value_col).sort(value_col).materialize()
     n = s.count()
@@ -323,8 +320,6 @@ def exact_quantiles_cont(
     engine's internal quantile_cont formulation.
     """
     import math
-
-    import pyarrow as pa
 
     s = _drop_null_values(ds, value_col).sort(value_col).materialize()
     n = s.count()
@@ -434,10 +429,7 @@ def with_running_total(
         return int(np.sum(t.column(weight_col).to_numpy(
             zero_copy_only=False).astype(np.int64)))
 
-    refs = []
-    for bundle in s.iter_internal_ref_bundles():
-        for ref, _meta in bundle.blocks:
-            refs.append(ref)
+    refs = collect_blocks(s, fetch=False)
     sums = ray.get([block_sum.remote(r) for r in refs])
     offsets = np.concatenate([[0], np.cumsum(sums)])[:-1]
 
@@ -477,8 +469,6 @@ def grouped_quantiles(
     NOT NULL`` in the oracle).
     """
     import math
-
-    import pyarrow as pa
 
     qs = list(qs)
     ds = _drop_null_values(ds.select_columns([key, value_col]), value_col)
@@ -529,8 +519,6 @@ def grouped_quantiles_cont(
     bit-identical. NULL/NaN values are excluded first; values emerge as
     float64.
     """
-    import pyarrow as pa
-
     qs = list(qs)
     ds = _drop_null_values(ds.select_columns([key, value_col]), value_col)
 
@@ -804,7 +792,6 @@ def melt(
     (len(value_cols) column selects + one concat, no row loop); output
     rows = input rows × len(value_cols), streamed with backpressure.
     """
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     if not value_cols:
@@ -843,7 +830,6 @@ def unnest(
     backpressure. Null lists are rejected loudly (no silent row drops —
     SQL UNNEST drops them, so the caller should filter first).
     """
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     def kernel(t: pa.Table) -> pa.Table:
@@ -1562,8 +1548,6 @@ def weighted_median_grouped(
     a searchsorted pluck of each key's first qualifying value. Returns
     ``(key, wmedian, total_weight)``.
     """
-    import pyarrow as pa
-
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         t = pd.DataFrame({key: df[key], "v": df[value_col],
                           "w": df[weight_col].astype(np.int64)})

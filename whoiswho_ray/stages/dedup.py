@@ -879,7 +879,7 @@ def line_dedup(
     import pyarrow.compute as pc
 
     from whoiswho_ray.functions.hashing import stable_hash64
-    from whoiswho_ray.stages.agg import grouped_agg
+    from whoiswho_ray.stages.agg import collect_blocks, grouped_agg
 
     def _split(t: pa.Table):
         col = t.column(text_col)
@@ -916,8 +916,8 @@ def line_dedup(
     counts = grouped_agg(partials, "h", {"c": ("c", "sum")}, final="shuffle")
     common = counts.filter(expr=f"c >= {int(min_docs)}").select_columns(["h"])
     common_np = np.sort(np.concatenate(
-        [ray.get(r).column("h").to_numpy(zero_copy_only=False)
-         for r in common.to_arrow_refs()] or [np.empty(0, np.int64)]))
+        [t.column("h").to_numpy(zero_copy_only=False)
+         for t in collect_blocks(common)] or [np.empty(0, np.int64)]))
     common_ref = ray.put(common_np)
 
     class Strip:

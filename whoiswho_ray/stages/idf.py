@@ -25,6 +25,7 @@ import ray
 import ray.data
 
 from whoiswho_ray.config import SNDConfig
+from whoiswho_ray.stages.agg import collect_blocks
 
 
 @dataclass
@@ -122,8 +123,8 @@ def build_idf(
     """
     cfg = cfg or SNDConfig()
     if combine == "tasks":
-        refs = normalized.to_arrow_refs()
-        parts = ray.get([_partial_task.remote(r) for r in refs])
+        parts = ray.get([_partial_task.remote(r)
+                         for r in collect_blocks(normalized, fetch=False)])
         full = pa.concat_tables(parts) if parts else _partial_df(
             pa.table({"tok_ids": pa.array([], pa.list_(pa.int64()))}))
         raw_ids = full.column("tok_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -153,12 +154,12 @@ def build_idf(
         agg = partial.groupby("tok_id").aggregate(
             Sum("df", alias_name="df"), Sum("n_rec", alias_name="n_rec")
         )
-        full = pa.concat_tables([ray.get(r) for r in agg.to_arrow_refs()])
+        full = pa.concat_tables(collect_blocks(agg))
         ids = full.column("tok_id").to_numpy(zero_copy_only=False).astype(np.int64)
         df = full.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
         n_records = int(full.column("n_rec").to_numpy(zero_copy_only=False).sum())
     else:
-        full = pa.concat_tables([ray.get(r) for r in partial.to_arrow_refs()])
+        full = pa.concat_tables(collect_blocks(partial))
         raw_ids = full.column("tok_id").to_numpy(zero_copy_only=False).astype(np.int64)
         raw_df = full.column("df").to_numpy(zero_copy_only=False).astype(np.int64)
         n_records = int(full.column("n_rec").to_numpy(zero_copy_only=False).sum())

@@ -659,7 +659,8 @@ def date_spine_gaps(
     from whoiswho_ray.stages.agg import distinct
 
     def to_days(df: pd.DataFrame) -> pd.DataFrame:
-        d = (df[date_col].to_numpy(dtype="datetime64[D]")
+        # NaT rows drop out, as NULLs do from SQL's min/max
+        d = (df[date_col].dropna().to_numpy(dtype="datetime64[D]")
              .astype(np.int64))
         return pd.DataFrame({"day": d})
 
