@@ -4,6 +4,7 @@ extract-all, group-mode NULL imputation — DuckDB parity + edge cases."""
 import duckdb
 import numpy as np
 import pandas as pd
+import pytest
 
 import ray.data as rd
 
@@ -342,6 +343,22 @@ class TestFdRepair:
         assert (out["dep"] == 3.0).all()
         assert out["repaired"].sum() == 2  # the 5 and the NULL
 
+    def test_null_determinant_rows_keep_their_value(self, ray_session):
+        """A NULL determinant is in no group: the row keeps its dep and
+        is not flagged (it used to get NaN and repaired = 1)."""
+        from whoiswho_ray.stages.profile import fd_repair
+        df = pd.DataFrame({
+            "det": ["a", "a", "a", None, None],
+            "dep": [1.0, 1.0, 9.0, 4.0, np.nan],
+        })
+        out = fd_repair(rd.from_pandas(df).repartition(2), "det", "dep"
+                        ).to_pandas()
+        nulls = out[out["det"].isna()].sort_values("dep", ignore_index=True)
+        assert nulls["dep"].iloc[0] == 4.0 and np.isnan(nulls["dep"].iloc[1])
+        assert (nulls["repaired"] == 0).all()
+        assert out[out["det"] == "a"]["dep"].tolist() == [1.0, 1.0, 1.0]
+        assert out["repaired"].sum() == 1
+
 
 class TestWeightedMedianGrouped:
     def test_matches_duckdb(self, ray_session):
@@ -383,6 +400,20 @@ class TestWeightedMedianGrouped:
                                       ).to_pandas().set_index("k")
         assert out.loc["x", "wmedian"] == 3      # 10/12 mass at 3
         assert out.loc["y", "wmedian"] == 5      # 2*3 >= 6 at v=5
+
+    def test_negative_weight_raises(self, ray_session):
+        """A negative weight breaks the monotone cumsum the pluck relies
+        on; it must fail loudly, as sssp does, not return a median."""
+        from whoiswho_ray.stages.agg import weighted_median_grouped
+        df = pd.DataFrame({
+            "k": ["x", "x", "x"],
+            "v": np.array([1, 2, 3], dtype=np.int64),
+            "w": np.array([5, -4, 1], dtype=np.int64),
+        })
+        # surfaces as Ray's task error wrapping the ValueError
+        with pytest.raises(Exception, match="requires non-negative weights"):
+            weighted_median_grouped(rd.from_pandas(df), "k", "v", "w"
+                                    ).to_pandas()
 
 
 class TestTopKTiesGrouped:

@@ -1,8 +1,11 @@
 """Property-based tests (hypothesis) for the pure kernels."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from whoiswho_ray.config import SNDConfig
 
 from whoiswho_ray.functions.hashing import MinHasher, hamming64, simhash64, stable_hash64
 from whoiswho_ray.functions.similarity import (
@@ -11,6 +14,8 @@ from whoiswho_ray.functions.similarity import (
     jaro_winkler,
 )
 from whoiswho_ray.functions.textnorm import clean_text, normalize_block_key
+from whoiswho_ray.stages.pairs import candidate_index_pairs
+from whoiswho_ray.stages.scoring import allpairs_matrix
 
 int_sets = st.lists(st.integers(0, 2**62), max_size=60).map(
     lambda xs: np.unique(np.array(xs, dtype=np.int64))
@@ -136,3 +141,64 @@ class TestHistogramBucketProperties:
             else:
                 assert bi == (xi - lo) * nbins // width
                 assert 0 <= bi < nbins
+
+
+def _token_sets(n, vocab, max_len, p_empty, seed):
+    """n token sets (flat values + offsets) over ``vocab`` ids, a share
+    ``p_empty`` of them empty, plus positive float32-valued weights."""
+    rng = np.random.RandomState(seed)
+    rows = [np.unique(rng.randint(0, vocab, rng.randint(0, max_len + 1)))
+            for _ in range(n)]
+    rows = [r[:0] if rng.rand() < p_empty else r for r in rows]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=offsets[1:])
+    values = np.concatenate(rows).astype(np.int64) * 7_919 + 11
+    weights = (rng.rand(values.size).astype(np.float32) + 0.01).astype(np.float64)
+    return values, offsets, weights, rng
+
+
+class TestAllPairsPairForm:
+    """``allpairs_matrix(..., pairs=(ii, jj))`` scores only the candidate
+    pairs and must equal the full matrices gathered at ``[ii, jj]`` bit
+    for bit: dense-token counts come from a bitset popcount instead of
+    BLAS, rare-token cells are mapped to pair slots before ``bincount``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(2, 600), vocab=st.integers(1, 300),
+           max_len=st.integers(0, 40), p_empty=st.sampled_from([0.0, 0.3]),
+           seed=st.integers(0, 2**32 - 1), salted=st.booleans())
+    @example(n=600, vocab=120, max_len=40, p_empty=0.3, seed=1, salted=False)
+    @example(n=600, vocab=120, max_len=40, p_empty=0.3, seed=1, salted=True)
+    @example(n=2, vocab=1, max_len=0, p_empty=0.0, seed=0, salted=False)
+    def test_equals_matrix_gather(self, n, vocab, max_len, p_empty, seed, salted):
+        values, offsets, weights, rng = _token_sets(n, vocab, max_len, p_empty, seed)
+        if salted:
+            # the hot-block layout: pairs keyed on record_id order, so ii > jj
+            # occurs, deduplicated across buckets
+            rids = np.array([f"r{i:04d}" for i in rng.permutation(n)], dtype=object)
+            repo_first = rng.randint(-1, 3, n).astype(np.int64)
+            cfg = SNDConfig(max_allpairs_block=1, max_pairs_per_group=500)
+            ii, jj, _ = candidate_index_pairs(rids, values, offsets, repo_first, cfg)
+        else:
+            ii, jj = (a.astype(np.int64) for a in np.triu_indices(n, 1))
+        counts = allpairs_matrix(n, values, offsets, pairs=(ii, jj))
+        assert counts.tobytes() == allpairs_matrix(n, values, offsets)[ii, jj].tobytes()
+        dots = allpairs_matrix(n, values, offsets, weights, pairs=(ii, jj))
+        assert dots.tobytes() == allpairs_matrix(n, values, offsets, weights)[ii, jj].tobytes()
+        dots, counts = allpairs_matrix(n, values, offsets, weights, with_counts=True,
+                                       pairs=(ii, jj))
+        full_d, full_c = allpairs_matrix(n, values, offsets, weights, with_counts=True)
+        assert dots.tobytes() == full_d[ii, jj].tobytes()
+        assert counts.tobytes() == full_c[ii, jj].tobytes()
+
+    def test_example_spans_multi_word_bitsets(self):
+        """The pinned 600-record example has more than 64 tokens above the
+        dense-token cap (16 records at n = 600): two bitset words."""
+        values, offsets, _, _ = _token_sets(600, 120, 40, 0.3, 1)
+        _, k = np.unique(values, return_counts=True)
+        assert (k > 16).sum() > 64
+
+    def test_unsorted_pairs_are_refused(self):
+        values, offsets, _, _ = _token_sets(5, 4, 3, 0.0, 0)
+        with pytest.raises(ValueError, match="sorted and unique"):
+            allpairs_matrix(5, values, offsets, pairs=(np.array([1, 0]), np.array([2, 3])))

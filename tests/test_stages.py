@@ -148,6 +148,27 @@ class TestPairs:
         set2 = {tuple(sorted((rids[perm][i], rids[perm][j]))) for i, j in zip(i2, j2)}
         assert set1 == set2
 
+    def test_salted_pairs_keep_record_id_order(self):
+        """Bucket members and window pairs come out in record_id order, so
+        salted pairs need no orientation swap: record_ids[ii] <=
+        record_ids[jj] with ii > jj common (rows are not in record_id
+        order). The digest pins the output of the earlier code, which
+        swapped any pair with record_ids[ii] > record_ids[jj]."""
+        import hashlib
+
+        cfg = SNDConfig(max_allpairs_block=50, max_pairs_per_group=2_000)
+        rng = np.random.RandomState(7)
+        n = 600
+        rids = np.array([f"r{i:04d}" for i in rng.permutation(n)], dtype=object)
+        tv, to = _flatten([np.unique(rng.randint(0, 40, rng.randint(0, 12))).astype(np.int64)
+                           for _ in range(n)])
+        repo_first = rng.randint(-1, 4, n).astype(np.int64)
+        ii, jj, trunc = candidate_index_pairs(rids, tv, to, repo_first, cfg)
+        assert ii.size == 17_071 and trunc == 22_141  # window pairs occur
+        assert (rids[ii] <= rids[jj]).all() and (ii > jj).any()
+        assert hashlib.sha256(ii.tobytes() + jj.tobytes()).hexdigest() == (
+            "6f19860ea5026dc58e2f3f1dbf7ed1c34a811ce2627cc0e607a081b556288443")
+
     def test_make_pairs_payload(self):
         import pyarrow as pa
 

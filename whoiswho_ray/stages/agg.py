@@ -1546,11 +1546,15 @@ def weighted_median_grouped(
     key-hash bucketed exchange, then one vectorized pass per bucket:
     lexsort, per-key weight cumsum via boundary-offset subtraction, and
     a searchsorted pluck of each key's first qualifying value. Returns
-    ``(key, wmedian, total_weight)``.
+    ``(key, wmedian, total_weight)``. Negative weights raise
+    ``ValueError``: they would break the cumsum's monotonicity, which
+    the pluck relies on.
     """
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        t = pd.DataFrame({key: df[key], "v": df[value_col],
-                          "w": df[weight_col].astype(np.int64)})
+        w = df[weight_col].astype(np.int64)
+        if len(w) and w.min() < 0:
+            raise ValueError("weighted_median_grouped requires non-negative weights")
+        t = pd.DataFrame({key: df[key], "v": df[value_col], "w": w})
         return (t.groupby([key, "v"], sort=False, dropna=False)["w"]
                 .sum().reset_index())
 

@@ -187,12 +187,9 @@ def candidate_index_pairs(
         return empty, empty, truncated
     ii = np.concatenate(pairs_i)
     jj = np.concatenate(pairs_j)
-    # canonical orientation + dedup across buckets
-    swap = record_ids[ii] > record_ids[jj]
-    ii2 = np.where(swap, jj, ii)
-    jj2 = np.where(swap, ii, jj)
-    packed = ii2 * np.int64(n) + jj2
-    uniq = np.unique(packed)
+    # bucket members and window pairs are in record_id order, so every
+    # pair is already canonically oriented; dedup across buckets
+    uniq = np.unique(ii * np.int64(n) + jj)
     return (uniq // n).astype(np.int64), (uniq % n).astype(np.int64), truncated
 
 
@@ -313,13 +310,13 @@ def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
 
     if n <= cfg.matrix_block_cap:
         # matrix regime (covers both all-pairs blocks and salted hot blocks
-        # up to the cap): one n×n matrix per feature family (the
-        # reference's per-name matrix, block-bounded) — no per-pair set ops
+        # up to the cap): one all-pairs pass per feature family (the
+        # reference's per-name matrix, block-bounded) that scores only the
+        # candidate pairs — no per-pair set ops, no n×n count matrices
         def jac_matrix(col):
             values, offsets = _flat_list(group.column(col))
-            M = allpairs_matrix(n, values, offsets)
+            inter = allpairs_matrix(n, values, offsets, pairs=(ii, jj))
             lens = np.diff(offsets).astype(np.float64)
-            inter = M[ii, jj]
             union = lens[ii] + lens[jj] - inter
             return np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
 
@@ -330,22 +327,24 @@ def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
             from whoiswho_ray.stages.scoring import reconstruct_tfv_w
 
             tfv_w = reconstruct_tfv_w(tfv_vals, tfv_off, idf_w)
+        # only the graph-smoothed kernel needs the full tf-idf Gram
+        tfv_pairs = None if want_gram else (ii, jj)
         if compact:
             # ONE pass over the tfv stream yields both the tf-idf dots and
             # the intersection counts; j_tok from counts + original token
             # counts is exact, since the min_df-pruned tokens (df==1) can
             # never intersect
             tok_n = group.column("tok_n").to_numpy(zero_copy_only=False).astype(np.float64)
-            Mw, Mc = allpairs_matrix(n, tfv_vals, tfv_off,
-                                     tfv_w.astype(np.float64), with_counts=True)
-            cos = Mw[ii, jj]
-            inter = Mc[ii, jj]
+            Mw, inter = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w.astype(np.float64),
+                                        with_counts=True, pairs=tfv_pairs)
+            inter = inter[ii, jj] if want_gram else inter
             union = tok_n[ii] + tok_n[jj] - inter
             j_tok = np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
         else:
             j_tok = jac_matrix("tok_ids")
-            Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w.astype(np.float64))
-            cos = Mw[ii, jj]
+            Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w.astype(np.float64),
+                                 pairs=tfv_pairs)
+        cos = Mw[ii, jj] if want_gram else Mw
         t_repo = jac_matrix("repo_ids")
         t_ctx = jac_matrix("ctx_ids")
         jw = jw_for_pairs(names, ii, jj, jw_fn)

@@ -344,7 +344,8 @@ def fd_repair(
     combiner + key-bucket combine builds the O(distinct det) mode
     table, broadcast into one streaming repair pass. NULL deps never
     win the vote (they are excluded from the mode) and are repaired
-    like any other disagreeing value.
+    like any other disagreeing value. A row with a NULL determinant
+    belongs to no group: it keeps its ``dep`` and is not flagged.
     """
     from whoiswho_ray.stages.agg import mode_per_group
 
@@ -357,7 +358,7 @@ def fd_repair(
     def repair(df: pd.DataFrame) -> pd.DataFrame:
         target = df[det].map(lut)
         cur = df[dep]
-        changed = ~(cur.eq(target) | (cur.isna() & target.isna()))
+        changed = ~(cur.eq(target) | (cur.isna() & target.isna())) & df[det].notna()
         out = df.copy()
         out[dep] = cur.where(~changed, target)
         out[flag_col] = changed.to_numpy().astype(np.int64)

@@ -290,12 +290,44 @@ def _intersections(
     return inter, dots
 
 
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
+
+
+def _popcount64(x: np.ndarray) -> np.ndarray:
+    """Set bits per uint64 element (SWAR; numpy 1.26 has no
+    ``bitwise_count``). Overwrites ``x``."""
+    x -= (x >> np.uint64(1)) & _M1
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x += x >> np.uint64(4)
+    x &= _M4
+    x *= _H01
+    x >>= np.uint64(56)
+    return x
+
+
+def _bitset_overlaps(n: int, rows: np.ndarray, cols: np.ndarray, n_cols: int,
+                     ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """|S_i ∩ S_j| for each pair over the (row, col) indicator set: rows
+    packed into uint64 bitsets, one AND + popcount per pair and word."""
+    words = np.zeros(((n_cols + 63) // 64, n), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+    np.bitwise_or.at(words, (cols >> 6, rows), bits)
+    out = np.zeros(ii.size, dtype=np.uint64)
+    for w in words:
+        out += _popcount64(w[ii] & w[jj])
+    return out.astype(np.float64)
+
+
 def allpairs_matrix(
     n: int,
     values: np.ndarray,
     offsets: np.ndarray,
     weights: np.ndarray | None = None,
     with_counts: bool = False,
+    pairs: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> "np.ndarray | tuple[np.ndarray, np.ndarray]":
     """Full n×n intersection-count (or weighted-dot) matrix for n sets
     given flat (values, offsets) — one sort over the token stream plus a
@@ -306,11 +338,31 @@ def allpairs_matrix(
     kernel needs both the tf-idf dots and the raw intersection sizes of
     one token stream, and sharing the pass beats two calls.
 
+    ``pairs=(ii, jj)`` scores only those pairs: the result is one float64
+    vector per matrix, equal to ``allpairs_matrix(...)[ii, jj]`` bit for
+    bit, without the n×n count matrices. The keys ``ii·n + jj`` must be
+    sorted and unique (``triu_indices`` and ``candidate_index_pairs``
+    produce them so). Frequent-token counts come from a popcount over
+    uint64 bitsets — exact integers, like the BLAS products they replace;
+    frequent-token dots still come from ``X @ X.T`` (gathered at the
+    pairs), the one n×n allocation left. Rare-token cells are enumerated
+    as in the matrix form and mapped to their pair by ``searchsorted``,
+    so ``bincount`` adds each pair's contributions in the same order onto
+    the same 0.0 (NOTES fact 11).
+
     This is the reference's per-name N×N similarity matrix
     (``AutoTrainSND.py:142-161``) recomputed per *block* with bounded n:
     cost O(T log T + Σ_t k_t²) where k_t = records containing token t —
     linear in practice, never materialized beyond one small block.
     """
+    if pairs is None:
+        size = n * n
+    else:
+        ii, jj = pairs
+        q = ii.astype(np.int64) * n + jj
+        if not (q[1:] > q[:-1]).all():
+            raise ValueError("pairs must be sorted and unique by i*n + j")
+        size = q.size
     lens = np.diff(offsets)
     row_idx = np.repeat(np.arange(n, dtype=np.int64), lens)
     order = np.argsort(values, kind="stable")
@@ -319,8 +371,8 @@ def allpairs_matrix(
     sw = weights[order] if weights is not None else None
     bounds = np.flatnonzero(np.r_[True, sv[1:] != sv[:-1], True])
     k = np.diff(bounds)
-    M = np.zeros((n, n), dtype=np.float64)
-    C = np.zeros((n, n), dtype=np.float64) if with_counts else None
+    M = np.zeros(size, dtype=np.float64)
+    C = np.zeros(size, dtype=np.float64) if with_counts else None
 
     # --- high-frequency tokens: dense indicator columns + one BLAS syrk ---
     # (enumeration would cost Σk² pair rows; X@X.T costs n²·T_big flops).
@@ -337,22 +389,30 @@ def allpairs_matrix(
         starts_b = bounds[:-1][big]
         kk_b = k[big]
         t_big = int(big.sum())
-        X = np.zeros((n, t_big), dtype=np.float64)
         cols = np.repeat(np.arange(t_big, dtype=np.int64), kk_b)
         flat = np.concatenate([sr[s: s + m] for s, m in zip(starts_b, kk_b)])
-        if sw is None:
-            X[flat, cols] = 1.0
+        if pairs is not None and sw is None:
+            M += _bitset_overlaps(n, flat, cols, t_big, ii, jj)
         else:
-            X[flat, cols] = np.concatenate([sw[s: s + m] for s, m in zip(starts_b, kk_b)])
-        M += X @ X.T
+            X = np.zeros((n, t_big), dtype=np.float64)
+            if sw is None:
+                X[flat, cols] = 1.0
+            else:
+                X[flat, cols] = np.concatenate([sw[s: s + m] for s, m in zip(starts_b, kk_b)])
+            G = X @ X.T
+            M += G.ravel() if pairs is None else G[ii, jj]
+            del G, X
         if C is not None:
-            Xi = np.zeros((n, t_big), dtype=np.float64)
-            Xi[flat, cols] = 1.0
-            C += Xi @ Xi.T
+            if pairs is not None:
+                C += _bitset_overlaps(n, flat, cols, t_big, ii, jj)
+            else:
+                Xi = np.zeros((n, t_big), dtype=np.float64)
+                Xi[flat, cols] = 1.0
+                C += (Xi @ Xi.T).ravel()
 
     # --- low-frequency tokens: segment pair enumeration + bincount ---
     multi = (k > 1) & ~big
-    if multi.any():
+    if multi.any() and size:
         starts = bounds[:-1][multi]
         kk = k[multi]
         sq = kk * kk
@@ -362,18 +422,23 @@ def allpairs_matrix(
         t = np.arange(total, dtype=np.int64)
         g = np.searchsorted(off2, t, side="right") - 1
         local = t - off2[g]
-        a = local // kk[g]
-        b = local % kk[g]
-        pi = sr[starts[g] + a]
-        pj = sr[starts[g] + b]
-        cell = pi * n + pj
+        a = starts[g] + local // kk[g]
+        b = starts[g] + local % kk[g]
+        cell = sr[a] * n + sr[b]
+        if pairs is not None:
+            # each cell → its pair's slot; cells of no candidate pair drop
+            slot = np.minimum(np.searchsorted(q, cell), size - 1)
+            hit = q[slot] == cell
+            cell, a, b = slot[hit], a[hit], b[hit]
         if sw is None:
-            M += np.bincount(cell, minlength=n * n).reshape(n, n)
+            M += np.bincount(cell, minlength=size)
         else:
-            M += np.bincount(cell, weights=sw[starts[g] + a] * sw[starts[g] + b],
-                             minlength=n * n).reshape(n, n)
+            M += np.bincount(cell, weights=sw[a] * sw[b], minlength=size)
         if C is not None:
-            C += np.bincount(cell, minlength=n * n).reshape(n, n)
+            C += np.bincount(cell, minlength=size)
+    if pairs is None:
+        M = M.reshape(n, n)
+        C = C.reshape(n, n) if C is not None else None
     if with_counts:
         return M, C
     return M
