@@ -1904,31 +1904,48 @@ def snd_clusters_rel(sf_dir: str):
     return run_snd(records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS), cfg)
 
 
-def _pair_count_features(t: pa.Table) -> pa.Table:
-    """Pair rows → integer set-overlap features, orientation canonicalized
-    to id_a < id_b. Counts over 64-bit token hashes equal counts over the
-    token strings themselves (collision-free at oracle scale), which is
-    what the SQL side computes."""
-    from whoiswho_ray.stages.scoring import _flat, _intersections
+_PAIR_COUNT_SCHEMA = pa.schema(
+    [("block_key", pa.string()), ("id_a", pa.string()), ("id_b", pa.string())]
+    + [(f"{c}_{fam}{s}", pa.int64()) for fam in ("tok", "repo", "ctx", "tfv")
+       for c, s in (("i", ""), ("n", "_a"), ("n", "_b"))])
 
-    n = t.num_rows
-    ida = np.asarray(t.column("id_a").to_pylist(), dtype=object)
-    idb = np.asarray(t.column("id_b").to_pylist(), dtype=object)
-    swap = ida > idb
-    out: dict[str, pa.Array | pa.ChunkedArray] = {
-        "block_key": t.column("block_key"),
-        "id_a": pa.array(np.where(swap, idb, ida), pa.string()),
-        "id_b": pa.array(np.where(swap, ida, idb), pa.string()),
+
+def _block_pair_counts(g: pa.Table, cfg) -> pa.Table:
+    """One block → its candidate pairs' INTEGER set-overlap features,
+    ids canonical (id_a < id_b): ``candidate_index_pairs`` and one
+    ``allpairs_matrix(pairs=…)`` pass per token family. On the compact
+    encoding the token overlap is the tfv-position overlap and the token
+    count is ``tok_n`` — exact, because ``vectorize`` keeps that encoding
+    only when min_df ≤ 2 and the vocabulary is not truncated, so every
+    token two records share is in the vocabulary. Counts over 64-bit
+    token hashes equal counts over the token strings themselves
+    (collision-free at oracle scale), which is what the SQL side
+    computes."""
+    from whoiswho_ray.stages.pairs import _block_arrays, _flat_list, candidate_index_pairs
+    from whoiswho_ray.stages.scoring import allpairs_matrix
+
+    n = g.num_rows
+    rids, tv, to, rf = _block_arrays(g)
+    ii, jj, _ = candidate_index_pairs(rids, tv, to, rf, cfg)
+    if ii.size == 0:
+        return _PAIR_COUNT_SCHEMA.empty_table()
+    swap = rids[ii] > rids[jj]
+    out = {
+        "block_key": pa.array(np.repeat(g.column("block_key")[0].as_py(), ii.size), pa.string()),
+        "id_a": pa.array(np.where(swap, rids[jj], rids[ii]), pa.string()),
+        "id_b": pa.array(np.where(swap, rids[ii], rids[jj]), pa.string()),
     }
-    for col, label in (("tok", "tok"), ("repo", "repo"), ("ctx", "ctx"),
-                       ("tfv_ids", "tfv")):
-        va, la = _flat(t.column(f"{col}_a"))
-        vb, lb = _flat(t.column(f"{col}_b"))
-        inter, _ = _intersections(n, va, la, vb, lb)
-        out[f"i_{label}"] = pa.array(inter.astype(np.int64))
-        out[f"n_{label}_a"] = pa.array(np.where(swap, lb, la).astype(np.int64))
-        out[f"n_{label}_b"] = pa.array(np.where(swap, la, lb).astype(np.int64))
-    return pa.table(out)
+    compact = "tok_ids" not in g.column_names
+    for fam in ("tok", "repo", "ctx", "tfv"):
+        values, offsets = _flat_list(g.column("tfv_ids" if fam == "tok" and compact
+                                              else f"{fam}_ids"))
+        lens = (g.column("tok_n").to_numpy(zero_copy_only=False) if fam == "tok" and compact
+                else np.diff(offsets)).astype(np.int64)
+        la, lb = lens[ii], lens[jj]
+        out[f"i_{fam}"] = allpairs_matrix(n, values, offsets, pairs=(ii, jj)).astype(np.int64)
+        out[f"n_{fam}_a"] = np.where(swap, lb, la)
+        out[f"n_{fam}_b"] = np.where(swap, la, lb)
+    return pa.table(out, schema=_PAIR_COUNT_SCHEMA)
 
 
 def snd_relational(sf_dir: str):
@@ -1937,41 +1954,29 @@ def snd_relational(sf_dir: str):
     graph the direct scores induce (stages/relational.py). All counts
     int64 → exact SQL compare."""
     from whoiswho_ray.config import SNDConfig
+    from whoiswho_ray.pipelines.snd import _blocked, prepare
     from whoiswho_ray.sources.tables import records_from_documents
-    from whoiswho_ray.stages.idf import build_idf
-    from whoiswho_ray.stages.normalize import normalize_records
-    from whoiswho_ray.stages.pairs import EDGE_SHUFFLE_COLUMNS
-    from whoiswho_ray.stages.relational import generate_relational_features
-    from whoiswho_ray.stages.scoring import vectorize
+    from whoiswho_ray.stages.relational import make_relational_rows
 
     cfg = SNDConfig()
-    norm = normalize_records(
-        records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS), cfg).materialize()
-    idf = build_idf(norm, cfg)
-    vec = vectorize(norm, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS)
-    return generate_relational_features(vec, cfg)
+    _, idf, vec = prepare(records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS), cfg)
+    return _blocked(vec, lambda g, w: make_relational_rows(g, cfg, idf_w=w), idf)
 
 
 def snd_edges(sf_dir: str):
     """Candidate-pair INTEGER features of the flagship blocking + scoring
     stage (every count int64, ids canonical) — the exact-oracle surface
-    for the pipeline's pair generation, tokenization (incl. the
-    first-appearance cap), vocabulary min_df pruning and set-intersection
-    kernels, with zero float-compare risk."""
+    for the pipeline's own front end and pair generation: tokenization
+    (incl. the first-appearance cap), vocabulary min_df pruning, the
+    compact shuffle encoding with its hot-block salting, and the
+    all-pairs overlap kernel, with zero float-compare risk."""
     from whoiswho_ray.config import SNDConfig
+    from whoiswho_ray.pipelines.snd import _blocked, prepare
     from whoiswho_ray.sources.tables import records_from_documents
-    from whoiswho_ray.stages.idf import build_idf
-    from whoiswho_ray.stages.normalize import normalize_records
-    from whoiswho_ray.stages.pairs import EDGE_SHUFFLE_COLUMNS, generate_pairs
-    from whoiswho_ray.stages.scoring import vectorize
 
     cfg = SNDConfig()
-    norm = normalize_records(
-        records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS), cfg).materialize()
-    idf = build_idf(norm, cfg)
-    pairs = generate_pairs(vectorize(norm, idf, cfg, keep=EDGE_SHUFFLE_COLUMNS), cfg)
-    return pairs.map_batches(_pair_count_features, batch_format="pyarrow",
-                             zero_copy_batch=True)
+    _, idf, vec = prepare(records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS), cfg)
+    return _blocked(vec, lambda g, _w: _block_pair_counts(g, cfg))
 
 
 def q_temporal_split(sf_dir: str):

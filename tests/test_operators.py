@@ -426,34 +426,6 @@ class TestJoins:
         assert sorted(semi_join(ds, {2, 4}, on="k", anti=True).to_pandas()["k"]) == [1, 3]
 
 
-class TestMultimodal:
-    def test_image_decode_plumbing(self):
-        from whoiswho_ray.stages.multimodal import decode_images
-
-        blobs = [bytes([i] * (100 + i)) for i in range(5)]
-        df = pd.DataFrame({"img_id": range(5), "payload": blobs})
-        out = decode_images(rd.from_pandas(df)).to_pandas()
-        assert {"width", "height", "channels", "feature"} <= set(out.columns)
-        assert all(len(f) == 16 for f in out["feature"])
-        # deterministic
-        out2 = decode_images(rd.from_pandas(df)).to_pandas()
-        assert out[["width", "height"]].equals(out2[["width", "height"]])
-
-    def test_real_decoder_is_gated(self):
-        from whoiswho_ray.stages.multimodal import ImageDecode
-
-        with pytest.raises(NotImplementedError):
-            ImageDecode(decoder="pil")
-
-    def test_audio_frames(self):
-        from whoiswho_ray.stages.multimodal import sample_audio_frames
-
-        df = pd.DataFrame({"aud_id": [1], "payload": [bytes(range(256)) * 10]})
-        out = sample_audio_frames(rd.from_pandas(df)).to_pandas()
-        assert len(out["frame_energy"].iloc[0]) == 8
-        assert out["duration_sec"].iloc[0] > 0
-
-
 class TestSlidingWindow:
     def test_each_event_covers_size_over_hop_windows(self):
         from whoiswho_ray.stages.windows import sliding_window

@@ -159,3 +159,44 @@ def test_no_to_arrow_refs_outside_the_collector():
     hits = [str(p.relative_to(root)) for p in sorted(root.rglob("*.py"))
             if "to_arrow_refs(" in p.read_text(encoding="utf-8").replace(helper, "")]
     assert not hits, hits
+
+
+class TestPairConsumersRunOnce:
+    """The ``__ray_entry__`` edge and relational queries and the trainer's pair
+    features return (or consume) the blocking pass already executed."""
+
+    @pytest.mark.parametrize("query", ["snd_edges", "snd_relational"])
+    def test_entry_query_schema_known_without_executing(self, small_fixture, tmp_path,
+                                                        monkeypatch, query):
+        import pyarrow.parquet as pq
+
+        import __ray_entry__ as entry
+
+        _spec, tabs = small_fixture
+        pq.write_table(tabs["records"], tmp_path / "records.parquet")
+        monkeypatch.setattr("whoiswho_ray.sources.tables.records_from_documents",
+                            lambda _sf, n_blocks=None: rd.read_parquet(
+                                str(tmp_path / "records.parquet")))
+        out = getattr(entry, query)(str(tmp_path))
+        schema = out.schema(fetch_if_missing=False)
+        assert schema is not None and {"block_key", "id_a", "id_b"} <= set(schema.names)
+        assert out.count() > 0
+
+    def test_pair_features_consume_the_executed_pass(self, small_fixture, monkeypatch):
+        from whoiswho_ray.pipelines import snd
+        from whoiswho_ray.training import FEATURES, pair_features
+
+        _spec, tabs = small_fixture
+        blocked, passes = snd._blocked, []
+
+        def spy(*args, **kwargs):
+            out = blocked(*args, **kwargs)
+            passes.append(out.schema(fetch_if_missing=False))
+            return out
+
+        monkeypatch.setattr(snd, "_blocked", spy)
+        labeled = tabs["labeled_pairs"].to_pandas()
+        feats = pair_features(rd.from_arrow(tabs["records"]), labeled)
+        assert len(passes) == 1 and passes[0] is not None
+        assert set(FEATURES) <= set(passes[0].names)
+        assert len(feats) == len(labeled)

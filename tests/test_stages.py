@@ -11,7 +11,7 @@ from whoiswho_ray.config import SNDConfig
 from whoiswho_ray.functions.hashing import sha256_hex, stable_hash64
 from whoiswho_ray.stages.idf import build_idf
 from whoiswho_ray.stages.normalize import normalize_batch, normalize_records
-from whoiswho_ray.stages.pairs import candidate_index_pairs, make_pairs
+from whoiswho_ray.stages.pairs import candidate_index_pairs
 from whoiswho_ray.stages.scoring import score_pair_arrays
 
 
@@ -168,30 +168,6 @@ class TestPairs:
         assert (rids[ii] <= rids[jj]).all() and (ii > jj).any()
         assert hashlib.sha256(ii.tobytes() + jj.tobytes()).hexdigest() == (
             "6f19860ea5026dc58e2f3f1dbf7ed1c34a811ce2627cc0e607a081b556288443")
-
-    def test_make_pairs_payload(self):
-        import pyarrow as pa
-
-        cfg = SNDConfig()
-        g = pa.table(
-            {
-                "block_key": ["bk"] * 3,
-                "record_id": ["r1", "r2", "r3"],
-                "name": ["a.py", "b.py", "c.py"],
-                "tok_ids": pa.array([[1, 2], [2, 3], [5]], pa.list_(pa.int64())),
-                "repo_ids": pa.array([[9]] * 3, pa.list_(pa.int64())),
-                "ctx_ids": pa.array([[8]] * 3, pa.list_(pa.int64())),
-                "tfv_ids": pa.array([[1]] * 3, pa.list_(pa.int64())),
-                "tfv_w": pa.array([[1.0]] * 3, pa.list_(pa.float32())),
-            }
-        )
-        out = make_pairs(g, cfg)
-        assert out.num_rows == 3
-        df = out.to_pandas()
-        assert set(df.columns) >= {"block_key", "id_a", "id_b", "tok_a", "tok_b"}
-        # payload gather is row-correct
-        row = df[(df.id_a == "r1") & (df.id_b == "r2")].iloc[0]
-        assert list(row["tok_a"]) == [1, 2] and list(row["tok_b"]) == [2, 3]
 
 
 class TestShufflePartitions:

@@ -2,11 +2,17 @@
 entry at a given sf_dir and compare against oracle_sql() via DuckDB
 (row count + column set + order-insensitive value comparison).
 
+Every line also carries the first 16 hex digits of a sha256 over the
+query's canonical result (:func:`canon`), rows-only queries included, so
+two checkouts compare by diffing their runs.
+
 Usage: python tools/check_oracles.py [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import sys
 import time
 
@@ -37,6 +43,15 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
         elif df[c].dtype == object:
             df[c] = df[c].astype(str)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def digest(df: pd.DataFrame) -> str:
+    """sha256 of the canonical result: column names, then each row's
+    64-bit pandas hash (float values hash by their bits)."""
+    c = canon(df)
+    h = hashlib.sha256("\x1f".join(c.columns).encode())
+    h.update(pd.util.hash_pandas_object(c, index=False).to_numpy().tobytes())
+    return h.hexdigest()[:16]
 
 
 def compare(name: str, mine: pd.DataFrame, oracle: pd.DataFrame) -> list[str]:
@@ -73,7 +88,7 @@ def main():
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
 
     con = duckdb.connect()
@@ -94,17 +109,18 @@ def main():
             n_bad += 1
             continue
         wall = time.time() - t0
+        sha = digest(mine)
         if name not in oracles:
-            print(f"ok   {name}: rows-only ({len(mine)} rows, {wall:.1f}s)")
+            print(f"ok   {name} {sha}: rows-only ({len(mine)} rows, {wall:.1f}s)")
             n_ok += 1
             continue
         oracle = con.execute(oracles[name]).fetchdf()
         problems = compare(name, mine, oracle)
         if problems:
-            print(f"FAIL {name} ({wall:.1f}s): " + "; ".join(problems))
+            print(f"FAIL {name} {sha} ({wall:.1f}s): " + "; ".join(problems))
             n_bad += 1
         else:
-            print(f"ok   {name}: {len(mine)} rows match oracle ({wall:.1f}s)")
+            print(f"ok   {name} {sha}: {len(mine)} rows match oracle ({wall:.1f}s)")
             n_ok += 1
     print(f"\n{n_ok} ok, {n_bad} failing")
     ray.shutdown()

@@ -86,7 +86,7 @@ class SNDConfig:
     max_vocab: int = 1_000_000
 
     # --- execution ---
-    score_batch_size: int = 8192
+    # read by no library code; kept because bench.py and perfbench set it
     score_concurrency: int = 4
     seed: int = 42
 

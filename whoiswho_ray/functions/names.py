@@ -22,8 +22,8 @@ matched to:
   dictionaries (``tool/const.py``); here it is an honest HEURISTIC: CJK
   codepoints, or every token segmentable into legal pinyin syllables.
   CJK→pinyin transliteration itself needs a character table the engine
-  does not ship — pass one via ``set_pinyin_table`` (same gating pattern
-  as the multimodal codecs); without it CJK forms simply don't match.
+  does not ship — pass one via ``set_pinyin_table``; without it CJK
+  forms simply don't match.
 
 All functions are pure Python over short strings — used inside
 ``map_batches`` loops and per-actor memo caches, never on the hot

@@ -36,13 +36,6 @@ def intersect_size_sorted(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(b[idx] == a))
 
 
-def overlap_min(a: np.ndarray, b: np.ndarray) -> float:
-    """|A∩B| / min(|A|,|B|) — containment-style overlap."""
-    if a.size == 0 or b.size == 0:
-        return 0.0
-    return intersect_size_sorted(a, b) / float(min(a.size, b.size))
-
-
 def cosine_sparse(ids_a: np.ndarray, w_a: np.ndarray, ids_b: np.ndarray, w_b: np.ndarray) -> float:
     """Cosine of two L2-normalized sparse vectors given as (sorted ids, weights).
 
@@ -56,14 +49,6 @@ def cosine_sparse(ids_a: np.ndarray, w_a: np.ndarray, ids_b: np.ndarray, w_b: np
     if ia.size == 0:
         return 0.0
     return float(np.dot(w_a[ia], w_b[ib]))
-
-
-def cosine_dense(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ preprocessing, SURVEY.md §3.1), as a streaming Dataset pipeline:
                              block kernel (the blocking shuffle)
 
 No component spans a block, so the transitive closure runs inside the
-blocking task and needs no communication round of its own. With
+blocking task and needs no communication round of its own. The streaming
+front end (normalize → idf → vectorize in the compact shuffle encoding)
+is written once, :func:`prepare`, and every pair consumer — the
+clusters, the vote and SGC variants, the PR curve, the trainer's pair
+features and the ``__ray_entry__`` edge and relational queries — runs
+its block kernel through the one blocking pass, :func:`_blocked`. With
 ``out_dir`` set, the normalized table and the idf are checkpointed, and
 one pass of the blocking shuffle (``pairs.make_block_stages``) yields the
 kept edges, one metrics row per block and the clusters, committed as the
@@ -76,6 +81,36 @@ def _blocked(vectorized: "rd.Dataset", kernel, idf=None,
         fused, batch_format="pyarrow").materialize()
 
 
+def prepare(records: "rd.Dataset | str", cfg: SNDConfig):
+    """The streaming front end every SND pair consumer shares: records →
+    ``(normalized, idf, vectorized)`` in the compact shuffle encoding
+    (``vectorize(compact=True, ship_weights=False, sha_binary=True)``),
+    ready for :func:`_blocked` with ``partitions=None``.
+
+    The normalized table is materialized once, because two consumers
+    (idf, vectorize) would otherwise re-execute the normalize chain. It
+    is projected to the columns the SND tail reads BEFORE materializing —
+    the raw repo/path/commit/lang strings would otherwise sit in the
+    object store for the whole run (a select after a task-based map
+    fuses). It is repartitioned to the shuffle width BEFORE the
+    materialize too: the barrier is absorbed into the (mandatory)
+    normalize pass, the task-pool vectorize map preserves the block
+    layout, and the blocking sort consumes it directly — vs. a separate
+    repartition barrier between vectorize and the sort (VERDICT r4 #1).
+    At 100 TB use ``run_snd(out_dir=)`` so the normalized table lives in
+    parquet, not the object store."""
+    if isinstance(records, str):
+        records = rd.read_parquet(records)
+    normalized = normalize_records(records, cfg).select_columns(
+        [c for c in CLUSTER_SHUFFLE_COLUMNS
+         if c not in ("tfv_ids", "tfv_w")]).repartition(
+             shuffle_partitions()).materialize()
+    idf = build_idf(normalized, cfg)
+    vec = vectorize(normalized, idf, cfg, keep=CLUSTER_SHUFFLE_COLUMNS,
+                    compact=True, ship_weights=False, sha_binary=True)
+    return normalized, idf, vec
+
+
 def snd_cluster(
     normalized: "rd.Dataset",
     vectorized: "rd.Dataset",
@@ -112,71 +147,24 @@ def _idf_w_cached(ref):
     return w
 
 
-def snd_vote_cluster(
-    vectorized: "rd.Dataset",
-    cfgs=None,
-    min_votes: int | None = None,
-    idf=None,
-) -> "rd.Dataset":
-    """Ensemble pair-vote clustering tail (operator A9 full analog): the
-    fused blocking shuffle of :func:`snd_cluster`, but inside each block
-    every candidate pair is voted on by a grid of weight configs
-    (``pairs.default_vote_configs``) and clusters are components over
-    majority-voted edges — bond's threshold-grid ensemble
-    (``autotrain_bond_ensemble.py:241-260``) re-expressed for the
-    weighted-score kernel."""
-    from whoiswho_ray.stages.pairs import default_vote_configs, make_block_vote_clusters
-
-    cfgs = cfgs or default_vote_configs()
-    mv = (len(cfgs) // 2 + 1) if min_votes is None else min_votes
-    return _blocked(vectorized, lambda g, w: make_block_vote_clusters(g, cfgs, mv, idf_w=w),
-                    idf, shuffle_partitions())
-
-
 def run_snd_vote(
     records: "rd.Dataset | str",
     cfgs=None,
     min_votes: int | None = None,
 ) -> "rd.Dataset":
-    """records → majority-voted ensemble clusters, the run_snd sibling
-    (same compact/ship_weights/sha_binary shuffle encoding)."""
-    base = (cfgs[0] if cfgs else SNDConfig())
-    if isinstance(records, str):
-        records = rd.read_parquet(records)
-    normalized = normalize_records(records, base).select_columns(
-        [c for c in CLUSTER_SHUFFLE_COLUMNS
-         if c not in ("tfv_ids", "tfv_w")]).materialize()
-    idf = build_idf(normalized, base)
-    vec = vectorize(normalized, idf, base, keep=CLUSTER_SHUFFLE_COLUMNS,
-                    compact=True, ship_weights=False, sha_binary=True)
-    return snd_vote_cluster(vec, cfgs=cfgs, min_votes=min_votes, idf=idf)
+    """records → majority-voted ensemble clusters (operator A9 full
+    analog), the run_snd sibling: the same front end (:func:`prepare`)
+    and blocking shuffle, but inside each block every candidate pair is
+    voted on by a grid of weight configs (``pairs.default_vote_configs``)
+    and clusters are components over majority-voted edges — bond's
+    threshold-grid ensemble (``autotrain_bond_ensemble.py:241-260``)
+    re-expressed for the weighted-score kernel."""
+    from whoiswho_ray.stages.pairs import default_vote_configs, make_block_vote_clusters
 
-
-def snd_sgc_cluster(
-    vectorized: "rd.Dataset",
-    cfg: SNDConfig | None = None,
-    tau_strong: float | None = None,
-    idf=None,
-    refine_rounds: int = 0,
-    learned_rounds: int = 0,
-) -> "rd.Dataset":
-    """Graph-smoothed clustering tail (operator T8 analog — bond's
-    per-name GNN, ``autotrain_bond.py:134-233``): the fused blocking
-    shuffle of :func:`snd_cluster`, but inside each block one hop of
-    parameter-free graph convolution (SGC) smooths the TF-IDF view over
-    the strong-edge graph before the pair score — computed in Gram space
-    (``pairs.make_block_sgc_clusters``), so nothing extra crosses the
-    shuffle."""
-    from whoiswho_ray.stages.pairs import make_block_sgc_clusters
-
-    cfg = cfg or SNDConfig()
-
-    def kernel(g, w):
-        return make_block_sgc_clusters(g, cfg, tau_strong=tau_strong, idf_w=w,
-                                       refine_rounds=refine_rounds,
-                                       learned_rounds=learned_rounds)
-
-    return _blocked(vectorized, kernel, idf, shuffle_partitions())
+    cfgs = cfgs or default_vote_configs()
+    mv = (len(cfgs) // 2 + 1) if min_votes is None else min_votes
+    _, idf, vec = prepare(records, cfgs[0])
+    return _blocked(vec, lambda g, w: make_block_vote_clusters(g, cfgs, mv, idf_w=w), idf)
 
 
 def run_snd_sgc(
@@ -186,22 +174,26 @@ def run_snd_sgc(
     refine_rounds: int = 0,
     learned_rounds: int = 0,
 ) -> "rd.Dataset":
-    """records → graph-smoothed (SGC) clusters, the run_snd sibling
-    (same compact/ship_weights/sha_binary shuffle encoding).
-    ``refine_rounds`` > 0 adds bond's iterated pseudo-label refinement
-    loop on top (see ``pairs.make_block_sgc_clusters``)."""
+    """records → graph-smoothed (SGC) clusters (operator T8 analog —
+    bond's per-name GNN, ``autotrain_bond.py:134-233``), the run_snd
+    sibling: the same front end (:func:`prepare`) and blocking shuffle,
+    but inside each block one hop of parameter-free graph convolution
+    smooths the TF-IDF view over the strong-edge graph before the pair
+    score — computed in Gram space (``pairs.make_block_sgc_clusters``),
+    so nothing extra crosses the shuffle. ``refine_rounds`` > 0 adds
+    bond's iterated pseudo-label refinement loop on top,
+    ``learned_rounds`` its learned half."""
+    from whoiswho_ray.stages.pairs import make_block_sgc_clusters
+
     cfg = cfg or SNDConfig()
-    if isinstance(records, str):
-        records = rd.read_parquet(records)
-    normalized = normalize_records(records, cfg).select_columns(
-        [c for c in CLUSTER_SHUFFLE_COLUMNS
-         if c not in ("tfv_ids", "tfv_w")]).materialize()
-    idf = build_idf(normalized, cfg)
-    vec = vectorize(normalized, idf, cfg, keep=CLUSTER_SHUFFLE_COLUMNS,
-                    compact=True, ship_weights=False, sha_binary=True)
-    return snd_sgc_cluster(vec, cfg, tau_strong=tau_strong, idf=idf,
-                           refine_rounds=refine_rounds,
-                           learned_rounds=learned_rounds)
+    _, idf, vec = prepare(records, cfg)
+
+    def kernel(g, w):
+        return make_block_sgc_clusters(g, cfg, tau_strong=tau_strong, idf_w=w,
+                                       refine_rounds=refine_rounds,
+                                       learned_rounds=learned_rounds)
+
+    return _blocked(vec, kernel, idf)
 
 
 def run_snd(
@@ -227,30 +219,8 @@ def run_snd(
     cfg = cfg or SNDConfig()
     if isinstance(records, str):
         records = rd.read_parquet(records)
-
     if out_dir is None:
-        # materialize once: two consumers (idf, vectorize) would otherwise
-        # re-execute the normalize chain twice. Project to the columns the
-        # SND tail reads BEFORE materializing — the raw
-        # repo/path/commit/lang strings would otherwise sit in the object
-        # store for the whole run (select after a task-based map fuses; it
-        # is only select-after-actor-pool that forces an extra pass).
-        # (The checkpointed path gets the same effect from its parquet
-        # stage boundary; at 100 TB use out_dir so the normalized table
-        # lives in parquet, not the object store.)
-        #
-        # repartition to the shuffle width BEFORE the materialize: the
-        # barrier is absorbed into the (mandatory) normalize pass, the
-        # task-pool vectorize map preserves the block layout, and the
-        # blocking sort consumes it directly — vs. a separate repartition
-        # barrier between vectorize and the sort (VERDICT r4 #1)
-        normalized = normalize_records(records, cfg).select_columns(
-            [c for c in CLUSTER_SHUFFLE_COLUMNS
-             if c not in ("tfv_ids", "tfv_w")]).repartition(
-                 shuffle_partitions()).materialize()
-        idf = build_idf(normalized, cfg)
-        vec = vectorize(normalized, idf, cfg, keep=CLUSTER_SHUFFLE_COLUMNS,
-                        compact=True, ship_weights=False, sha_binary=True)
+        normalized, idf, vec = prepare(records, cfg)
         return snd_cluster(normalized, vec, cfg, idf=idf, pre_partitioned=True)
 
     # the format version guards stage schemas and bucket assignment:
@@ -352,29 +322,17 @@ def run_snd_pr_curve(
     threshold grid — the reference's pairwise evaluation
     (``SNDeval.py``) as a distributed operating-curve report.
 
-    Same fused shape as :func:`run_snd` (normalize → idf → vectorize →
-    ONE blocking groupby), but each block task emits T count rows
+    Same fused shape as :func:`run_snd` (:func:`prepare` → ONE blocking
+    groupby), but each block task emits T count rows
     (``pairs.make_block_pr_counts``) instead of clusters; the finish is
     a T-row grouped sum plus single int64 divisions for P/R/F1
     (``f1 = 2tp/(2tp+fp+fn)`` — one division, IEEE-identical in SQL).
     """
-    import pandas as pd
-
     from whoiswho_ray.stages.agg import grouped_agg
     from whoiswho_ray.stages.pairs import make_block_pr_counts
 
     cfg = cfg or SNDConfig()
-    if isinstance(records, str):
-        records = rd.read_parquet(records)
-    normalized = normalize_records(records, cfg).select_columns(
-        [c for c in CLUSTER_SHUFFLE_COLUMNS
-         if c not in ("tfv_ids", "tfv_w", "content_sha256")]).repartition(
-             shuffle_partitions()).materialize()
-    idf = build_idf(normalized, cfg)
-    vec = vectorize(normalized, idf, cfg,
-                    keep=[c for c in CLUSTER_SHUFFLE_COLUMNS
-                          if c != "content_sha256"],
-                    compact=True, ship_weights=False)
+    _, idf, vec = prepare(records, cfg)
     parts = _blocked(vec, lambda g, w: make_block_pr_counts(g, cfg, taus, idf_w=w), idf)
     tot = grouped_agg(parts, "tau_cents",
                       {"tp": ("tp", "sum"), "fp": ("fp", "sum"),

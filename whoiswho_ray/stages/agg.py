@@ -821,7 +821,7 @@ def unnest(
 ) -> "ray.data.Dataset":
     """Explode an Arrow list column to one row per element with its
     0-based position — SQL ``UNNEST ... WITH ORDINALITY`` (the list-column
-    counterpart of :func:`melt`; the embeddings/multimodal tables carry
+    counterpart of :func:`melt`; the embeddings table carries
     ``list<float>`` payloads this makes relational).
 
     Scale shape: zero-shuffle — a stateless per-batch Arrow kernel

@@ -3,10 +3,10 @@
 The reference encodes papers with OAGBERT on GPU, one forward per record
 (``/root/reference/whoiswho/featureGenerator/rndFeature/
 oagbert_features.py:54-57`` model load, ``203-236`` encode loop). This
-environment has no GPU and no torch/transformers, so — exactly like the
-multimodal codecs — the Ray-side machinery (actor pool, broadcast-free
-per-actor model load, batched forward, list<float32> output column) is
-real and tested, while the model itself is gated:
+environment has no GPU and no torch/transformers, so the Ray-side
+machinery (actor pool, broadcast-free per-actor model load, batched
+forward, list<float32> output column) is real and tested, while the
+model itself is gated:
 
 * ``backend="fake"`` (default) — a deterministic hashed bag-of-words
   projection (each token hashes to a position in a ``dim``-dim space,

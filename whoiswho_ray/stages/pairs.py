@@ -20,39 +20,24 @@ thousands of rows, fatal at scale. Here each block is one group of a
   ``adhoc_features.py:105``), and truncation is *reported* per block via
   the ``truncated_pairs`` metric column, never silent.
 
-Each pair row carries both sides' compact signatures (hashed-token lists,
-TF-IDF sparse vectors, basenames) so scoring needs no join against the
-record table — at 100 TB only signatures travel, never content. The whole
-stage is vectorized: groups arrive as Arrow tables, token sets are
-flattened zero-copy, minhash signatures come from one ``reduceat`` pass,
-and payload list columns are built by a vectorized list-gather
-(``pa.ListArray.from_arrays``) — no per-pair Python objects.
+Pairs never become rows that leave the block task, the shape of a
+distributed streaming set-similarity join (PAPERS.md): each block kernel
+generates its candidates and verifies them in the task that owns the
+block (:func:`_score_block`), so only its output — kept edges, clusters,
+counts — enters the object store. The whole stage is vectorized: groups
+arrive as Arrow tables, token sets are flattened zero-copy, minhash
+signatures come from one ``reduceat`` pass, and the set overlaps of all
+candidate pairs come from one all-pairs pass per token family — no
+per-pair Python objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-
-import ray.data
 
 from whoiswho_ray.config import SNDConfig
 from whoiswho_ray.functions.hashing import MinHasher, band_keys_matrix
-
-_LIST_PAYLOAD = [
-    ("tok_ids", "tok"),
-    ("repo_ids", "repo"),
-    ("ctx_ids", "ctx"),
-    ("tfv_ids", "tfv_ids"),
-    ("tfv_w", "tfv_w"),
-]
-
-PAIR_COLUMNS = (
-    ["block_key", "id_a", "id_b", "name_a", "name_b"]
-    + [f"{short}_a" for _, short in _LIST_PAYLOAD]
-    + [f"{short}_b" for _, short in _LIST_PAYLOAD]
-)
 
 _MINHASHERS: dict[tuple[int, int], MinHasher] = {}
 
@@ -81,19 +66,6 @@ def _flat_list(col) -> tuple[np.ndarray, np.ndarray]:
     values = col.values.to_numpy(zero_copy_only=False)
     offsets = col.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     return values[offsets[0]: offsets[-1]], offsets - offsets[0]
-
-
-def _gather_list(values: np.ndarray, offsets: np.ndarray, idx: np.ndarray,
-                 arrow_type) -> pa.ListArray:
-    """Vectorized list-gather: rows ``idx`` of a flat list representation
-    → a new Arrow ListArray, no Python loop."""
-    lens = np.diff(offsets)[idx]
-    out_off = np.zeros(idx.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=out_off[1:])
-    total = int(out_off[-1])
-    flat_idx = np.repeat(offsets[idx], lens) + (np.arange(total) - np.repeat(out_off[:-1], lens))
-    return pa.ListArray.from_arrays(pa.array(out_off.astype(np.int32)),
-                                    pa.array(values[flat_idx], type=arrow_type))
 
 
 def _window_pairs(idx: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,44 +184,6 @@ def _block_arrays(group: pa.Table):
     return rids, tok_values, tok_offsets, repo_first
 
 
-def make_pairs(group: pa.Table, cfg: SNDConfig) -> pa.Table:
-    """One block (one map_groups group, Arrow) → pair rows with payloads."""
-    n = group.num_rows
-    if n < 2:
-        return _empty_pairs_table()
-    rids, tok_values, tok_offsets, repo_first = _block_arrays(group)
-    ii, jj, _trunc = candidate_index_pairs(rids, tok_values, tok_offsets, repo_first, cfg)
-    if ii.size == 0:
-        return _empty_pairs_table()
-
-    names = np.asarray(group.column("name").to_pylist(), dtype=object)
-    cols: dict[str, pa.Array] = {
-        "block_key": pa.array(np.repeat(group.column("block_key")[0].as_py(), ii.size), pa.string()),
-        "id_a": pa.array(rids[ii], pa.string()),
-        "id_b": pa.array(rids[jj], pa.string()),
-        "name_a": pa.array(names[ii], pa.string()),
-        "name_b": pa.array(names[jj], pa.string()),
-    }
-    for col, short in _LIST_PAYLOAD:
-        values, offsets = _flat_list(group.column(col))
-        elem_type = pa.float32() if short == "tfv_w" else pa.int64()
-        cols[f"{short}_a"] = _gather_list(values, offsets, ii, elem_type)
-        cols[f"{short}_b"] = _gather_list(values, offsets, jj, elem_type)
-    return pa.table(cols)
-
-
-def _empty_pairs_table() -> pa.Table:
-    cols = {}
-    for c in PAIR_COLUMNS:
-        if c.startswith(("tok", "repo", "ctx", "tfv_ids")):
-            cols[c] = pa.array([], pa.list_(pa.int64()))
-        elif c.startswith("tfv_w"):
-            cols[c] = pa.array([], pa.list_(pa.float32()))
-        else:
-            cols[c] = pa.array([], pa.string())
-    return pa.table(cols)
-
-
 def block_metrics(group: pa.Table, cfg: SNDConfig) -> pa.Table:
     """Per-block lineage/metrics row: size, pair counts, salting/truncation."""
     n = group.num_rows
@@ -327,23 +261,25 @@ def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
             from whoiswho_ray.stages.scoring import reconstruct_tfv_w
 
             tfv_w = reconstruct_tfv_w(tfv_vals, tfv_off, idf_w)
-        # only the graph-smoothed kernel needs the full tf-idf Gram
-        tfv_pairs = None if want_gram else (ii, jj)
+        tfv_w64 = tfv_w.astype(np.float64)
         if compact:
-            # ONE pass over the tfv stream yields both the tf-idf dots and
-            # the intersection counts; j_tok from counts + original token
-            # counts is exact, since the min_df-pruned tokens (df==1) can
-            # never intersect
+            # the intersection counts of the tfv stream give j_tok exactly
+            # with the original token counts, since the min_df-pruned
+            # tokens (df==1) can never intersect
             tok_n = group.column("tok_n").to_numpy(zero_copy_only=False).astype(np.float64)
-            Mw, inter = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w.astype(np.float64),
-                                        with_counts=True, pairs=tfv_pairs)
-            inter = inter[ii, jj] if want_gram else inter
+            if want_gram:
+                Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64)
+                inter = allpairs_matrix(n, tfv_vals, tfv_off, pairs=(ii, jj))
+            else:  # ONE pass yields both the tf-idf dots and the counts
+                Mw, inter = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
+                                            with_counts=True, pairs=(ii, jj))
             union = tok_n[ii] + tok_n[jj] - inter
             j_tok = np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
         else:
             j_tok = jac_matrix("tok_ids")
-            Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w.astype(np.float64),
-                                 pairs=tfv_pairs)
+            # only the graph-smoothed kernel needs the full tf-idf Gram
+            Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
+                                 pairs=None if want_gram else (ii, jj))
         cos = Mw[ii, jj] if want_gram else Mw
         t_repo = jac_matrix("repo_ids")
         t_ctx = jac_matrix("ctx_ids")
@@ -357,7 +293,7 @@ def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
             # contribution of tokens unique within the block, which only
             # ever touch the diagonal). cos was extracted above (fancy
             # indexing copies), so filling the diagonal in place is safe.
-            w2 = tfv_w.astype(np.float64) ** 2
+            w2 = tfv_w64 ** 2
             cs = np.concatenate(([0.0], np.cumsum(w2)))
             selfdot = cs[tfv_off[1:]] - cs[tfv_off[:-1]]
             np.fill_diagonal(Mw, selfdot)
@@ -544,6 +480,26 @@ def tagged_schema(cfg: SNDConfig) -> pa.Schema:
     return pa.schema(list(fields.values()))
 
 
+def _edge_table(rec, ii: np.ndarray, jj: np.ndarray, feats: dict,
+                keep=slice(None)) -> pa.Table:
+    """Edge rows of one block (``rec``: :func:`_block_records`) for the
+    scored pairs ``(ii, jj)`` selected by ``keep`` (default: all): both
+    ids, block-local sorted positions and every feature — the ``edges``
+    schema of :func:`block_stage_schemas`. Each feature is selected as
+    it is converted, so one selected copy is alive at a time."""
+    block_key, rids, order = rec[0], rec[1], rec[2]
+    ia, ib = ii[keep], jj[keep]
+    pos = _sorted_pos(order).astype(np.int32)
+    return pa.table({
+        "block_key": pa.array(np.repeat(block_key, ia.size), pa.string()),
+        "id_a": pa.array(rids[ia], pa.string()),
+        "id_b": pa.array(rids[ib], pa.string()),
+        "ix_a": pa.array(pos[ia]),
+        "ix_b": pa.array(pos[ib]),
+        **{k: pa.array(v[keep]) for k, v in feats.items()},
+    })
+
+
 def make_block_stages(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
     """One block → its rows of every checkpointed stage in one table:
     kept edges (``make_block_clusters``' edge set, with ids, sorted
@@ -554,7 +510,6 @@ def make_block_stages(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
     the task: only edges at or above ``min(tau_attach, tau_edge)`` (~100
     B/row) enter the object store."""
     rec, scored, keep, labels = _cluster_scored(group, cfg, idf_w)
-    block_key, rids, order = rec[0], rec[1], rec[2]
     schemas = block_stage_schemas(cfg)
     n = group.num_rows
     if scored is None:
@@ -564,17 +519,8 @@ def make_block_stages(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
         metrics = block_metrics(group, cfg)
     else:
         _, ii, jj, feats, truncated = scored
-        ia, ib = ii[keep], jj[keep]
-        pos = _sorted_pos(order).astype(np.int32)
-        edges = pa.table({
-            "block_key": pa.array(np.repeat(block_key, ia.size), pa.string()),
-            "id_a": pa.array(rids[ia], pa.string()),
-            "id_b": pa.array(rids[ib], pa.string()),
-            "ix_a": pa.array(pos[ia]),
-            "ix_b": pa.array(pos[ib]),
-            **{k: pa.array(v[keep]) for k, v in feats.items()},
-        })
-        metrics = _metrics_row(block_key, n, int(ii.size), truncated, cfg)
+        edges = _edge_table(rec, ii, jj, feats, keep)
+        metrics = _metrics_row(rec[0], n, int(ii.size), truncated, cfg)
     parts = [edges, metrics, _cluster_rows(*rec, labels)]
     target = tagged_schema(cfg)
     out = []
@@ -694,6 +640,24 @@ def _fit_pair_logistic(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
     return prob
 
 
+def _smoothed_gram_at(G: np.ndarray, P: np.ndarray, ii: np.ndarray,
+                      jj: np.ndarray):
+    """``diag(P·G·P)`` and ``(P·G·P)[ii, jj]`` (``ii`` sorted), one band
+    of 256 rows at a time, so neither product holds an n×n
+    temporary. A band is the same two BLAS products restricted to its
+    rows; OpenBLAS sums each entry in an order that does not depend on
+    the row count, so the entries equal the full product's bit for bit."""
+    n, rows = G.shape[0], 256
+    d, gh = np.empty(n), np.empty(ii.size)
+    for r0 in range(0, n, rows):
+        band = (P[r0:r0 + rows] @ G) @ P
+        m = band.shape[0]
+        d[r0:r0 + m] = band[np.arange(m), np.arange(r0, r0 + m)]
+        lo, hi = np.searchsorted(ii, [r0, r0 + m])
+        gh[lo:hi] = band[ii[lo:hi] - r0, jj[lo:hi]]
+    return d, gh
+
+
 def make_block_sgc_clusters(
     group: pa.Table,
     cfg: SNDConfig,
@@ -772,11 +736,11 @@ def make_block_sgc_clusters(
             strong = feats["score"] >= ts
             P[ii[strong], jj[strong]] = 1.0
             P[jj[strong], ii[strong]] = 1.0
-            GH = P @ G @ P
-            d = np.diagonal(GH)
+            d, gh = _smoothed_gram_at(G, P, ii, jj)
+            del P
             ok = (d[ii] > 0) & (d[jj] > 0)
             denom = np.sqrt(np.where(ok, d[ii] * d[jj], 1.0))
-            cos2 = np.where(ok, GH[ii, jj] / denom, 0.0)
+            cos2 = np.where(ok, gh / denom, 0.0)
             score2 = (feats["score"]
                       + cfg.w_tfidf * (cos2 - feats["cos"]))
         keep = score2 >= cfg.tau_edge
@@ -859,13 +823,6 @@ EDGE_SHUFFLE_COLUMNS = [
     "tfv_ids", "tfv_w",
 ]
 CLUSTER_SHUFFLE_COLUMNS = EDGE_SHUFFLE_COLUMNS + ["content_sha256"]
-
-
-def generate_pairs(vectorized: "ray.data.Dataset", cfg: SNDConfig | None = None) -> "ray.data.Dataset":
-    """vectorized records → pair rows (the blocking shuffle, operator A1)."""
-    cfg = cfg or SNDConfig()
-    return vectorized.repartition(shuffle_partitions()).groupby("block_key").map_groups(
-        lambda g: make_pairs(g, cfg), batch_format="pyarrow")
 
 
 def make_block_pr_counts(group: pa.Table, cfg: SNDConfig,

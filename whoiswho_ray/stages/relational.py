@@ -30,10 +30,8 @@ determinism swap the north star sanctions for w2v→TF-IDF):
   blend re-expressed as an additive correction.
 
 Everything is block-local: no extra shuffle, no driver state. The blend
-runs inside the fused block kernels (``pairs._score_block``); the
-standalone ``PairScorer`` actor scores externally-supplied pair tables
-without block structure and therefore ignores ``w_rel`` (documented
-there).
+runs inside the fused block kernels (``pairs._score_block``), the only
+place that sees a block's whole candidate-pair set.
 """
 
 from __future__ import annotations
@@ -127,11 +125,12 @@ def relational_adjust(
     return feats
 
 
-def make_relational_rows(group: pa.Table, cfg: SNDConfig) -> pa.Table:
+def make_relational_rows(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
     """One vectorized block group → per-candidate-pair INTEGER graph
     features (canonical id orientation): common-neighbor count, strong
     degrees, and whether the pair itself is a strong edge. The
     exact-oracle surface for the graph view (all counts int64).
+    ``idf_w``: as for ``pairs._score_block``.
 
     The strong-edge graph is always built from the DIRECT (content-view)
     scores — ``w_rel`` is forced to 0 for the internal scoring pass so the
@@ -141,7 +140,7 @@ def make_relational_rows(group: pa.Table, cfg: SNDConfig) -> pa.Table:
     from whoiswho_ray.stages.pairs import _score_block
 
     cfg = dataclasses.replace(cfg, w_rel=0.0)
-    scored = _score_block(group, cfg)
+    scored = _score_block(group, cfg, idf_w=idf_w)
     if scored is None:
         return pa.table({
             "block_key": pa.array([], pa.string()),
@@ -173,14 +172,3 @@ def make_relational_rows(group: pa.Table, cfg: SNDConfig) -> pa.Table:
         "s": pa.array(strong.astype(np.int64)),
     })
 
-
-def generate_relational_features(
-    vectorized, cfg: SNDConfig | None = None
-):
-    """vectorized records → per-pair graph-view rows (one blocking
-    groupby, same shuffle shape as edge generation)."""
-    cfg = cfg or SNDConfig()
-    from whoiswho_ray.stages.pairs import shuffle_partitions
-
-    return vectorized.repartition(shuffle_partitions()).groupby("block_key").map_groups(
-        lambda g: make_relational_rows(g, cfg), batch_format="pyarrow")

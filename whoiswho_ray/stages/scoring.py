@@ -1,39 +1,38 @@
-"""Stateful scoring stages — actor pools over Arrow batches.
-
-Two actor-pool ``map_batches`` stages, both following the reference's
-"load state once per process, score per item" pattern
-(``/root/reference/whoiswho/character/feature_process.py:28-44`` loads four
-idf dicts in ``__loadEssential`` at construction):
+"""Vectorizing and pair-scoring kernels.
 
 * ``TfidfVectorizer`` — attaches each record's sparse unit-norm TF-IDF
   vector (the w2v-mean-embedding analog of ``semantic_features.py:43-135``;
-  BASELINE.json's north star replaces w2v with TF-IDF cosine). The IdfModel
-  is broadcast **once** via ``ray.put`` and fetched per actor in
-  ``__init__`` — never re-shipped per batch.
-* ``PairScorer`` — the 36-dim-hand-feature analog
+  BASELINE.json's north star replaces w2v with TF-IDF cosine). It follows
+  the reference's "load state once per process, score per item" pattern
+  (``whoiswho/character/feature_process.py:28-44`` in the reference loads
+  four idf dicts in ``__loadEssential`` at construction): the IdfModel is
+  broadcast **once** via ``ray.put`` and each worker process builds one
+  vectorizer from it (:func:`vectorize`).
+* The pair-feature kernels the block kernels (``pairs._score_block``)
+  score with — the 36-dim-hand-feature analog
   (``feature_process.py:242-350``) reduced to the score the SND trainer
   actually blends (``AutoTrainSND.py:142-161``): token Jaccard (coauthor
   analog), repo tanimoto (org), context tanimoto (venue), TF-IDF cosine,
-  Jaro-Winkler on basenames.
+  Jaro-Winkler on basenames. :func:`allpairs_matrix` serves blocks up to
+  ``matrix_block_cap``, :func:`score_flat_components` the larger ones,
+  and :func:`score_pair_arrays` is the scalar oracle both are tested
+  against.
 
-The scorer is fully vectorized: pair token sets arrive as Arrow list
-columns, are flattened **zero-copy** via (values, offsets), and every
-set intersection in the batch is computed in one lexsort +
-duplicate-count pass (tokens are unique per side, so a (pair, token)
-appearing twice == one intersection hit). No Python loop touches the
-token data; only the Jaro-Winkler names go through a per-actor memo dict
-(the reference's ``dname_l_dict`` cache made per-actor state,
-``whoiswho/utils.py:12``).
+The kernels are fully vectorized: token sets are flattened **zero-copy**
+via (values, offsets), and every set intersection of a flat batch is
+computed in one lexsort + duplicate-count pass (tokens are unique per
+side, so a (pair, token) appearing twice == one intersection hit). No
+Python loop touches the token data; only the Jaro-Winkler names go
+through a per-task memo dict (the reference's ``dname_l_dict`` cache,
+``whoiswho/utils.py:12``), called once per distinct name pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
-import ray.data
 
 from whoiswho_ray.config import SNDConfig
 from whoiswho_ray.functions.similarity import (
@@ -43,11 +42,9 @@ from whoiswho_ray.functions.similarity import (
 )
 from whoiswho_ray.stages.idf import IdfModel
 
-EDGE_COLUMNS = ["block_key", "id_a", "id_b", "j_tok", "t_repo", "t_ctx", "cos", "jw", "score"]
-
 
 class TfidfVectorizer:
-    """Actor: adds ``tfv_ids`` (sorted in-vocab token ids) and ``tfv_w``
+    """Adds ``tfv_ids`` (sorted in-vocab token ids) and ``tfv_w``
     (idf weights, L2-normalized) list columns — Arrow in / Arrow out, one
     vectorized vocabulary lookup per batch (flattened token stream,
     ``searchsorted`` against the sorted vocab, per-row renormalization via
@@ -162,7 +159,6 @@ def vectorize(
     compact: bool = False,
     ship_weights: bool = True,
     sha_binary: bool = False,
-    pool: str = "tasks",
 ) -> "ray.data.Dataset":
     """``compact=True`` requests the compact shuffle encoding (int32
     tfv positions, ``tok_ids`` → scalar ``tok_n``) for pipelines whose
@@ -179,33 +175,24 @@ def vectorize(
     ``content_sha256`` as ``fixed_size_binary(32)`` instead of the
     64-char hex string.
 
-    ``pool='tasks'`` (default) runs the vectorizer as a task-pool map
-    with a per-worker cached IdfModel — no actor startup, and the map
-    stage can fuse with a downstream shuffle's map side. ``pool='actors'``
-    keeps the explicit actor pool (``cfg.score_concurrency`` wide)."""
+    The vectorizer runs as a task-pool map with a per-worker cached
+    IdfModel — no actor startup, and the map stage can fuse with a
+    downstream shuffle's map side."""
     cfg = cfg or SNDConfig()
     compact = bool(compact and cfg.min_df <= 2 and not idf.truncated)
     idf_ref = ray.put(idf)
     kw = {"keep": keep, "compact": compact,
           "ship_weights": ship_weights or not compact,
           "sha_binary": sha_binary}
-    if pool == "tasks":
-        def tfidf_vectorize(t: pa.Table, _ref=idf_ref, _kw=kw) -> pa.Table:
-            return _cached_vectorizer(_ref, _kw)(t)
 
-        return normalized.map_batches(
-            tfidf_vectorize,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=4096,
-        )
+    def tfidf_vectorize(t: pa.Table, _ref=idf_ref, _kw=kw) -> pa.Table:
+        return _cached_vectorizer(_ref, _kw)(t)
+
     return normalized.map_batches(
-        TfidfVectorizer,
-        fn_constructor_kwargs=dict(kw, idf_ref=idf_ref),
+        tfidf_vectorize,
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=4096,
-        concurrency=(1, cfg.score_concurrency),
     )
 
 
@@ -490,7 +477,7 @@ def score_flat_components(
 
     ``tok``/``repo``/``ctx``: ((vals_a, lens_a), (vals_b, lens_b)) flat set
     representations; ``tfv``: ((ids_a, lens_a, w_a), (ids_b, lens_b, w_b)).
-    Shared by the actor-pool scorer and the fused in-block scorer.
+    The flat regime of the fused in-block scorer (``pairs._score_block``).
     """
     def jac(pair):
         (va, la), (vb, lb) = pair
@@ -522,41 +509,6 @@ def score_flat_components(
             "cos": cos, "jw": jw, "score": score}
 
 
-class PairScorer:
-    """Actor: pair rows (payload signatures as Arrow lists) → scored edges.
-
-    Scores the CONTENT views only — the relational graph-view blend
-    (``cfg.w_rel``, stages/relational.py) needs the whole block's pair set
-    and therefore runs exclusively inside the block kernels
-    (``pairs._score_block``); externally-supplied pair batches may split
-    blocks, so this actor ignores ``w_rel`` by construction."""
-
-    def __init__(self, cfg: SNDConfig):
-        self.cfg = cfg
-        self._jw = jw_memo({})
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        feats = score_flat_components(
-            self.cfg, n,
-            (_flat(t.column("tok_a")), _flat(t.column("tok_b"))),
-            (_flat(t.column("repo_a")), _flat(t.column("repo_b"))),
-            (_flat(t.column("ctx_a")), _flat(t.column("ctx_b"))),
-            (
-                (*_flat(t.column("tfv_ids_a")), _flat(t.column("tfv_w_a"))[0]),
-                (*_flat(t.column("tfv_ids_b")), _flat(t.column("tfv_w_b"))[0]),
-            ),
-            t.column("name_a").to_pylist(), t.column("name_b").to_pylist(),
-            self._jw,
-        )
-        return pa.table({
-            "block_key": t.column("block_key"),
-            "id_a": t.column("id_a"),
-            "id_b": t.column("id_b"),
-            **{k: pa.array(v) for k, v in feats.items()},
-        })
-
-
 def score_pair_arrays(
     tok_a: np.ndarray, tok_b: np.ndarray,
     repo_a: np.ndarray, repo_b: np.ndarray,
@@ -582,26 +534,3 @@ def score_pair_arrays(
     )
     return j_tok, t_repo, t_ctx, cos, jw, score
 
-
-def score_pairs(pairs: "ray.data.Dataset", cfg: SNDConfig | None = None) -> "ray.data.Dataset":
-    """pairs → scored edges; keeps only pairs with score ≥ tau_attach (the
-    lower of the two thresholds — everything below it can influence neither
-    clustering nor post-match, so it is dropped as early as possible)."""
-    cfg = cfg or SNDConfig()
-    scored = pairs.map_batches(
-        PairScorer,
-        fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=cfg.score_batch_size,
-        concurrency=(1, cfg.score_concurrency),
-    )
-    tau = min(cfg.tau_attach, cfg.tau_edge)
-    import pyarrow.compute as pc
-
-    return scored.map_batches(
-        lambda t: t.filter(pc.greater_equal(t.column("score"), pa.scalar(tau))),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=cfg.score_batch_size,
-    )

@@ -2,9 +2,9 @@
 
 Ray Data has no event-time windowing; per the engine's streaming stance
 (SURVEY.md §2.9 — the reference has none either), windows are expressed as
-batch groupbys: tumbling = truncate-ts + grouped aggregate; sessions =
-per-key sorted gap detection inside ``map_groups``. Both have exact SQL
-oracles (``date_trunc`` / ``lag() over``)."""
+batch groupbys: sliding = explode to the covering windows + grouped
+aggregate; sessions = per-key sorted gap detection inside ``map_groups``.
+Both have exact SQL oracles."""
 
 from __future__ import annotations
 
@@ -14,33 +14,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Count, Mean, Sum
-
-
-def tumbling_window(
-    ds: "ray.data.Dataset",
-    ts_col: str = "ts",
-    key_col: str = "event_type",
-    value_col: str = "value",
-    unit: str = "hour",
-) -> "ray.data.Dataset":
-    """Per (key, time-bucket): count + sum + mean of value.
-
-    Buckets via ``pc.floor_temporal`` (== DuckDB ``date_trunc``)."""
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("window_start", pc.floor_temporal(t.column(ts_col), unit=unit))
-
-    agg = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([key_col, "window_start"])
-        .aggregate(
-            Count(alias_name="n_events"),
-            Sum(value_col, alias_name="sum_value"),
-            Mean(value_col, alias_name="avg_value"),
-        )
-    )
-    return agg
 
 
 def sliding_window(

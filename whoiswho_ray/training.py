@@ -45,25 +45,30 @@ def pair_features(
     labeled_pairs: pd.DataFrame,
     cfg: SNDConfig | None = None,
 ) -> pd.DataFrame:
-    """Feature rows for the labeled pairs: run the normal candidate
-    pipeline (normalize → idf → vectorize → pair scoring WITHOUT
-    thresholds) and inner-join the labels. Pairs the blocker never
-    generates keep their label with zero features (they would never be
-    scored at inference either — the trainer must see that regime)."""
-    from whoiswho_ray.stages.idf import build_idf
-    from whoiswho_ray.stages.normalize import normalize_records
-    from whoiswho_ray.stages.pairs import generate_pairs
-    from whoiswho_ray.stages.scoring import PairScorer, vectorize
+    """Feature rows for the labeled pairs: the SND front end and blocking
+    pass (``pipelines.snd.prepare`` → ``_blocked``) with a kernel that
+    keeps EVERY candidate pair's ``_score_block`` features (no
+    thresholds), inner-joined with the labels — so the trainer sees
+    exactly the candidates and features inference scores. Pairs the
+    blocker never generates keep their label with zero features (they
+    would never be scored at inference either — the trainer must see
+    that regime)."""
+    from whoiswho_ray.pipelines.snd import _blocked, prepare
+    from whoiswho_ray.stages.pairs import (_block_records, _edge_table, _score_block,
+                                           block_stage_schemas)
 
     cfg = cfg or SNDConfig()
-    norm = normalize_records(records, cfg).materialize()
-    idf = build_idf(norm, cfg)
-    vec = vectorize(norm, idf, cfg)
-    scored = generate_pairs(vec, cfg).map_batches(
-        PairScorer, fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=cfg.score_batch_size, concurrency=(1, cfg.score_concurrency),
-    ).to_pandas()
+    empty = block_stage_schemas(cfg)["edges"].empty_table()
+
+    def every_pair(g, w):
+        scored = _score_block(g, cfg, idf_w=w)
+        if scored is None:
+            return empty
+        _, ii, jj, feats, _ = scored
+        return _edge_table(_block_records(g), ii, jj, feats)
+
+    _, idf, vec = prepare(records, cfg)
+    scored = _blocked(vec, every_pair, idf).to_pandas()
     # canonical orientation for the join
     a = np.minimum(scored["id_a"], scored["id_b"])
     b = np.maximum(scored["id_a"], scored["id_b"])
