@@ -1515,7 +1515,7 @@ def snd_pr_curve(sf_dir: str):
     predictions swept over a threshold grid, graded against the default
     operating point's strong-edge components — the reference's pairwise
     evaluation protocol (SNDeval.py) as a distributed report. One fused
-    blocking groupby emitting T int64 count rows per block
+    blocking sort emitting T int64 count rows per partition
     (pairs.make_block_pr_counts), T-row grouped sum + single-division
     ratios (pipelines/snd.py run_snd_pr_curve)."""
     from whoiswho_ray.pipelines.snd import run_snd_pr_curve
@@ -1921,12 +1921,13 @@ def _block_pair_counts(g: pa.Table, cfg) -> pa.Table:
     token hashes equal counts over the token strings themselves
     (collision-free at oracle scale), which is what the SQL side
     computes."""
-    from whoiswho_ray.stages.pairs import _block_arrays, _flat_list, candidate_index_pairs
+    from whoiswho_ray.stages.pairs import _candidates, _decode, _flat_list
     from whoiswho_ray.stages.scoring import allpairs_matrix
 
     n = g.num_rows
-    rids, tv, to, rf = _block_arrays(g)
-    ii, jj, _ = candidate_index_pairs(rids, tv, to, rf, cfg)
+    rows = _decode(g)
+    rids = rows.rids
+    ii, jj, _ = _candidates(rows, cfg)
     if ii.size == 0:
         return _PAIR_COUNT_SCHEMA.empty_table()
     swap = rids[ii] > rids[jj]
@@ -1971,12 +1972,12 @@ def snd_edges(sf_dir: str):
     compact shuffle encoding with its hot-block salting, and the
     all-pairs overlap kernel, with zero float-compare risk."""
     from whoiswho_ray.config import SNDConfig
-    from whoiswho_ray.pipelines.snd import _blocked, prepare
+    from whoiswho_ray.pipelines.snd import _blocked, _per_block, prepare
     from whoiswho_ray.sources.tables import records_from_documents
 
     cfg = SNDConfig()
     _, idf, vec = prepare(records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS), cfg)
-    return _blocked(vec, lambda g, _w: _block_pair_counts(g, cfg))
+    return _blocked(vec, _per_block(lambda g, _w: _block_pair_counts(g, cfg)))
 
 
 def q_temporal_split(sf_dir: str):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray.data as rd
@@ -67,7 +68,7 @@ def cluster_block(node_ids, edges, cfg):
     es = np.array([s for _, _, s in edges], dtype=np.float64)
     labels = cluster_edge_arrays(rids.size, ia, ib, es, cfg)
     shas = np.asarray([f"sha-{r}" for r in rids[order]], dtype=object)
-    return _cluster_rows("bk", rids, order, shas, labels).to_pandas()
+    return _cluster_rows(pa.array(["bk"] * rids.size), rids, order, shas, labels).to_pandas()
 
 
 def _ids(node_ids, edges, cfg):

@@ -12,6 +12,7 @@ from whoiswho_ray.functions.similarity import (
     intersect_size_sorted,
     jaccard_sorted,
     jaro_winkler,
+    jaro_winkler_pairs,
 )
 from whoiswho_ray.functions.textnorm import clean_text, normalize_block_key
 from whoiswho_ray.stages.pairs import candidate_index_pairs
@@ -21,6 +22,8 @@ int_sets = st.lists(st.integers(0, 2**62), max_size=60).map(
     lambda xs: np.unique(np.array(xs, dtype=np.int64))
 )
 texts = st.text(max_size=50)
+# few distinct characters, so that strings share matches and transpositions
+jw_texts = st.one_of(texts, st.text(alphabet="abcAB é中\x00", max_size=60))
 
 
 class TestSimilarityProperties:
@@ -46,6 +49,19 @@ class TestSimilarityProperties:
         assert v == jaro_winkler(s2, s1)
         if s1 and s1 == s2:
             assert v == 1.0
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(jw_texts, jw_texts), min_size=1, max_size=40))
+    @example([("", ""), ("a", ""), ("", "b"), ("a", "a"), ("a", "b"), ("ab", "ba"),
+              ("martha", "marhta"), ("dixon", "dicksonx"), ("Ünïcödé中文", "ünicode中文"),
+              ("x" * 300, "x" * 299 + "y"), ("ab" * 150, "ba" * 150), ("a\x00", "a")])
+    def test_lockstep_jw_equals_scalar(self, pairs):
+        strings = [s for p in pairs for s in p]
+        first = np.arange(len(pairs)) * 2
+        got = jaro_winkler_pairs(strings, first, first + 1)
+        want = np.array([jaro_winkler(a, b) for a, b in pairs], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestHashingProperties:

@@ -108,16 +108,16 @@ class TestResume:
         assert a.types == b.types
 
     def test_one_blocking_shuffle_per_pass(self, tiny_tables, tmp_path, monkeypatch):
-        """A cold checkpointed run groups by block_key once; under
+        """A cold checkpointed run sorts by block_key once; under
         partition_resume once per bucket."""
         keys = []
-        orig = rd.Dataset.groupby
+        orig = rd.Dataset.sort
 
         def counting(self, key, *args, **kwargs):
             keys.append(key)
             return orig(self, key, *args, **kwargs)
 
-        monkeypatch.setattr(rd.Dataset, "groupby", counting)
+        monkeypatch.setattr(rd.Dataset, "sort", counting)
         run_snd(_input_ds(tiny_tables), out_dir=str(tmp_path / "one"))
         assert keys.count("block_key") == 1
         keys.clear()

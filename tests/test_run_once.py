@@ -59,25 +59,39 @@ class TestBlockingPassRunsOnce:
         n_blocks = len(normalized.unique("block_key"))
         return cfg, idf, vec, n_blocks
 
+    PARTITIONS = 4
+
     def _counted(self, encoded, tmp_path):
         from whoiswho_ray.pipelines.snd import _blocked
         from whoiswho_ray.stages.pairs import make_block_clusters
 
         cfg, idf, vec, _ = encoded
-        mark = _marker(tmp_path)
+        (tmp_path / "calls").mkdir()
+        (tmp_path / "blocks").mkdir()
+        mark_call, mark_block = _marker(tmp_path / "calls"), _marker(tmp_path / "blocks")
 
-        def kernel(g, w):
-            mark(g.column("block_key")[0].as_py())
-            return make_block_clusters(g, cfg, idf_w=w)
+        def kernel(part, w):
+            # one call per sort partition, marked with the blocks it holds
+            keys = sorted(set(part.column("block_key").to_pylist()))
+            mark_call(keys)
+            for k in keys:
+                mark_block(k)
+            return make_block_clusters(part, cfg, idf_w=w)
 
-        # four sort partitions: a re-run repeats the first one's kernels
-        return _blocked(vec, kernel, idf, partitions=4)
+        # four sort partitions: a re-run repeats the first one's kernel
+        return _blocked(vec, kernel, idf, partitions=self.PARTITIONS)
+
+    def _assert_once(self, encoded, tmp_path):
+        """Each partition's kernel ran once, and together the calls saw
+        every block exactly once."""
+        calls, blocks = _calls(tmp_path / "calls"), _calls(tmp_path / "blocks")
+        assert 1 <= len(calls) <= self.PARTITIONS and set(calls.values()) == {1}, calls
+        assert len(blocks) == encoded[3] and set(blocks.values()) == {1}, blocks
 
     def test_to_arrow_refs_runs_each_kernel_once(self, encoded, tmp_path):
         out = self._counted(encoded, tmp_path)
         rows = sum(t.num_rows for t in ray.get(out.to_arrow_refs()))
-        calls = _calls(tmp_path)
-        assert len(calls) == encoded[3] and set(calls.values()) == {1}, calls
+        self._assert_once(encoded, tmp_path)
         assert rows == encoded[2].count()
 
     def test_schema_then_rows_runs_each_kernel_once(self, encoded, tmp_path):
@@ -85,8 +99,7 @@ class TestBlockingPassRunsOnce:
         assert out.schema().names == ["block_key", "record_id", "cluster_id",
                                       "content_sha256"]
         assert out.count() == encoded[2].count()
-        calls = _calls(tmp_path)
-        assert len(calls) == encoded[3] and set(calls.values()) == {1}, calls
+        self._assert_once(encoded, tmp_path)
 
     @pytest.mark.parametrize("run", ["run_snd", "run_snd_vote", "run_snd_sgc"])
     def test_cluster_schema_known_without_executing(self, small_fixture, run):
@@ -140,7 +153,12 @@ class TestCollectorRunsOnce:
         assert sorted(out[col].tolist()) == want
 
     def test_collect_blocks_keeps_block_order(self):
-        ds = rd.range(100, override_num_blocks=5).materialize()
+        # five input tables, so the block order is fixed (read tasks of
+        # ``rd.range`` may finish, and be handed out, out of order)
+        import pyarrow as pa
+
+        ds = rd.from_arrow([pa.table({"id": np.arange(20 * i, 20 * (i + 1))})
+                            for i in range(5)]).materialize()
         tables = collect_blocks(ds)
         refs = collect_blocks(ds, fetch=False)
         assert [t.num_rows for t in tables] == [20] * 5

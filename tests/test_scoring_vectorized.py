@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 
 from whoiswho_ray.config import SNDConfig
-from whoiswho_ray.stages.scoring import (_flat, jw_memo, score_flat_components,
+from whoiswho_ray.stages.scoring import (_flat, jw_for_pairs, score_flat_components,
                                          score_pair_arrays)
 
 FEATURES = ["j_tok", "t_repo", "t_ctx", "cos", "jw", "score"]
@@ -60,7 +60,8 @@ def test_batch_kernel_matches_scalar(seed):
         (col("tok_a"), col("tok_b")), (col("repo_a"), col("repo_b")),
         (col("ctx_a"), col("ctx_b")),
         ((*col("tfv_ids_a"), col("tfv_w_a")[0]), (*col("tfv_ids_b"), col("tfv_w_b")[0])),
-        t.column("name_a").to_pylist(), t.column("name_b").to_pylist(), jw_memo({}))
+        jw_for_pairs(np.array(rows["name_a"] + rows["name_b"], dtype=object),
+                     np.arange(n), n + np.arange(n)))
     exp = np.array(expected)
     for ci, c in enumerate(FEATURES):
         np.testing.assert_allclose(out[c], exp[:, ci], rtol=1e-6, atol=1e-9, err_msg=c)

@@ -107,6 +107,89 @@ def jaro_winkler(s1: str, s2: str, prefix_weight: float = 0.1, boost_threshold: 
     return jv + prefix * prefix_weight * (1.0 - jv)
 
 
+def _code_points(strings: list[str], width: int, pad: int) -> np.ndarray:
+    """(len(strings), width) int32 code points, ``pad`` past each end."""
+    out = np.full((len(strings), width), pad, dtype=np.int32)
+    if strings and width:
+        lens = np.fromiter(map(len, strings), np.int64, len(strings))
+        # "U" arrays drop trailing NULs, so the length mask comes from len()
+        cp = np.array(strings, dtype=f"U{width}").view(np.uint32).reshape(len(strings), width)
+        inside = np.arange(width) < lens[:, None]
+        out[inside] = cp[inside]
+    return out
+
+
+_JW_CHUNK = 4096
+
+
+def jaro_winkler_pairs(strings: list[str], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``jaro_winkler(strings[a[k]], strings[b[k]])`` for every k, equal
+    to the scalar function bit for bit (it stays the test oracle).
+
+    Lockstep numpy: the pairs' strings are padded into code-point
+    matrices and the greedy match steps over the positions of s1 for all
+    pairs at once, so the working set is pairs × len(s2) per step. Pairs
+    go in chunks of at most 4,096, sorted by length and cut where the
+    length doubles, so a chunk pads little. Same arithmetic as the scalar
+    version: matches and the floored transposition count are integers,
+    then the same float expression."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    lens = np.fromiter(map(len, strings), np.int64, len(strings))
+    out = np.zeros(a.size, dtype=np.float64)
+    longest = np.maximum(lens[a], lens[b])
+    order = np.argsort(longest, kind="stable")
+    tier = np.ceil(np.log2(np.maximum(longest[order], 1))).astype(np.int64)
+    cuts = np.flatnonzero(np.r_[True, tier[1:] != tier[:-1]])
+    for t0, t1 in zip(cuts, np.r_[cuts[1:], a.size]):
+        for c0 in range(t0, t1, _JW_CHUNK):
+            idx = order[c0: min(c0 + _JW_CHUNK, t1)]
+            out[idx] = _jw_chunk([strings[k] for k in a[idx]], [strings[k] for k in b[idx]],
+                                 lens[a[idx]], lens[b[idx]])
+    return out
+
+
+def _jw_chunk(s1: list[str], s2: list[str], len1: np.ndarray,
+              len2: np.ndarray) -> np.ndarray:
+    p = len(s1)
+    w1 = max(4, int(len1.max(initial=0)))
+    w2 = max(4, int(len2.max(initial=0)))
+    A = _code_points(s1, w1, -1)   # different pads never match each other
+    B = _code_points(s2, w2, -2)
+    md = np.maximum(np.maximum(len1, len2) // 2 - 1, 0)
+    cols = np.arange(w2)
+    rows = np.arange(p)
+    m1 = np.zeros((p, w1), dtype=bool)
+    m2 = np.zeros((p, w2), dtype=bool)
+    for i in range(int(len1.max(initial=0))):
+        # first unmatched equal s2 char within the window of s1[i]
+        cand = (B == A[:, i, None]) & ~m2
+        cand &= np.abs(cols - i) <= md[:, None]
+        hit = cand.any(axis=1)
+        j = cand.argmax(axis=1)
+        m2[rows[hit], j[hit]] = True
+        m1[hit, i] = True
+    matches = m1.sum(axis=1)
+    # the k-th matched char of s1 against the k-th matched char of s2
+    w = int(matches.max(initial=0))
+    seq1 = np.full((p, w), -1, dtype=np.int32)
+    seq2 = np.full((p, w), -1, dtype=np.int32)
+    r1, c1 = np.nonzero(m1)
+    seq1[r1, (np.cumsum(m1, axis=1) - 1)[r1, c1]] = A[r1, c1]
+    r2, c2 = np.nonzero(m2)
+    seq2[r2, (np.cumsum(m2, axis=1) - 1)[r2, c2]] = B[r2, c2]
+    t = (seq1 != seq2).sum(axis=1) // 2
+    m = matches.astype(np.float64)
+    safe = np.maximum(m, 1.0)
+    jv = (m / np.maximum(len1, 1) + m / np.maximum(len2, 1) + (m - t) / safe) / 3.0
+    jv = np.where(matches == 0, 0.0, jv)
+    same = np.fromiter((x == y for x, y in zip(s1, s2)), bool, p)
+    jv = np.where(same, 1.0, jv)
+    jv = np.where((len1 == 0) | (len2 == 0), 0.0, jv)
+    prefix = np.cumprod(A[:, :4] == B[:, :4], axis=1).sum(axis=1)
+    return np.where(jv <= 0.7, jv, jv + prefix * 0.1 * (1.0 - jv))
+
+
 # ---------------------------------------------------------------------------
 # KNRM kernel pooling (operator T5)
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def assign_records(
         batch_format="pandas",
     )
 
-    from whoiswho_ray.stages.scoring import jw_memo, score_flat_components
+    from whoiswho_ray.stages.scoring import jw_for_pairs, score_flat_components
 
     def per_block(g: pd.DataFrame) -> pd.DataFrame:
         rec = g[g["__side"] == "rec"]
@@ -238,8 +238,8 @@ def assign_records(
                 (*flat_pairs(rec["tfv_ids"], ri), flat_pairs(rec["tfv_w"], ri)[0].astype(np.float64)),
                 (*flat_pairs(prof["tfv_ids"], pj), flat_pairs(prof["tfv_w"], pj)[0].astype(np.float64)),
             ),
-            rec["name"].to_numpy()[ri].tolist(), prof["name"].to_numpy()[pj].tolist(),
-            jw_memo({}),
+            jw_for_pairs(np.concatenate([rec["name"].to_numpy(object),
+                                         prof["name"].to_numpy(object)]), ri, nr + pj),
         )
         scores = feats["score"].reshape(nr, np_)
         # deterministic argmax: score desc, then candidate id asc

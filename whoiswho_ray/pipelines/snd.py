@@ -8,11 +8,15 @@ preprocessing, SURVEY.md §3.1), as a streaming Dataset pipeline:
       → normalize            map_batches, zero-copy Arrow   (stage "normalized")
       → build_idf            pre-aggregated groupby(token)  (artifact "idf")
       → vectorize            task-pool map, broadcast IdfModel
-      → score + cluster      ONE groupby(block_key).map_groups, the fused
-                             block kernel (the blocking shuffle)
+      → score + cluster      ONE sort(block_key), then the fused block
+                             kernel once per sorted partition (the
+                             blocking shuffle)
 
 No component spans a block, so the transitive closure runs inside the
-blocking task and needs no communication round of its own. The streaming
+blocking task and needs no communication round of its own. The sort puts
+every block whole into one partition, so the kernel decodes, scores and
+clusters a partition's blocks in one call (``pairs._score_partition``)
+rather than paying a Python call per block. The streaming
 front end (normalize → idf → vectorize in the compact shuffle encoding)
 is written once, :func:`prepare`, and every pair consumer — the
 clusters, the vote and SGC variants, the PR curve, the trainer's pair
@@ -24,9 +28,9 @@ kept edges, one metrics row per block and the clusters, committed as the
 stages "edges", "block_metrics" and "clusters" through an atomic manifest
 (see ``state/manifest.py``); a rerun resumes from the last completed
 stage. Either way the blocking pass is executed once and returned
-materialized: Ray 2.49 cannot infer a ``map_groups`` schema, so the first
-``schema``/``to_arrow_refs``/``join`` on a lazy result would re-run
-vectorize → sort → block kernels under ``limit(1)``.
+materialized: Ray 2.49 cannot infer the schema of a map after a sort, so
+the first ``schema``/``to_arrow_refs``/``join`` on a lazy result would
+re-run vectorize → sort → block kernels under ``limit(1)``.
 
 Every cluster row carries ``content_sha256`` so the BASELINE.json per-row
 invariant (output sha256 == input sha256 per record) is checkable without
@@ -50,7 +54,7 @@ import ray.data as rd
 from whoiswho_ray.config import SNDConfig
 from whoiswho_ray.stages.idf import IdfModel, build_idf
 from whoiswho_ray.stages.normalize import normalize_records
-from whoiswho_ray.stages.pairs import (BLOCK_STAGES, CLUSTER_SHUFFLE_COLUMNS,
+from whoiswho_ray.stages.pairs import (BLOCK_STAGES, CLUSTER_SHUFFLE_COLUMNS, _block_bounds,
                                        block_stage_schemas, make_block_clusters,
                                        make_block_stages, shuffle_partitions)
 from whoiswho_ray.stages.scoring import vectorize
@@ -59,26 +63,47 @@ from whoiswho_ray.state.manifest import Manifest
 
 def _blocked(vectorized: "rd.Dataset", kernel, idf=None,
              partitions: int | None = None) -> "rd.Dataset":
-    """The blocking shuffle: ``kernel(group, idf_w)`` on every block of one
-    ``groupby("block_key").map_groups``, after a repartition to
-    ``partitions`` (None: the caller already partitioned).
+    """The blocking shuffle: one ``sort("block_key")``, then
+    ``kernel(partition, idf_w)`` once per sorted partition, after a
+    repartition to ``partitions`` (None: the caller already
+    partitioned). The sort is the one ``map_groups`` runs: every block
+    lands whole in one partition, and the partition arrives sorted by
+    ``block_key``, so a kernel decodes, scores and clusters all of its
+    blocks at once (``pairs._score_partition``) instead of paying a
+    per-block call; a kernel written for one block goes through
+    :func:`_per_block`.
 
     ``idf``: required when ``vectorized`` was built with
-    ship_weights=False — the block kernel re-derives tfv_w from the
-    broadcast idf array instead of reading it off the shuffle. The array
-    ships through the object store ONCE (ray.put) and each worker
-    process fetches it once (plasma-local after the first get). Returned
+    ship_weights=False — the kernel re-derives tfv_w from the broadcast
+    idf array instead of reading it off the shuffle. The array ships
+    through the object store ONCE (ray.put) and each worker process
+    fetches it once (plasma-local after the first get). Returned
     materialized, so no schema fetch re-runs the kernels (module doc)."""
     idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
 
-    def fused(g):
+    def fused(part):
         w = _idf_w_cached(idf_w_ref) if idf_w_ref is not None else None
-        return kernel(g, w)
+        return kernel(part, w)
 
     if partitions:
         vectorized = vectorized.repartition(partitions)
-    return vectorized.groupby("block_key").map_groups(
-        fused, batch_format="pyarrow").materialize()
+    return vectorized.sort("block_key").map_batches(
+        fused, batch_size=None, batch_format="pyarrow").materialize()
+
+
+def _per_block(kernel):
+    """A partition kernel for :func:`_blocked` from a kernel written for
+    one block (``kernel(block, idf_w)``): the blocks' outputs,
+    concatenated in key order. An empty partition goes to the kernel as
+    it is, so the result keeps the kernel's typed schema."""
+    def run(part, w):
+        starts, _ = _block_bounds(part.column("block_key").combine_chunks())
+        if part.num_rows == 0:
+            return kernel(part, w)
+        return pa.concat_tables([kernel(part.slice(s, e - s), w)
+                                 for s, e in zip(starts[:-1], starts[1:])])
+
+    return run
 
 
 def prepare(records: "rd.Dataset | str", cfg: SNDConfig):
@@ -122,7 +147,7 @@ def snd_cluster(
     normalized/vectorized records (e.g. the RND pipeline, which reuses
     them for profile building); only ``vectorized`` is read.
 
-    Scoring and clustering run inside the one blocking groupby
+    Scoring and clustering run inside the one blocking sort
     (``pairs.make_block_clusters``) — no edge shuffle, no node/edge union,
     no second sort. ``pre_partitioned``: the caller repartitioned before
     materializing the normalized table (run_snd does), so the task-pool
@@ -193,7 +218,7 @@ def run_snd_sgc(
                                        refine_rounds=refine_rounds,
                                        learned_rounds=learned_rounds)
 
-    return _blocked(vec, kernel, idf)
+    return _blocked(vec, _per_block(kernel), idf)
 
 
 def run_snd(
@@ -323,7 +348,7 @@ def run_snd_pr_curve(
     (``SNDeval.py``) as a distributed operating-curve report.
 
     Same fused shape as :func:`run_snd` (:func:`prepare` → ONE blocking
-    groupby), but each block task emits T count rows
+    sort), but each partition task emits T count rows
     (``pairs.make_block_pr_counts``) instead of clusters; the finish is
     a T-row grouped sum plus single int64 divisions for P/R/F1
     (``f1 = 2tp/(2tp+fp+fn)`` — one division, IEEE-identical in SQL).

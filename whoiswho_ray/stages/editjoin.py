@@ -338,13 +338,13 @@ def jw_name_join(
     Scale shape: one streaming distinct-count pass collapses rows to
     (name, n_rows) — fuzzy joins on a NAME column are vocabulary-bounded,
     the classic distinct-values optimization — then one block-hash
-    shuffle of the distinct names and a per-block pair kernel. The JW
-    loop runs per distinct PAIR within a block (bounded by the block's
-    distinct-name count squared, not its row count); blocks here are
+    shuffle of the distinct names and a per-block pair kernel. JW runs
+    in lockstep over the distinct PAIRS within a block (bounded by the
+    block's distinct-name count squared, not its row count); blocks here are
     name-prefix groups, the same blocking the SND flagship applies
     before its pair kernels.
     """
-    from whoiswho_ray.functions.similarity import jaro_winkler
+    from whoiswho_ray.functions.similarity import jaro_winkler_pairs
     from whoiswho_ray.stages.agg import group_apply, grouped_agg
 
     names = grouped_agg(ds, name_col, {"n_rows": (None, "count")},
@@ -371,9 +371,7 @@ def jw_name_join(
         nm = g[name_col].to_numpy(object)
         cnt = g["n_rows"].to_numpy(np.int64)
         ii, jj = np.triu_indices(n, k=1)
-        jw = np.fromiter(
-            (jaro_winkler(nm[a], nm[b]) for a, b in zip(ii, jj)),
-            dtype=np.float64, count=ii.size)
+        jw = jaro_winkler_pairs(nm.tolist(), ii, jj)
         keep = jw >= tau
         if not keep.any():
             return empty

@@ -2,8 +2,10 @@
 
 The reference materializes a dense N×N similarity matrix per name
 (``/root/reference/whoiswho/training/AutoTrainSND.py:142-161``) — fine for
-thousands of rows, fatal at scale. Here each block is one group of a
-``groupby(block_key)`` shuffle and pairs are *rows*, not a matrix:
+thousands of rows, fatal at scale. Here the blocking shuffle is one
+``sort(block_key)``; each sorted partition holds whole blocks and goes to
+the block kernel in one call (``pipelines.snd._blocked``), and pairs are
+*rows*, not a matrix:
 
 * blocks ≤ ``max_allpairs_block`` records emit all C(n,2) pairs (reference
   parity regime — every pair the reference would score is scored);
@@ -21,23 +23,29 @@ thousands of rows, fatal at scale. Here each block is one group of a
   the ``truncated_pairs`` metric column, never silent.
 
 Pairs never become rows that leave the block task, the shape of a
-distributed streaming set-similarity join (PAPERS.md): each block kernel
+distributed streaming set-similarity join (PAPERS.md): each kernel
 generates its candidates and verifies them in the task that owns the
-block (:func:`_score_block`), so only its output — kept edges, clusters,
-counts — enters the object store. The whole stage is vectorized: groups
-arrive as Arrow tables, token sets are flattened zero-copy, minhash
-signatures come from one ``reduceat`` pass, and the set overlaps of all
-candidate pairs come from one all-pairs pass per token family — no
-per-pair Python objects.
+partition (:func:`_score_partition`), so only its output — kept edges,
+clusters, counts — enters the object store. The whole stage is
+vectorized: partitions arrive as Arrow tables and are decoded once,
+token sets are flattened zero-copy, minhash signatures come from one
+``reduceat`` pass, the set overlaps of all the partition's small blocks
+come from one all-pairs pass per token family, Jaro-Winkler runs once
+over the partition's distinct name pairs and union-find once over its
+edges — no per-pair Python objects.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from whoiswho_ray.config import SNDConfig
 from whoiswho_ray.functions.hashing import MinHasher, band_keys_matrix
+from whoiswho_ray.stages.scoring import KCAP_FLOOR
 
 _MINHASHERS: dict[tuple[int, int], MinHasher] = {}
 
@@ -165,23 +173,78 @@ def candidate_index_pairs(
     return (uniq // n).astype(np.int64), (uniq % n).astype(np.int64), truncated
 
 
-def _block_arrays(group: pa.Table):
-    rids = np.asarray(group.column("record_id").to_pylist(), dtype=object)
-    if "tok_ids" in group.column_names:
-        tok_values, tok_offsets = _flat_list(group.column("tok_ids"))
+@dataclass
+class _Rows:
+    """The scoring inputs of a run of rows (a partition, or one block of
+    it), decoded once: record ids, raw names, each token family as flat
+    (values, offsets), the tf-idf weights aligned with the ``tfv``
+    values, ``tok_n`` on the compact encoding (None on the full one),
+    and the token stream plus first-repo key the hot-block salt reads."""
+
+    rids: np.ndarray
+    names: np.ndarray
+    sets: dict
+    tfv_w: "np.ndarray | None"
+    tok_n: "np.ndarray | None"
+    salt: tuple
+    repo_first: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.rids.size
+
+    def block(self, s: int, e: int) -> "_Rows":
+        """Rows ``[s, e)`` as views of these arrays."""
+        def cut(values, offsets):
+            return values[offsets[s]: offsets[e]], offsets[s: e + 1] - offsets[s]
+
+        to = self.sets["tfv"][1]
+        return _Rows(self.rids[s:e], self.names[s:e],
+                     {f: cut(*vo) for f, vo in self.sets.items()},
+                     None if self.tfv_w is None else self.tfv_w[to[s]: to[e]],
+                     None if self.tok_n is None else self.tok_n[s:e],
+                     cut(*self.salt), self.repo_first[s:e])
+
+
+def _decode(t: pa.Table, idf_w=None) -> _Rows:
+    """Decode a vectorized table for scoring. ``idf_w``: the broadcast
+    idf array, needed when ``tfv_w`` was not shipped
+    (``ship_weights=False``) — the weights are re-derived bit-identically
+    from the compact positions (``scoring.reconstruct_tfv_w``)."""
+    from whoiswho_ray.stages.scoring import reconstruct_tfv_w
+
+    compact = "tok_ids" not in t.column_names
+    fams = ("repo", "ctx", "tfv") if compact else ("tok", "repo", "ctx", "tfv")
+    sets = {f: _flat_list(t.column(f"{f}_ids")) for f in fams}
+    tv, to = sets["tfv"]
+    if "tfv_w" in t.column_names:
+        tfv_w = _flat_list(t.column("tfv_w"))[0]
     else:
-        # compact shuffle encoding (scoring.vectorize(compact=True)):
-        # hot-block minhash salting runs on the in-vocab tfv positions —
-        # the df==1 tokens the full encoding adds are unshareable noise
-        # for similarity banding anyway
-        tok_values, tok_offsets = _flat_list(group.column("tfv_ids"))
-        tok_values = tok_values.astype(np.int64)
-    repo_values, repo_offsets = _flat_list(group.column("repo_ids"))
+        tfv_w = reconstruct_tfv_w(tv, to, idf_w) if idf_w is not None else None
+    # compact shuffle encoding (scoring.vectorize(compact=True)): the
+    # hot-block minhash salting runs on the in-vocab tfv positions — the
+    # df==1 tokens the full encoding adds are unshareable noise for
+    # similarity banding anyway
+    salt = (tv.astype(np.int64), to) if compact else sets["tok"]
+    repo_values, repo_offsets = sets["repo"]
     lens = np.diff(repo_offsets)
     repo_first = np.full(lens.size, -1, dtype=np.int64)
     nonempty = lens > 0
     repo_first[nonempty] = repo_values[repo_offsets[:-1][nonempty]]
-    return rids, tok_values, tok_offsets, repo_first
+    tok_n = (t.column("tok_n").to_numpy(zero_copy_only=False).astype(np.float64)
+             if compact else None)
+    return _Rows(_objects(t.column("record_id")), _objects(t.column("name")), sets,
+                 tfv_w, tok_n, salt, repo_first)
+
+
+def _objects(col) -> np.ndarray:
+    """A string column as an object array of Python strings."""
+    return np.asarray(col.to_numpy(zero_copy_only=False), dtype=object)
+
+
+def _candidates(rows: _Rows, cfg: SNDConfig):
+    """:func:`candidate_index_pairs` of one block's decoded rows."""
+    return candidate_index_pairs(rows.rids, *rows.salt, rows.repo_first, cfg)
 
 
 def block_metrics(group: pa.Table, cfg: SNDConfig) -> pa.Table:
@@ -190,10 +253,12 @@ def block_metrics(group: pa.Table, cfg: SNDConfig) -> pa.Table:
     if n < 2:
         n_pairs, truncated = 0, 0
     else:
-        rids, tv, to, rf = _block_arrays(group)
-        ii, jj, truncated = candidate_index_pairs(rids, tv, to, rf, cfg)
+        ii, jj, truncated = _candidates(_decode(group), cfg)
         n_pairs = int(ii.size)
-    return _metrics_row(group.column("block_key")[0].as_py(), n, n_pairs, truncated, cfg)
+    return pa.table({"block_key": [group.column("block_key")[0].as_py()],
+                     "n_records": [n], "n_pairs": [n_pairs],
+                     "salted": [n > cfg.max_allpairs_block],
+                     "truncated_pairs": [truncated]}, schema=BLOCK_METRICS_SCHEMA)
 
 
 BLOCK_METRICS_SCHEMA = pa.schema([
@@ -201,202 +266,293 @@ BLOCK_METRICS_SCHEMA = pa.schema([
     ("salted", pa.bool_()), ("truncated_pairs", pa.int64())])
 
 
-def _metrics_row(block_key: str, n: int, n_pairs: int, truncated: int,
-                 cfg: SNDConfig) -> pa.Table:
-    return pa.Table.from_pylist([{
-        "block_key": block_key, "n_records": n, "n_pairs": n_pairs,
-        "salted": n > cfg.max_allpairs_block, "truncated_pairs": truncated,
-    }], schema=BLOCK_METRICS_SCHEMA)
+def _matrix_features(rows: _Rows, ii: np.ndarray, jj: np.ndarray,
+                     want_gram: bool = False) -> dict:
+    """The set features of the pairs ``(ii, jj)`` from one all-pairs pass
+    per feature family (the reference's per-name matrix, block-bounded)
+    that scores only the candidate pairs — no per-pair set ops, no n×n
+    count matrices.
+
+    ``want_gram``: also return the full n×n tf-idf Gram under
+    ``"_gram"``, with an exactly computed diagonal (``allpairs_matrix``
+    skips tokens unique within the block, which contribute only to self
+    dots) — the graph-smoothed cluster kernel consumes it."""
+    from whoiswho_ray.stages.scoring import allpairs_matrix
+
+    n = rows.n
+
+    def jac(fam):
+        values, offsets = rows.sets[fam]
+        inter = allpairs_matrix(n, values, offsets, pairs=(ii, jj))
+        lens = np.diff(offsets).astype(np.float64)
+        union = lens[ii] + lens[jj] - inter
+        return np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
+
+    tfv_vals, tfv_off = rows.sets["tfv"]
+    tfv_w64 = rows.tfv_w.astype(np.float64)
+    if rows.tok_n is not None:
+        # the intersection counts of the tfv stream give j_tok exactly
+        # with the original token counts, since the min_df-pruned tokens
+        # (df==1) can never intersect
+        if want_gram:
+            Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64)
+            inter = allpairs_matrix(n, tfv_vals, tfv_off, pairs=(ii, jj))
+        else:  # ONE pass yields both the tf-idf dots and the counts
+            Mw, inter = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
+                                        with_counts=True, pairs=(ii, jj))
+        union = rows.tok_n[ii] + rows.tok_n[jj] - inter
+        j_tok = np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
+    else:
+        j_tok = jac("tok")
+        Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
+                             pairs=None if want_gram else (ii, jj))
+    feats = {"j_tok": j_tok, "t_repo": jac("repo"), "t_ctx": jac("ctx"),
+             "cos": Mw[ii, jj] if want_gram else Mw}
+    if want_gram:
+        # exact self dots: Σ w² per record. cos was gathered above (fancy
+        # indexing copies), so filling the diagonal in place is safe.
+        cs = np.concatenate(([0.0], np.cumsum(tfv_w64 ** 2)))
+        np.fill_diagonal(Mw, cs[tfv_off[1:]] - cs[tfv_off[:-1]])
+        feats["_gram"] = Mw
+    return feats
+
+
+def _flat_features(rows: _Rows, ii: np.ndarray, jj: np.ndarray) -> dict:
+    """The set features of the pairs ``(ii, jj)`` for blocks above
+    ``matrix_block_cap``: each pair's sets are gathered and intersected
+    in one lexsort pass per family (``scoring._intersections``)."""
+    from whoiswho_ray.stages.scoring import _intersections
+
+    m = ii.size
+
+    def gather(values, offsets, idx):
+        l = np.diff(offsets)[idx]
+        out_off = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(l, out=out_off[1:])
+        flat = np.repeat(offsets[idx], l) + (
+            np.arange(int(out_off[-1])) - np.repeat(out_off[:-1], l))
+        return values[flat], l
+
+    def jac(fam):
+        (va, la), (vb, lb) = (gather(*rows.sets[fam], ii), gather(*rows.sets[fam], jj))
+        i2, _ = _intersections(m, va, la, vb, lb)
+        u = la + lb - i2
+        return np.where(u > 0, i2 / np.maximum(u, 1), 0.0)
+
+    tfv_vals, tfv_off = rows.sets["tfv"]
+    (ia, la), (ib, lb) = gather(tfv_vals, tfv_off, ii), gather(tfv_vals, tfv_off, jj)
+    wa, wb = gather(rows.tfv_w, tfv_off, ii)[0], gather(rows.tfv_w, tfv_off, jj)[0]
+    # one weighted intersection pass over tfv yields both the cosine dots
+    # and the intersection counts (the exact j_tok numerator on the
+    # compact encoding — pruned df==1 tokens never intersect)
+    inter, cos = _intersections(m, ia, la, ib, lb, wa.astype(np.float64),
+                                wb.astype(np.float64))
+    if rows.tok_n is not None:
+        union = rows.tok_n[ii] + rows.tok_n[jj] - inter
+        j_tok = np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
+    else:
+        j_tok = jac("tok")
+    return {"j_tok": j_tok, "t_repo": jac("repo"), "t_ctx": jac("ctx"), "cos": cos}
+
+
+def _weighted_score(feats: dict, cfg: SNDConfig) -> np.ndarray:
+    """The pair score: the config's weighted sum of the five features."""
+    return (cfg.w_tokens * feats["j_tok"] + cfg.w_repo * feats["t_repo"]
+            + cfg.w_ctx * feats["t_ctx"] + cfg.w_tfidf * feats["cos"]
+            + cfg.w_name * feats["jw"])
+
+
+def _feature_names(cfg: SNDConfig) -> list[str]:
+    """The per-pair features the scorer returns, in order
+    (``relational_adjust`` adds three when ``w_rel`` is set)."""
+    return ["j_tok", "t_repo", "t_ctx", "cos", "jw", "score"] + (
+        ["cn", "rel", "aa"] if cfg.w_rel else [])
+
+
+def _finish(feats: dict, names: np.ndarray, n: int, ii: np.ndarray,
+            jj: np.ndarray, cfg: SNDConfig) -> dict:
+    """Add Jaro-Winkler over the pairs' names and the score (blended with
+    the graph view when ``w_rel`` is set). Every step is per pair or
+    reads only edges inside one block, so rows and pairs of many blocks
+    can go through at once."""
+    from whoiswho_ray.stages.scoring import jw_for_pairs
+
+    feats["jw"] = jw_for_pairs(names, ii, jj)
+    feats["score"] = _weighted_score(feats, cfg)
+    if cfg.w_rel:
+        from whoiswho_ray.stages.relational import relational_adjust
+
+        feats = relational_adjust(n, ii, jj, feats, cfg)
+    return feats
 
 
 def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
                  want_gram: bool = False):
     """One block → (rids, ii, jj, feats, truncated) — candidate generation
-    + fused scoring, with the count of pairs the candidate budget dropped;
-    None when the block yields no candidate pairs. Shared by every block
-    kernel.
-
-    ``idf_w``: the broadcast idf float32 array, required when the group
-    was vectorized with ``ship_weights=False`` (no ``tfv_w`` column) —
-    weights are re-derived bit-identically from the compact positions
-    (``scoring.reconstruct_tfv_w``).
-
-    ``want_gram``: matrix-regime blocks additionally return the full n×n
-    tf-idf Gram under ``feats["_gram"]`` with an exactly-computed
-    diagonal (``allpairs_matrix`` skips within-block-unique tokens, which
-    contribute only to self dots) — the graph-smoothed cluster kernel
-    consumes it; absent for blocks above ``matrix_block_cap``."""
-    from whoiswho_ray.stages.scoring import allpairs_matrix, jw_memo, score_flat_components
-
+    + scoring, with the count of pairs the candidate budget dropped;
+    None when the block yields no candidate pairs. The per-block scorer
+    of the kernels that need one block at a time (the graph-smoothed
+    clusters, IND's profiles); the partition kernels score through
+    :func:`_score_partition`. ``idf_w``: as for :func:`_decode`;
+    ``want_gram``: as for :func:`_matrix_features`, in the matrix regime
+    only (absent for blocks above ``matrix_block_cap``)."""
     n = group.num_rows
     if n < 2:
         return None
-    rids, tok_values, tok_offsets, repo_first = _block_arrays(group)
-    ii, jj, truncated = candidate_index_pairs(rids, tok_values, tok_offsets, repo_first, cfg)
+    rows = _decode(group, idf_w)
+    ii, jj, truncated = _candidates(rows, cfg)
     if ii.size == 0:
         return None
+    feats = (_matrix_features(rows, ii, jj, want_gram) if n <= cfg.matrix_block_cap
+             else _flat_features(rows, ii, jj))
+    return rows.rids, ii, jj, _finish(feats, rows.names, n, ii, jj, cfg), truncated
 
-    from whoiswho_ray.stages.scoring import jw_for_pairs
 
-    names = np.asarray(group.column("name").to_pylist(), dtype=object)
-    jw_fn = jw_memo({})
-    compact = "tok_ids" not in group.column_names
+def _block_bounds(keys: pa.Array) -> tuple[np.ndarray, list]:
+    """(row offsets of the blocks, int64[B+1]; their keys) of a
+    partition's ``block_key`` column, sorted, from one comparison pass."""
+    if len(keys) == 0:
+        return np.zeros(1, dtype=np.int64), []
+    k = keys.to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1], True])
+    firsts = keys.take(pa.array(starts[:-1]))
+    if len(firsts) > 1 and not pc.all(pc.less(firsts.slice(0, len(firsts) - 1),
+                                              firsts.slice(1))).as_py():
+        raise ValueError("a block kernel's input must be sorted by block_key")
+    return starts, firsts.to_pylist()
 
-    if n <= cfg.matrix_block_cap:
-        # matrix regime (covers both all-pairs blocks and salted hot blocks
-        # up to the cap): one all-pairs pass per feature family (the
-        # reference's per-name matrix, block-bounded) that scores only the
-        # candidate pairs — no per-pair set ops, no n×n count matrices
-        def jac_matrix(col):
-            values, offsets = _flat_list(group.column(col))
-            inter = allpairs_matrix(n, values, offsets, pairs=(ii, jj))
-            lens = np.diff(offsets).astype(np.float64)
-            union = lens[ii] + lens[jj] - inter
-            return np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
 
-        tfv_vals, tfv_off = _flat_list(group.column("tfv_ids"))
-        if "tfv_w" in group.column_names:
-            tfv_w, _ = _flat_list(group.column("tfv_w"))
-        else:
-            from whoiswho_ray.stages.scoring import reconstruct_tfv_w
+# Blocks of at most this many records score together, one all-pairs pass
+# per token family over the whole partition: no token of such a block is
+# frequent enough for ``allpairs_matrix``'s dense path (its floor is the
+# same constant), so the batched and the per-block pass both enumerate
+# and give each pair the same sum, bit for bit (NOTES fact 12).
+SMALL_BLOCK = KCAP_FLOOR
 
-            tfv_w = reconstruct_tfv_w(tfv_vals, tfv_off, idf_w)
-        tfv_w64 = tfv_w.astype(np.float64)
-        if compact:
-            # the intersection counts of the tfv stream give j_tok exactly
-            # with the original token counts, since the min_df-pruned
-            # tokens (df==1) can never intersect
-            tok_n = group.column("tok_n").to_numpy(zero_copy_only=False).astype(np.float64)
-            if want_gram:
-                Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64)
-                inter = allpairs_matrix(n, tfv_vals, tfv_off, pairs=(ii, jj))
-            else:  # ONE pass yields both the tf-idf dots and the counts
-                Mw, inter = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
-                                            with_counts=True, pairs=(ii, jj))
-            union = tok_n[ii] + tok_n[jj] - inter
-            j_tok = np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
-        else:
-            j_tok = jac_matrix("tok_ids")
-            # only the graph-smoothed kernel needs the full tf-idf Gram
-            Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
-                                 pairs=None if want_gram else (ii, jj))
-        cos = Mw[ii, jj] if want_gram else Mw
-        t_repo = jac_matrix("repo_ids")
-        t_ctx = jac_matrix("ctx_ids")
-        jw = jw_for_pairs(names, ii, jj, jw_fn)
-        score = (cfg.w_tokens * j_tok + cfg.w_repo * t_repo + cfg.w_ctx * t_ctx
-                 + cfg.w_tfidf * cos + cfg.w_name * jw)
-        feats = {"j_tok": j_tok, "t_repo": t_repo, "t_ctx": t_ctx,
-                 "cos": cos, "jw": jw, "score": score}
-        if want_gram:
-            # exact self dots: Σ w² per record (allpairs_matrix omits the
-            # contribution of tokens unique within the block, which only
-            # ever touch the diagonal). cos was extracted above (fancy
-            # indexing copies), so filling the diagonal in place is safe.
-            w2 = tfv_w64 ** 2
-            cs = np.concatenate(([0.0], np.cumsum(w2)))
-            selfdot = cs[tfv_off[1:]] - cs[tfv_off[:-1]]
-            np.fill_diagonal(Mw, selfdot)
-            feats["_gram"] = Mw
+
+def _keyed(rows: _Rows, keep: np.ndarray, block_of_row: np.ndarray) -> _Rows:
+    """``rows`` with the rows outside ``keep`` emptied and every set value
+    replaced by a (block, value) key, so that no token is shared across
+    blocks and, within a block, keys sort as the values do."""
+    def key(values, offsets):
+        lens = np.diff(offsets)
+        on = np.repeat(keep, lens)
+        kept_lens = np.where(keep, lens, 0)
+        out_off = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(kept_lens, out=out_off[1:])
+        uniq, rank = np.unique(values[on], return_inverse=True)
+        blk = np.repeat(block_of_row, lens)[on]
+        return blk * np.int64(max(uniq.size, 1)) + rank, out_off, on
+
+    sets, on_tfv = {}, None
+    for fam, (values, offsets) in rows.sets.items():
+        k, off, on = key(values, offsets)
+        sets[fam] = (k, off)
+        if fam == "tfv":
+            on_tfv = on
+    return _Rows(rows.rids, rows.names, sets, rows.tfv_w[on_tfv], rows.tok_n,
+                 rows.salt, rows.repo_first)
+
+
+@dataclass
+class _Scored:
+    """A scored partition: its rows, block offsets and keys, every
+    candidate pair as partition row indices (block by block, each block's
+    pairs in candidate order), the per-pair features, and per block the
+    candidate and truncated pair counts."""
+
+    table: pa.Table
+    block_key: pa.Array
+    rows: _Rows
+    starts: np.ndarray
+    keys: list
+    ii: np.ndarray
+    jj: np.ndarray
+    feats: dict
+    n_pairs: np.ndarray
+    truncated: np.ndarray
+
+
+def _score_partition(part: pa.Table, cfg: SNDConfig, idf_w=None) -> _Scored:
+    """Score every block of a key-sorted partition with one decode, one
+    batched all-pairs pass per family for the blocks of at most
+    :data:`SMALL_BLOCK` records, one Jaro-Winkler pass and one graph
+    blend for the whole partition. Each block's candidates still come
+    from :func:`candidate_index_pairs`; larger blocks, salted hot blocks
+    and the flat regime score block by block as :func:`_score_block`
+    does. The features equal the per-block scorer's bit for bit."""
+    rows = _decode(part, idf_w)
+    block_key = part.column("block_key").combine_chunks()
+    starts, keys = _block_bounds(block_key)
+    sizes = np.diff(starts)
+    n_pairs = np.zeros(sizes.size, dtype=np.int64)
+    truncated = np.zeros(sizes.size, dtype=np.int64)
+    small = ((sizes >= 2) & (sizes <= SMALL_BLOCK) & (sizes <= cfg.max_allpairs_block)
+             & (sizes <= cfg.matrix_block_cap))
+    pieces = []   # (ii, jj, feats or None) per block with pairs, in block order
+    for b in np.flatnonzero(sizes >= 2):
+        s, e = int(starts[b]), int(starts[b + 1])
+        view = rows.block(s, e)
+        ii, jj, truncated[b] = _candidates(view, cfg)
+        n_pairs[b] = ii.size
+        if not ii.size:
+            continue
+        feats = None
+        if not small[b]:
+            feats = (_matrix_features(view, ii, jj) if e - s <= cfg.matrix_block_cap
+                     else _flat_features(view, ii, jj))
+        pieces.append((ii + s, jj + s, feats))
+
+    def cat(arrays, dtype=np.float64):
+        if len(arrays) == 1:
+            return arrays[0]
+        return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
+    ii = cat([p[0] for p in pieces], np.int64)
+    jj = cat([p[1] for p in pieces], np.int64)
+    is_small = np.repeat(np.array([p[2] is None for p in pieces], dtype=bool),
+                         [p[0].size for p in pieces])
+    fams = ("j_tok", "t_repo", "t_ctx", "cos")
+    if not is_small.any():
+        feats = {f: cat([p[2][f] for p in pieces]) for f in fams}
     else:
-        flats = {}
-        ship_w = "tfv_w" in group.column_names
-        cols = (("repo_ids", "ctx_ids", "tfv_ids") if compact
-                else ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids"))
-        cols = cols + (("tfv_w",) if ship_w else ())
-        recon_w = None
-        for col in cols:
-            values, offsets = _flat_list(group.column(col))
-            if col == "tfv_ids" and not ship_w:
-                from whoiswho_ray.stages.scoring import reconstruct_tfv_w
-
-                recon_w = (reconstruct_tfv_w(values, offsets, idf_w), offsets)
-            lens = np.diff(offsets)
-
-            def gather(idx, values=values, offsets=offsets, lens=lens):
-                l = lens[idx]
-                out_off = np.zeros(idx.size + 1, dtype=np.int64)
-                np.cumsum(l, out=out_off[1:])
-                flat = np.repeat(offsets[idx], l) + (
-                    np.arange(int(out_off[-1])) - np.repeat(out_off[:-1], l))
-                return values[flat], l
-
-            flats[col] = (gather(ii), gather(jj))
-        if not ship_w:
-            rw, roff = recon_w
-            rlens = np.diff(roff)
-
-            def gather_w(idx):
-                l = rlens[idx]
-                out_off = np.zeros(idx.size + 1, dtype=np.int64)
-                np.cumsum(l, out=out_off[1:])
-                flat = np.repeat(roff[idx], l) + (
-                    np.arange(int(out_off[-1])) - np.repeat(out_off[:-1], l))
-                return rw[flat], l
-
-            flats["tfv_w"] = (gather_w(ii), gather_w(jj))
-
-        tfv = (
-            (*flats["tfv_ids"][0], flats["tfv_w"][0][0]),
-            (*flats["tfv_ids"][1], flats["tfv_w"][1][0]),
-        )
-        jw_vals = jw_for_pairs(names, ii, jj, jw_fn)
-        if compact:
-            # one weighted intersection pass over tfv yields BOTH the
-            # intersection counts (exact j_tok numerator — pruned df==1
-            # tokens never intersect) and the cosine dots
-            from whoiswho_ray.stages.scoring import _intersections
-
-            (ia_v, la_v, wa_v), (ib_v, lb_v, wb_v) = tfv
-            inter, dots = _intersections(ii.size, ia_v, la_v, ib_v, lb_v,
-                                         wa_v.astype(np.float64),
-                                         wb_v.astype(np.float64))
-            tok_n = group.column("tok_n").to_numpy(zero_copy_only=False).astype(np.float64)
-            union = tok_n[ii] + tok_n[jj] - inter
-            j_tok = np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
-
-            def jac(pair):
-                (va, la), (vb, lb) = pair
-                i2, _ = _intersections(ii.size, va, la, vb, lb)
-                u = la + lb - i2
-                return np.where(u > 0, i2 / np.maximum(u, 1), 0.0)
-
-            cos = dots if dots is not None else np.zeros(ii.size)
-            t_repo = jac(flats["repo_ids"])
-            t_ctx = jac(flats["ctx_ids"])
-            score = (cfg.w_tokens * j_tok + cfg.w_repo * t_repo
-                     + cfg.w_ctx * t_ctx
-                     + cfg.w_tfidf * cos + cfg.w_name * jw_vals)
-            feats = {"j_tok": j_tok, "t_repo": t_repo, "t_ctx": t_ctx,
-                     "cos": cos, "jw": jw_vals, "score": score}
-        else:
-            feats = score_flat_components(
-                cfg, ii.size,
-                flats["tok_ids"], flats["repo_ids"], flats["ctx_ids"], tfv,
-                names[ii].tolist(), names[jj].tolist(),
-                jw_fn,
-                jw_vals=jw_vals,
-            )
-    if cfg.w_rel:
-        from whoiswho_ray.stages.relational import relational_adjust
-
-        feats = relational_adjust(n, ii, jj, feats, cfg)
-    return rids, ii, jj, feats, truncated
+        keep = np.repeat(small, sizes)
+        keyed = _keyed(rows, keep, np.repeat(np.arange(sizes.size), sizes))
+        feats = _matrix_features(keyed, ii[is_small], jj[is_small])
+        if not is_small.all():
+            for f in fams:
+                v = np.empty(ii.size)
+                v[is_small] = feats[f]
+                v[~is_small] = np.concatenate([p[2][f] for p in pieces if p[2] is not None])
+                feats[f] = v
+    del pieces
+    return _Scored(part, block_key, rows, starts, keys, ii, jj,
+                   _finish(feats, rows.names, rows.n, ii, jj, cfg), n_pairs, truncated)
 
 
-def _block_records(group: pa.Table):
-    """(block_key, record ids, their record_id-sorted order, hex sha256 in
-    that order) of one block — the decoding every cluster-emitting kernel
-    starts from. ``content_sha256`` may arrive as fixed_size_binary(32)
-    (the compact shuffle encoding) and leaves as hex."""
-    n = group.num_rows
-    block_key = group.column("block_key")[0].as_py() if n else ""
-    rids = np.asarray(group.column("record_id").to_pylist(), dtype=object)
-    shas = group.column("content_sha256").to_pylist()
-    if pa.types.is_fixed_size_binary(group.schema.field("content_sha256").type):
-        shas = [b.hex() for b in shas]
-    order = np.argsort(rids, kind="stable")
-    return block_key, rids, order, np.asarray(shas, dtype=object)[order]
+_HEX = np.frombuffer(bytes.hex(bytes(range(256))).encode(), dtype=np.uint8).reshape(256, 2)
+
+
+def _record_order(t: pa.Table, starts: np.ndarray) -> tuple[np.ndarray, pa.Array]:
+    """The row order that puts each block's rows in record_id order, and
+    ``content_sha256`` as hex in that order. The hash may arrive as
+    fixed_size_binary(32) (the compact shuffle encoding); its hex is
+    spelled straight from the binary buffer."""
+    n = t.num_rows
+    blk = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    order = pc.sort_indices(pa.table({"b": blk, "r": t.column("record_id")}),
+                            sort_keys=[("b", "ascending"), ("r", "ascending")]
+                            ).to_numpy().astype(np.int64)
+    sha = t.column("content_sha256").combine_chunks()
+    if not pa.types.is_fixed_size_binary(sha.type):
+        return order, sha.take(pa.array(order)).cast(pa.string())
+    if n == 0:
+        return order, pa.array([], pa.string())
+    w = sha.type.byte_width
+    raw = np.frombuffer(sha.buffers()[1], dtype=np.uint8)[sha.offset * w:(sha.offset + n) * w]
+    hexed = _HEX[raw.reshape(n, w)[order]]
+    offsets = np.arange(0, 2 * w * (n + 1), 2 * w, dtype=np.int32)
+    return order, pa.StringArray.from_buffers(n, pa.py_buffer(offsets), pa.py_buffer(hexed))
 
 
 def _sorted_pos(order: np.ndarray) -> np.ndarray:
@@ -406,47 +562,49 @@ def _sorted_pos(order: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _cluster_rows(block_key: str, rids: np.ndarray, order: np.ndarray,
-                  shas_sorted: np.ndarray, labels: np.ndarray) -> pa.Table:
-    """Cluster rows of one block in record_id order; ``labels`` are
-    sorted positions of each record's component root."""
-    rids_sorted = rids[order]
-    roots = rids_sorted[labels]
+def _cluster_rows(block_key: pa.Array, rids: np.ndarray, order: np.ndarray,
+                  shas_sorted, labels: np.ndarray) -> pa.Table:
+    """Cluster rows in ``order`` (record_id order within each block);
+    ``labels`` are sorted positions of each record's component root.
+    ``block_key``: each row's key (sorting within blocks leaves it in
+    place)."""
+    rids_sorted = pa.array(rids[order], pa.string())
     return pa.table({
-        "block_key": pa.array(np.repeat(block_key, rids.size), pa.string()),
-        "record_id": pa.array(rids_sorted, pa.string()),
-        "cluster_id": pa.array([f"{block_key}#{r}" for r in roots], pa.string()),
+        "block_key": block_key,
+        "record_id": rids_sorted,
+        "cluster_id": pc.binary_join_element_wise(
+            block_key, rids_sorted.take(pa.array(labels, pa.int64())), "#"),
         "content_sha256": pa.array(shas_sorted, pa.string()),
     })
 
 
-def _cluster_scored(group: pa.Table, cfg: SNDConfig, idf_w=None):
-    """Score and cluster one block: (decoded records, scored or None,
+def _clustered(sc: _Scored, cfg: SNDConfig):
+    """Cluster a scored partition: (record order, sorted positions,
     kept-edge mask, labels). Edges at or above ``min(tau_attach,
-    tau_edge)`` feed ``cluster_edge_arrays`` as sorted positions."""
+    tau_edge)`` feed ONE ``cluster_edge_arrays`` call as block-offset
+    sorted positions: no component spans a block, and within a block
+    partner index order is still record_id order."""
     from whoiswho_ray.stages.cluster import cluster_edge_arrays
 
-    rec = _block_records(group)
-    n = group.num_rows
-    scored = _score_block(group, cfg, idf_w=idf_w)
-    if scored is None:
-        return rec, None, None, np.arange(n, dtype=np.int64)
-    _, ii, jj, feats, _ = scored
-    keep = feats["score"] >= min(cfg.tau_attach, cfg.tau_edge)
-    pos = _sorted_pos(rec[2])
-    labels = cluster_edge_arrays(n, pos[ii[keep]], pos[jj[keep]],
-                                 feats["score"][keep], cfg)
-    return rec, scored, keep, labels
+    order, shas = _record_order(sc.table, sc.starts)
+    pos = _sorted_pos(order)
+    keep = sc.feats["score"] >= min(cfg.tau_attach, cfg.tau_edge)
+    labels = np.arange(sc.rows.n, dtype=np.int64)
+    if sc.ii.size:
+        labels = cluster_edge_arrays(sc.rows.n, pos[sc.ii[keep]], pos[sc.jj[keep]],
+                                     sc.feats["score"][keep], cfg)
+    return order, shas, pos, keep, labels
 
 
-def make_block_clusters(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
-    """One block → cluster rows DIRECTLY: scoring and clustering fused in
-    the blocking task, so the whole SND tail is ONE all-to-all (the
-    blocking groupby) — no edge shuffle, no node/edge union, no second
-    sort. No component spans a block, so the closure needs no round of
-    its own."""
-    rec, _, _, labels = _cluster_scored(group, cfg, idf_w)
-    return _cluster_rows(*rec, labels)
+def make_block_clusters(part: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
+    """One key-sorted partition (whole blocks) → cluster rows DIRECTLY:
+    scoring and clustering fused in the blocking task, so the whole SND
+    tail is ONE all-to-all (the blocking sort) — no edge shuffle, no
+    node/edge union, no second sort. No component spans a block, so the
+    closure needs no round of its own."""
+    sc = _score_partition(part, cfg, idf_w)
+    order, shas, _, _, labels = _clustered(sc, cfg)
+    return _cluster_rows(sc.block_key, sc.rows.rids, order, shas, labels)
 
 
 # The stages the checkpointed pipeline commits from one pass of
@@ -456,15 +614,12 @@ BLOCK_STAGES = ("edges", "block_metrics", "clusters")
 
 def block_stage_schemas(cfg: SNDConfig) -> dict[str, pa.Schema]:
     """The Parquet schema of each of :data:`BLOCK_STAGES`. Edges carry
-    both ids, block-local sorted positions and every score feature
-    (``relational_adjust`` adds three when ``w_rel`` is set)."""
-    feats = ["j_tok", "t_repo", "t_ctx", "cos", "jw", "score"] + (
-        ["cn", "rel", "aa"] if cfg.w_rel else [])
+    both ids, block-local sorted positions and every score feature."""
     s = pa.string()
     return {
         "edges": pa.schema([("block_key", s), ("id_a", s), ("id_b", s),
                             ("ix_a", pa.int32()), ("ix_b", pa.int32())]
-                           + [(f, pa.float64()) for f in feats]),
+                           + [(f, pa.float64()) for f in _feature_names(cfg)]),
         "block_metrics": BLOCK_METRICS_SCHEMA,
         "clusters": pa.schema([(c, s) for c in
                                ("block_key", "record_id", "cluster_id", "content_sha256")]),
@@ -480,48 +635,44 @@ def tagged_schema(cfg: SNDConfig) -> pa.Schema:
     return pa.schema(list(fields.values()))
 
 
-def _edge_table(rec, ii: np.ndarray, jj: np.ndarray, feats: dict,
-                keep=slice(None)) -> pa.Table:
-    """Edge rows of one block (``rec``: :func:`_block_records`) for the
-    scored pairs ``(ii, jj)`` selected by ``keep`` (default: all): both
-    ids, block-local sorted positions and every feature — the ``edges``
-    schema of :func:`block_stage_schemas`. Each feature is selected as
-    it is converted, so one selected copy is alive at a time."""
-    block_key, rids, order = rec[0], rec[1], rec[2]
-    ia, ib = ii[keep], jj[keep]
-    pos = _sorted_pos(order).astype(np.int32)
+def _edge_table(sc: _Scored, keep: np.ndarray, pos: np.ndarray) -> pa.Table:
+    """Edge rows of a scored partition for the pairs selected by ``keep``:
+    block key, both ids, block-local sorted positions (``pos``:
+    :func:`_sorted_pos`) and every feature — the ``edges`` schema of
+    :func:`block_stage_schemas`. Each feature is selected as it is
+    converted, so one selected copy is alive at a time."""
+    ia, ib = sc.ii[keep], sc.jj[keep]
+    local = (pos - np.repeat(sc.starts[:-1], np.diff(sc.starts))).astype(np.int32)
     return pa.table({
-        "block_key": pa.array(np.repeat(block_key, ia.size), pa.string()),
-        "id_a": pa.array(rids[ia], pa.string()),
-        "id_b": pa.array(rids[ib], pa.string()),
-        "ix_a": pa.array(pos[ia]),
-        "ix_b": pa.array(pos[ib]),
-        **{k: pa.array(v[keep]) for k, v in feats.items()},
+        "block_key": sc.block_key.take(pa.array(ia, pa.int64())),
+        "id_a": pa.array(sc.rows.rids[ia], pa.string()),
+        "id_b": pa.array(sc.rows.rids[ib], pa.string()),
+        "ix_a": pa.array(local[ia]),
+        "ix_b": pa.array(local[ib]),
+        **{k: pa.array(v[keep]) for k, v in sc.feats.items()},
     })
 
 
-def make_block_stages(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
-    """One block → its rows of every checkpointed stage in one table:
-    kept edges (``make_block_clusters``' edge set, with ids, sorted
-    positions and features), one ``block_metrics`` row and the cluster
-    rows, tagged by ``kind`` and padded with typed nulls to
-    :func:`tagged_schema` (as ``joins.arrow_tagged_union`` pads). One
-    blocking pass thus feeds all three stages. Pair payloads never leave
-    the task: only edges at or above ``min(tau_attach, tau_edge)`` (~100
-    B/row) enter the object store."""
-    rec, scored, keep, labels = _cluster_scored(group, cfg, idf_w)
-    schemas = block_stage_schemas(cfg)
-    n = group.num_rows
-    if scored is None:
-        edges = schemas["edges"].empty_table()
-        # a block with no candidate pairs can still have truncated some
-        # (a zero pair budget), so count them the standalone way
-        metrics = block_metrics(group, cfg)
-    else:
-        _, ii, jj, feats, truncated = scored
-        edges = _edge_table(rec, ii, jj, feats, keep)
-        metrics = _metrics_row(rec[0], n, int(ii.size), truncated, cfg)
-    parts = [edges, metrics, _cluster_rows(*rec, labels)]
+def make_block_stages(part: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
+    """One key-sorted partition → its rows of every checkpointed stage in
+    one table: kept edges (``make_block_clusters``' edge set, with ids,
+    sorted positions and features), one ``block_metrics`` row per block
+    and the cluster rows, tagged by ``kind`` and padded with typed nulls
+    to :func:`tagged_schema` (as ``joins.arrow_tagged_union`` pads), once
+    per partition. One blocking pass thus feeds all three stages. Pair
+    payloads never leave the task: only edges at or above
+    ``min(tau_attach, tau_edge)`` (~100 B/row) enter the object store."""
+    sc = _score_partition(part, cfg, idf_w)
+    order, shas, pos, keep, labels = _clustered(sc, cfg)
+    sizes = np.diff(sc.starts)
+    metrics = pa.table({"block_key": pa.array(sc.keys, pa.string()),
+                        "n_records": pa.array(sizes, pa.int64()),
+                        "n_pairs": pa.array(sc.n_pairs),
+                        "salted": pa.array(sizes > cfg.max_allpairs_block),
+                        "truncated_pairs": pa.array(sc.truncated)},
+                       schema=BLOCK_METRICS_SCHEMA)
+    parts = [_edge_table(sc, keep, pos), metrics,
+             _cluster_rows(sc.block_key, sc.rows.rids, order, shas, labels)]
     target = tagged_schema(cfg)
     out = []
     for kind, t in enumerate(parts):
@@ -562,21 +713,22 @@ def default_vote_configs(base: SNDConfig | None = None,
 
 
 def make_block_vote_clusters(
-    group: pa.Table,
+    part: pa.Table,
     cfgs: list[SNDConfig],
     min_votes: int,
     idf_w=None,
 ) -> pa.Table:
     """Ensemble pair-vote clustering (operator A9, bond's threshold-grid
-    ensemble, ``autotrain_bond_ensemble.py:241-260``): candidate
-    features are computed ONCE per pair (``_score_block`` under the base
-    config); each config produces a full CLUSTERING of the block (its
-    weighted score ≥ its tau_edge → connected components — bond's
-    ``clus_label_box`` entries); each clustering votes pair
-    CO-ASSIGNMENT (bond's one-hot ``class_matrix @ class_matrix.T``
-    co-association matrix); a pair survives with ≥ ``min_votes``
-    co-assignments and the final clusters are components over surviving
-    pairs (``clus_mat_box > 0.5 → matx2list``). Voting at the clustering
+    ensemble, ``autotrain_bond_ensemble.py:241-260``) of a key-sorted
+    partition's blocks: candidate features are computed ONCE per pair
+    (``_score_partition`` under the base config); each config produces
+    a full CLUSTERING of each block (its weighted score ≥ its tau_edge
+    → connected components — bond's ``clus_label_box`` entries); each
+    clustering votes pair CO-ASSIGNMENT (bond's one-hot
+    ``class_matrix @ class_matrix.T`` co-association matrix); a pair
+    survives with ≥ ``min_votes`` co-assignments and the final clusters
+    are components over surviving pairs (``clus_mat_box > 0.5 →
+    matx2list``). Voting at the clustering
     level (not the raw-edge level) lets a config's TRANSITIVE merges
     count: a low-threshold config that links two groups through a chain
     co-assigns every cross pair, so threshold diversity contributes
@@ -584,30 +736,23 @@ def make_block_vote_clusters(
     intentionally absent — the vote grid is the robustness mechanism;
     SQL-replicable with one recursive closure per config + a final one.
     """
-    base = cfgs[0]
-    n = group.num_rows
-    rec = _block_records(group)
-
     from whoiswho_ray.stages.cluster import cc_labels
 
-    scored = _score_block(group, base, idf_w=idf_w)
-    if scored is None:
-        labels = np.arange(n, dtype=np.int64)
-    else:
-        _, ii, jj, feats, _ = scored
-        sorted_pos = _sorted_pos(rec[2])
-        pi, pj = sorted_pos[ii], sorted_pos[jj]
-        votes = np.zeros(ii.size, dtype=np.int64)
+    sc = _score_partition(part, cfgs[0], idf_w)
+    order, shas = _record_order(part, sc.starts)
+    n = sc.rows.n
+    labels = np.arange(n, dtype=np.int64)
+    if sc.ii.size:
+        sorted_pos = _sorted_pos(order)
+        pi, pj = sorted_pos[sc.ii], sorted_pos[sc.jj]
+        votes = np.zeros(sc.ii.size, dtype=np.int64)
         for c in cfgs:
-            s = (c.w_tokens * feats["j_tok"] + c.w_repo * feats["t_repo"]
-                 + c.w_ctx * feats["t_ctx"] + c.w_tfidf * feats["cos"]
-                 + c.w_name * feats["jw"])
-            edges = s >= c.tau_edge
+            edges = _weighted_score(sc.feats, c) >= c.tau_edge
             lab_c = cc_labels(n, pi[edges], pj[edges])
             votes += (lab_c[pi] == lab_c[pj])  # co-assignment vote
         keep = votes >= min_votes
         labels = cc_labels(n, pi[keep], pj[keep])
-    return _cluster_rows(*rec, labels)
+    return _cluster_rows(sc.block_key, sc.rows.rids, order, shas, labels)
 
 
 def _fit_pair_logistic(X: np.ndarray, y: np.ndarray, l2: float = 1e-3,
@@ -719,7 +864,8 @@ def make_block_sgc_clusters(
     """
     ts = cfg.tau_edge if tau_strong is None else tau_strong
     n = group.num_rows
-    rec = _block_records(group)
+    block_key = group.column("block_key").combine_chunks()
+    order, shas = _record_order(group, _block_bounds(block_key)[0])
 
     from whoiswho_ray.stages.cluster import cc_labels
 
@@ -744,7 +890,7 @@ def make_block_sgc_clusters(
             score2 = (feats["score"]
                       + cfg.w_tfidf * (cos2 - feats["cos"]))
         keep = score2 >= cfg.tau_edge
-        sorted_pos = _sorted_pos(rec[2])
+        sorted_pos = _sorted_pos(order)
         labels = cc_labels(n, sorted_pos[ii[keep]], sorted_pos[jj[keep]])
         if G is not None:
             for _ in range(max(0, refine_rounds)):
@@ -785,7 +931,8 @@ def make_block_sgc_clusters(
                 if np.array_equal(new_labels, labels):
                     break
                 labels = new_labels
-    return _cluster_rows(*rec, labels)
+    return _cluster_rows(block_key, _objects(group.column("record_id")), order, shas,
+                         labels)
 
 
 SHUFFLE_CPU_MULT = 2
@@ -795,8 +942,8 @@ def shuffle_partitions() -> int:
     """Partition count for the SND wide ops (the blocking shuffles):
     ``2 × CPUs``.
 
-    Two partitions per core give the sort-shuffle and the per-group map
-    tasks (about one per block entering the groupby) two tasks per core.
+    Two partitions per core give the sort-shuffle and the block-kernel
+    map tasks (one per sorted partition) two tasks per core.
     The multiplier 2 comes from a round-3 interleaved sweep at 32 CPUs
     (6 pairs: 2 beat 4 in 4/6 with min 24.2 s vs 27.7 s; 8 was
     consistently worst). There is no floor: each partition costs a
@@ -805,7 +952,7 @@ def shuffle_partitions() -> int:
     (at 1 CPU it made the checkpointed run ≈ 4× slower on 2,210
     records). The width does not grow with the row count: no measured
     input shows that more partitions than 2 × CPUs help. Partitioning
-    never changes the output: every block lands whole in one group."""
+    never changes the output: every block lands whole in one partition."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
@@ -825,9 +972,10 @@ EDGE_SHUFFLE_COLUMNS = [
 CLUSTER_SHUFFLE_COLUMNS = EDGE_SHUFFLE_COLUMNS + ["content_sha256"]
 
 
-def make_block_pr_counts(group: pa.Table, cfg: SNDConfig,
+def make_block_pr_counts(part: pa.Table, cfg: SNDConfig,
                          taus: tuple[float, ...], idf_w=None) -> pa.Table:
-    """One block → per-threshold (tp, fp, truth_pairs) partial counts:
+    """One key-sorted partition → per-threshold (tp, fp, truth_pairs)
+    partial counts, summed over its blocks (every count is additive):
     the pairwise precision/recall sweep of the reference's evaluation
     protocol (``/root/reference/whoiswho/evaluation/SNDeval.py``'s
     pairwise counts, swept over an operating-threshold grid instead of
@@ -840,8 +988,8 @@ def make_block_pr_counts(group: pa.Table, cfg: SNDConfig,
     bincount — components may connect pairs no candidate edge proposed,
     e.g. transitively), so recall is honest about candidate-generation
     misses. Every count is an int64; one output row per tau, identical
-    truth_pairs repeated so any single tau's grouped sum is the block
-    total.
+    truth_pairs repeated so any single tau's grouped sum is the
+    partition total.
     """
     from whoiswho_ray.stages.cluster import cc_labels
 
@@ -849,18 +997,11 @@ def make_block_pr_counts(group: pa.Table, cfg: SNDConfig,
     tau_arr = np.asarray(taus, dtype=np.float64)
     if T == 0 or np.any(np.diff(tau_arr) <= 0):
         raise ValueError("taus must be a non-empty strictly-increasing grid")
-    scored = _score_block(group, cfg, idf_w=idf_w)
     tau_cents = np.floor(tau_arr * 100.0 + 0.5).astype(np.int64)
-    if scored is None:
-        z = np.zeros(T, dtype=np.int64)
-        return pa.table({"tau_cents": pa.array(tau_cents),
-                         "tp": pa.array(z), "fp": pa.array(z),
-                         "truth_pairs": pa.array(z)})
-    _rids, ii, jj, feats, _ = scored
-    n = group.num_rows
-    s = feats["score"]
+    sc = _score_partition(part, cfg, idf_w)
+    ii, jj, s = sc.ii, sc.jj, sc.feats["score"]
     strong = s >= cfg.tau_edge
-    labels = cc_labels(n, ii[strong], jj[strong])
+    labels = cc_labels(sc.rows.n, ii[strong], jj[strong])
     sizes = np.bincount(labels)
     truth_total = int((sizes * (sizes - 1) // 2).sum())
     same = labels[ii] == labels[jj]

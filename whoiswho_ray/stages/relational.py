@@ -30,8 +30,8 @@ determinism swap the north star sanctions for w2v→TF-IDF):
   blend re-expressed as an additive correction.
 
 Everything is block-local: no extra shuffle, no driver state. The blend
-runs inside the fused block kernels (``pairs._score_block``), the only
-place that sees a block's whole candidate-pair set.
+runs inside the fused block kernels (``pairs._score_partition``), the
+only place that sees a block's whole candidate-pair set.
 """
 
 from __future__ import annotations
@@ -125,45 +125,34 @@ def relational_adjust(
     return feats
 
 
-def make_relational_rows(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
-    """One vectorized block group → per-candidate-pair INTEGER graph
-    features (canonical id orientation): common-neighbor count, strong
-    degrees, and whether the pair itself is a strong edge. The
-    exact-oracle surface for the graph view (all counts int64).
-    ``idf_w``: as for ``pairs._score_block``.
+def make_relational_rows(part: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
+    """One key-sorted partition of vectorized blocks → per-candidate-pair
+    INTEGER graph features (canonical id orientation): common-neighbor
+    count, strong degrees, and whether the pair itself is a strong edge.
+    The exact-oracle surface for the graph view (all counts int64).
+    ``idf_w``: as for ``pairs._score_partition``. No strong edge leaves
+    its block, so the adjacency is built once over the partition.
 
     The strong-edge graph is always built from the DIRECT (content-view)
     scores — ``w_rel`` is forced to 0 for the internal scoring pass so the
     reported graph is the input to the blend, not its output."""
     import dataclasses
 
-    from whoiswho_ray.stages.pairs import _score_block
+    from whoiswho_ray.stages.pairs import _score_partition
 
     cfg = dataclasses.replace(cfg, w_rel=0.0)
-    scored = _score_block(group, cfg, idf_w=idf_w)
-    if scored is None:
-        return pa.table({
-            "block_key": pa.array([], pa.string()),
-            "id_a": pa.array([], pa.string()),
-            "id_b": pa.array([], pa.string()),
-            "cn": pa.array([], pa.int64()),
-            "deg_a": pa.array([], pa.int64()),
-            "deg_b": pa.array([], pa.int64()),
-            "s": pa.array([], pa.int64()),
-        })
-    rids, ii, jj, feats, _ = scored
-    n = group.num_rows
-    strong = feats["score"] >= cfg.tau_edge
-    nbr, offsets, deg = strong_adjacency(n, ii, jj, strong)
+    sc = _score_partition(part, cfg, idf_w)
+    ii, jj = sc.ii, sc.jj
+    strong = sc.feats["score"] >= cfg.tau_edge
+    nbr, offsets, deg = strong_adjacency(sc.rows.n, ii, jj, strong)
     cn, _ = neighbor_overlap(ii.size, ii, jj, nbr, offsets, deg)
-    ida = rids[ii]
-    idb = rids[jj]
+    ida = sc.rows.rids[ii]
+    idb = sc.rows.rids[jj]
     swap = ida > idb
     dega = deg[ii]
     degb = deg[jj]
     return pa.table({
-        "block_key": pa.array(
-            np.repeat(group.column("block_key")[0].as_py(), ii.size), pa.string()),
+        "block_key": sc.block_key.take(pa.array(ii, pa.int64())),
         "id_a": pa.array(np.where(swap, idb, ida), pa.string()),
         "id_b": pa.array(np.where(swap, ida, idb), pa.string()),
         "cn": pa.array(cn.astype(np.int64)),
@@ -171,4 +160,3 @@ def make_relational_rows(group: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Tabl
         "deg_b": pa.array(np.where(swap, dega, degb).astype(np.int64)),
         "s": pa.array(strong.astype(np.int64)),
     })
-

@@ -8,23 +8,23 @@
   four idf dicts in ``__loadEssential`` at construction): the IdfModel is
   broadcast **once** via ``ray.put`` and each worker process builds one
   vectorizer from it (:func:`vectorize`).
-* The pair-feature kernels the block kernels (``pairs._score_block``)
+* The pair-feature kernels the block kernels (``pairs._score_partition``)
   score with — the 36-dim-hand-feature analog
   (``feature_process.py:242-350``) reduced to the score the SND trainer
   actually blends (``AutoTrainSND.py:142-161``): token Jaccard (coauthor
   analog), repo tanimoto (org), context tanimoto (venue), TF-IDF cosine,
   Jaro-Winkler on basenames. :func:`allpairs_matrix` serves blocks up to
-  ``matrix_block_cap``, :func:`score_flat_components` the larger ones,
-  and :func:`score_pair_arrays` is the scalar oracle both are tested
-  against.
+  ``matrix_block_cap`` (and a partition's small blocks at once),
+  :func:`_intersections` the larger ones and RND's
+  :func:`score_flat_components`; :func:`score_pair_arrays` is the scalar
+  oracle they are tested against.
 
 The kernels are fully vectorized: token sets are flattened **zero-copy**
 via (values, offsets), and every set intersection of a flat batch is
 computed in one lexsort + duplicate-count pass (tokens are unique per
 side, so a (pair, token) appearing twice == one intersection hit). No
-Python loop touches the token data; only the Jaro-Winkler names go
-through a per-task memo dict (the reference's ``dname_l_dict`` cache,
-``whoiswho/utils.py:12``), called once per distinct name pair.
+Python loop touches the token data, and Jaro-Winkler runs in lockstep
+over the distinct name pairs (:func:`jw_for_pairs`).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from whoiswho_ray.functions.similarity import (
     cosine_sparse,
     jaccard_sorted,
     jaro_winkler,
+    jaro_winkler_pairs,
 )
 from whoiswho_ray.stages.idf import IdfModel
 
@@ -277,6 +278,10 @@ def _intersections(
     return inter, dots
 
 
+# The floor of ``allpairs_matrix``'s dense-token cut: a token in at most
+# this many records is always enumerated, never sent to the dense path.
+KCAP_FLOOR = 16
+
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
 _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
@@ -364,13 +369,13 @@ def allpairs_matrix(
     # --- high-frequency tokens: dense indicator columns + one BLAS syrk ---
     # (enumeration would cost Σk² pair rows; X@X.T costs n²·T_big flops).
     # Threshold swept empirically on the bench blocks (single-threaded
-    # BLAS, as inside Ray workers): max(16, √n/2) beats the old
+    # BLAS, as inside Ray workers): max(KCAP_FLOOR, √n/2) beats the old
     # max(64, 2√n) 5× on the 2560-row hot block and ~10% on typical
     # blocks — the segment enumeration's index arithmetic dominates far
     # below the flop-balance point, so mid-frequency tokens belong in the
     # syrk. Pure-BLAS (kcap=1) loses on hapax-heavy streams; pure-enum
     # (kcap=∞) loses 10×.
-    kcap = max(16, int(np.sqrt(n)) // 2)
+    kcap = max(KCAP_FLOOR, int(np.sqrt(n)) // 2)
     big = k > kcap
     if big.any():
         starts_b = bounds[:-1][big]
@@ -431,53 +436,34 @@ def allpairs_matrix(
     return M
 
 
-def jw_memo(cache: dict) -> "callable":
-    """Per-actor/task Jaro-Winkler memo (the reference's ``dname_l_dict``
-    cache made local state, ``whoiswho/utils.py:12``)."""
-
-    def jw(a: str, b: str) -> float:
-        key = (a, b) if a <= b else (b, a)
-        v = cache.get(key)
-        if v is None:
-            v = jaro_winkler(key[0].lower(), key[1].lower())
-            if len(cache) < 1_000_000:
-                cache[key] = v
-        return v
-
-    return jw
-
-
-def jw_for_pairs(names: np.ndarray, ii: np.ndarray, jj: np.ndarray,
-                 jw_fn) -> np.ndarray:
-    """Jaro-Winkler for pair index arrays with ONE scorer call per
-    DISTINCT (name_a, name_b) combination: blocks hold few distinct name
-    forms, so millions of pairs collapse to a handful of JW evaluations —
-    the per-pair Python generator loop this replaces was the last row-wise
-    code in the hot block kernel."""
+def jw_for_pairs(names: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Jaro-Winkler of the lowercased names of each pair ``(ii, jj)``, one
+    lockstep evaluation (``similarity.jaro_winkler_pairs``) per DISTINCT
+    unordered name pair: blocks hold few distinct name forms, so many
+    pairs collapse to a few evaluations, and a partition's blocks share
+    one call. A missing name counts as "". Each pair is evaluated with
+    the smaller name (in code point order) first, both lowercased."""
     clean = np.array([x or "" for x in names], dtype=object)
     uniq, codes = np.unique(clean.astype("U"), return_inverse=True)
-    k = np.int64(uniq.size)
-    key = codes[ii].astype(np.int64) * k + codes[jj]
-    uk, inv = np.unique(key, return_inverse=True)
-    jw_u = np.fromiter(
-        (jw_fn(str(uniq[q // k]), str(uniq[q % k])) for q in uk),
-        dtype=np.float64, count=uk.size)
-    return jw_u[inv]
+    k = np.int64(max(uniq.size, 1))
+    ca, cb = codes[ii].astype(np.int64), codes[jj].astype(np.int64)
+    uk, inv = np.unique(np.minimum(ca, cb) * k + np.maximum(ca, cb), return_inverse=True)
+    lowered = [str(s).lower() for s in uniq]
+    return jaro_winkler_pairs(lowered, uk // k, uk % k)[inv]
 
 
 def score_flat_components(
     cfg: SNDConfig,
     n: int,
     tok, repo, ctx, tfv,
-    names_a, names_b,
-    jw_fn,
-    jw_vals: np.ndarray | None = None,
+    jw: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Vectorized feature+score computation for n pairs.
 
     ``tok``/``repo``/``ctx``: ((vals_a, lens_a), (vals_b, lens_b)) flat set
-    representations; ``tfv``: ((ids_a, lens_a, w_a), (ids_b, lens_b, w_b)).
-    The flat regime of the fused in-block scorer (``pairs._score_block``).
+    representations; ``tfv``: ((ids_a, lens_a, w_a), (ids_b, lens_b, w_b));
+    ``jw``: the pairs' Jaro-Winkler (:func:`jw_for_pairs`). RND's
+    record × profile scorer.
     """
     def jac(pair):
         (va, la), (vb, lb) = pair
@@ -491,13 +477,6 @@ def score_flat_components(
     (ia, la, wa), (ib, lb, wb) = tfv
     _, dots = _intersections(n, ia, la, ib, lb, wa, wb)
     cos = dots if dots is not None else np.zeros(n)
-    if jw_vals is not None:
-        jw = jw_vals
-    else:
-        jw = np.fromiter(
-            (jw_fn(a or "", b or "") for a, b in zip(names_a, names_b)),
-            dtype=np.float64, count=n,
-        )
     score = (
         cfg.w_tokens * j_tok
         + cfg.w_repo * t_repo

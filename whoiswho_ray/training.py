@@ -47,36 +47,37 @@ def pair_features(
 ) -> pd.DataFrame:
     """Feature rows for the labeled pairs: the SND front end and blocking
     pass (``pipelines.snd.prepare`` → ``_blocked``) with a kernel that
-    keeps EVERY candidate pair's ``_score_block`` features (no
-    thresholds), inner-joined with the labels — so the trainer sees
-    exactly the candidates and features inference scores. Pairs the
-    blocker never generates keep their label with zero features (they
-    would never be scored at inference either — the trainer must see
-    that regime)."""
+    scores every candidate pair (``pairs._score_partition``, no
+    thresholds) and keeps the labeled ones — so the trainer sees exactly
+    the candidates and features inference scores. The labeled id pairs
+    are broadcast once and joined inside the kernel, so only labeled
+    rows leave it. Pairs the blocker never generates keep their label
+    with zero features (they would never be scored at inference either
+    — the trainer must see that regime)."""
+    import pyarrow as pa
+
+    import ray
+
     from whoiswho_ray.pipelines.snd import _blocked, prepare
-    from whoiswho_ray.stages.pairs import (_block_records, _edge_table, _score_block,
-                                           block_stage_schemas)
+    from whoiswho_ray.stages.pairs import _score_partition
 
     cfg = cfg or SNDConfig()
-    empty = block_stage_schemas(cfg)["edges"].empty_table()
+    key = ["record_id_a", "record_id_b"]
+    labels_ref = ray.put(pa.table({k: pa.array(labeled_pairs[k].to_numpy(object), pa.string())
+                                   for k in key}))
+    schema = pa.schema([(k, pa.string()) for k in key] + [(f, pa.float64()) for f in FEATURES])
 
-    def every_pair(g, w):
-        scored = _score_block(g, cfg, idf_w=w)
-        if scored is None:
-            return empty
-        _, ii, jj, feats, _ = scored
-        return _edge_table(_block_records(g), ii, jj, feats)
+    def labeled_rows(part, w):
+        sc = _score_partition(part, cfg, idf_w=w)
+        a, b = sc.rows.rids[sc.ii], sc.rows.rids[sc.jj]
+        rows = pa.table([pa.array(np.minimum(a, b), pa.string()),  # canonical orientation
+                         pa.array(np.maximum(a, b), pa.string()),
+                         *(pa.array(sc.feats[f]) for f in FEATURES)], schema=schema)
+        return rows.join(ray.get(labels_ref), keys=key, join_type="left semi")
 
     _, idf, vec = prepare(records, cfg)
-    scored = _blocked(vec, every_pair, idf).to_pandas()
-    # canonical orientation for the join
-    a = np.minimum(scored["id_a"], scored["id_b"])
-    b = np.maximum(scored["id_a"], scored["id_b"])
-    scored = scored.assign(record_id_a=a, record_id_b=b)
-    out = labeled_pairs.merge(
-        scored[["record_id_a", "record_id_b", *FEATURES]],
-        on=["record_id_a", "record_id_b"], how="left",
-    )
+    scored = _blocked(vec, labeled_rows, idf).to_pandas()
+    out = labeled_pairs.merge(scored, on=key, how="left")
     out[FEATURES] = out[FEATURES].fillna(0.0)
     return out
 
