@@ -194,7 +194,6 @@ def _kernels(cfg: SNDConfig) -> dict:
     cfgs = pairs.default_vote_configs(cfg)
     return {
         "clusters": lambda g, w: pairs.make_block_clusters(g, cfg, idf_w=w),
-        "stages": lambda g, w: pairs.make_block_stages(g, cfg, idf_w=w),
         "vote": lambda g, w: pairs.make_block_vote_clusters(g, cfgs, len(cfgs) // 2 + 1,
                                                            idf_w=w),
         "sgc": _per_block(lambda g, w: pairs.make_block_sgc_clusters(g, cfg, idf_w=w,
@@ -206,8 +205,7 @@ def _kernels(cfg: SNDConfig) -> dict:
 def _canonical(kind: str, df: pd.DataFrame) -> pd.DataFrame:
     if kind == "pr":
         return df.groupby("tau_cents", as_index=False).sum()
-    cols = ["kind", "block_key", "record_id", "id_a", "id_b"] if kind == "stages" else ["record_id"]
-    return df.sort_values(cols, ignore_index=True)
+    return df.sort_values("record_id", ignore_index=True)
 
 
 @pytest.mark.parametrize("partitions", [1, 3, 7])
@@ -227,6 +225,33 @@ def test_empty_partition_keeps_the_typed_schema(vectorized):
     for kind, kernel in _kernels(CFG).items():
         empty, one = kernel(t.slice(0, 0), idf_w), kernel(_blocks(t)[3], idf_w)
         assert empty.schema == one.schema, kind
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_block_stages_equal_one_block_tables(vectorized, name):
+    """Each of the three checkpointed stage tables of a partition equals
+    the same stage over one-block tables, in its stage schema, for any
+    cut of the sorted input; an empty partition keeps those schemas."""
+    t, idf_w = vectorized
+    cfg = CONFIGS[name]
+    schemas = pairs.block_stage_schemas(cfg)
+    keys = {"edges": ["block_key", "id_a", "id_b"], "block_metrics": ["block_key"],
+            "clusters": ["record_id"]}
+
+    def stages(parts):
+        outs = [pairs.make_block_stages(p, cfg, idf_w=idf_w) for p in parts]
+        return {s: pa.concat_tables([o[s] for o in outs]) for s in pairs.BLOCK_STAGES}
+
+    want = stages(_blocks(t))
+    assert want["edges"].num_rows > 0
+    for k in (1, 3, 7):
+        got = stages(_partitions(t, k))
+        for s in pairs.BLOCK_STAGES:
+            assert got[s].schema == schemas[s], (s, k)
+            pd.testing.assert_frame_equal(_frame(got[s], keys[s]), _frame(want[s], keys[s]),
+                                          check_exact=True, obj=f"{s} k={k}")
+    empty = pairs.make_block_stages(t.slice(0, 0), cfg, idf_w=idf_w)
+    assert {s: e.schema for s, e in empty.items()} == schemas
 
 
 def test_unsorted_partition_is_refused(vectorized):

@@ -282,3 +282,114 @@ class TestPartitionResume:
         assert {s: _mtimes(m["stages"][s]["path"]) for s in survivors} == mt
         c = second.sort_values("record_id").reset_index(drop=True)
         pd.testing.assert_frame_equal(a, c)
+
+
+
+def _normalized_table(tabs, cfg) -> "pa.Table":
+    import pyarrow as pa
+
+    from whoiswho_ray.stages.agg import collect_blocks
+    from whoiswho_ray.stages.normalize import normalize_records
+
+    return pa.concat_tables(collect_blocks(normalize_records(_input_ds(tabs), cfg)))
+
+
+class TestStageSinks:
+    """The checkpointed stages are written by the Ray tasks that compute
+    their rows (``snd._StageSink``)."""
+
+    def test_idf_from_write_partials_equals_build_idf(self, tiny_tables, tmp_path):
+        """The idf a cold run builds from the normalize write tasks'
+        partials equals ``build_idf`` over the written stage, field by
+        field, also with a block of documents that are all empty (only
+        the record-count carrier row stands for it)."""
+        import pyarrow as pa
+
+        from whoiswho_ray.pipelines import snd
+        from whoiswho_ray.stages.idf import _idf_from_partials, build_idf
+
+        cfg = SNDConfig()
+        norm = _normalized_table(tiny_tables, cfg)
+        empty = norm.slice(0, 7)
+        empty = empty.set_column(empty.schema.get_field_index("tok_ids"), "tok_ids",
+                                 pa.array([[]] * empty.num_rows, norm.schema.field("tok_ids").type))
+        half = norm.num_rows // 2
+        stage = tmp_path / "normalized"
+        stage.mkdir()
+        sink = snd._normalized_sink(str(stage))
+        rd.from_arrow([norm.slice(0, half), empty, norm.slice(half)]).write_datasink(sink)
+        assert len(sink.returns) == 3
+        got = _idf_from_partials(sink.returns, cfg)
+        want = build_idf(rd.read_parquet(str(stage)), cfg)
+        assert got.ids.tobytes() == want.ids.tobytes() and got.ids.dtype == want.ids.dtype
+        assert got.idf.tobytes() == want.idf.tobytes() and got.idf.dtype == want.idf.dtype
+        assert (got.n_records, got.n_tokens_total, got.truncated) == \
+            (want.n_records, want.n_tokens_total, want.truncated)
+        assert got.n_records == norm.num_rows + empty.num_rows
+        # the carrier rows do not count as tokens, whatever the block layout
+        assert got.n_tokens_total == build_idf(rd.from_arrow(norm), cfg).n_tokens_total
+
+    def test_retried_write_task_overwrites_its_files(self, tiny_tables, tmp_path):
+        """A write task run twice under one task index (a retry) leaves
+        one file per stage, with the rows of one run."""
+        import numpy as np
+        import pyarrow as pa
+        import ray
+        from ray.data._internal.execution.interfaces.task_context import TaskContext
+
+        from whoiswho_ray.pipelines import snd
+        from whoiswho_ray.stages.agg import collect_blocks
+        from whoiswho_ray.stages.idf import build_idf
+        from whoiswho_ray.stages.pairs import (BLOCK_STAGES, CLUSTER_SHUFFLE_COLUMNS,
+                                               make_block_stages)
+        from whoiswho_ray.stages.scoring import vectorize
+
+        cfg = SNDConfig()
+        norm = rd.from_arrow(_normalized_table(tiny_tables, cfg))
+        idf = build_idf(norm, cfg)
+        part = pa.concat_tables(collect_blocks(vectorize(
+            norm, idf, cfg, keep=CLUSTER_SHUFFLE_COLUMNS, compact=True,
+            ship_weights=False, sha_binary=True))).sort_by("block_key")
+        dirs = {s: str(tmp_path / s) for s in BLOCK_STAGES}
+        for d in dirs.values():
+            os.makedirs(d)
+        sink = snd._block_stage_sink(dirs, cfg, ray.put(np.asarray(idf.idf)))
+        ctx = TaskContext(task_idx=3, op_name="Write")
+        sink.write([part], ctx)
+        first = {s: pq.read_table(d) for s, d in dirs.items()}
+        sink.write([part], ctx)
+        want = make_block_stages(part, cfg, idf_w=idf.idf)
+        for s, d in dirs.items():
+            assert len(os.listdir(d)) == 1, s
+            assert pq.read_table(d).equals(first[s]), s
+            assert first[s].equals(want[s]), s
+        assert first["clusters"].num_rows == tiny_tables["records"].num_rows
+
+    def test_failed_block_pass_leaves_no_temp_dirs(self, tiny_tables, tmp_path, monkeypatch):
+        """A kernel that raises in the middle of the blocking pass: the
+        run raises, its write removes the stage temp dirs, no block stage
+        is committed, and the next run completes to the streaming
+        clusters."""
+        from whoiswho_ray.pipelines import snd
+        from whoiswho_ray.stages.pairs import BLOCK_STAGES, make_block_stages
+
+        last = max(tiny_tables["ground_truth"].column("block_key").to_pylist())
+
+        def failing(part, cfg, idf_w=None):
+            if last in part.column("block_key").to_pylist():
+                raise RuntimeError("kernel failed on the last block")
+            return make_block_stages(part, cfg, idf_w=idf_w)
+
+        out = str(tmp_path / "fail")
+        monkeypatch.setattr(snd, "make_block_stages", failing)
+        with pytest.raises(Exception, match="kernel failed on the last block"):
+            run_snd(_input_ds(tiny_tables), out_dir=out)
+        monkeypatch.undo()
+        assert not [p for p in os.listdir(out) if ".tmp-" in p], os.listdir(out)
+        stages = snd_summary(out)["stages"]
+        assert {"normalized", "idf"} <= set(stages)
+        assert not set(BLOCK_STAGES) & set(stages)
+        got = run_snd(_input_ds(tiny_tables), out_dir=out).to_pandas()
+        want = run_snd(_input_ds(tiny_tables)).to_pandas()
+        pd.testing.assert_frame_equal(got.sort_values("record_id", ignore_index=True),
+                                      want.sort_values("record_id", ignore_index=True))

@@ -218,3 +218,40 @@ class TestPairConsumersRunOnce:
         assert len(passes) == 1 and passes[0] is not None
         assert set(FEATURES) <= set(passes[0].names)
         assert len(feats) == len(labeled)
+
+
+class TestCheckpointedRunExecutions:
+    """The checkpointed run writes each stage from the task that computes
+    it: the normalize write and the blocking pass are its only Ray Data
+    executions (the idf comes back from the normalize write tasks, and
+    the blocking pass's tasks write all three block stages)."""
+
+    @pytest.fixture
+    def executions(self, monkeypatch):
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+        calls = []
+        execute = StreamingExecutor.execute
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", counting)
+        return calls
+
+    def test_cold_run_executes_twice(self, small_fixture, tmp_path, executions):
+        from whoiswho_ray.pipelines.snd import run_snd
+
+        _spec, tabs = small_fixture
+        run_snd(rd.from_arrow(tabs["records"]), out_dir=str(tmp_path / "cold"))
+        assert len(executions) == 2
+
+    def test_partition_resume_executes_once_per_bucket(self, small_fixture, tmp_path,
+                                                       executions):
+        from whoiswho_ray.pipelines.snd import run_snd
+
+        _spec, tabs = small_fixture
+        run_snd(rd.from_arrow(tabs["records"]), out_dir=str(tmp_path / "parts"),
+                partition_resume=True, n_edge_partitions=3)
+        assert len(executions) == 1 + 3

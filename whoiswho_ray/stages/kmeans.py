@@ -120,10 +120,10 @@ def kmeans_fit(
     proj = ds.select_columns([vec_col]).materialize()
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
-        # second-level tree combine (the build_idf pattern): collapse many
-        # per-batch partials inside big map tasks so the driver reduce
-        # sees O(k × combine-tasks) rows, not O(k × batches) — without
-        # this the driver collect GROWS with corpus size
+        # second-level tree combine: collapse many per-batch partials
+        # inside big map tasks so the driver reduce sees
+        # O(k × combine-tasks) rows, not O(k × batches) — without this
+        # the driver collect GROWS with corpus size
         g = df.groupby("cluster", sort=True)
         return pd.DataFrame({
             "cluster": np.fromiter(g.groups.keys(), np.int64),

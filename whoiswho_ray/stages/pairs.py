@@ -608,7 +608,7 @@ def make_block_clusters(part: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
 
 
 # The stages the checkpointed pipeline commits from one pass of
-# :func:`make_block_stages`; a row's ``kind`` is its stage's index here.
+# :func:`make_block_stages`, in commit order.
 BLOCK_STAGES = ("edges", "block_metrics", "clusters")
 
 
@@ -624,15 +624,6 @@ def block_stage_schemas(cfg: SNDConfig) -> dict[str, pa.Schema]:
         "clusters": pa.schema([(c, s) for c in
                                ("block_key", "record_id", "cluster_id", "content_sha256")]),
     }
-
-
-def tagged_schema(cfg: SNDConfig) -> pa.Schema:
-    """``kind`` (int8) plus the union of the stage schemas' columns."""
-    fields = {"kind": pa.field("kind", pa.int8())}
-    for schema in block_stage_schemas(cfg).values():
-        for f in schema:
-            fields.setdefault(f.name, f)
-    return pa.schema(list(fields.values()))
 
 
 def _edge_table(sc: _Scored, keep: np.ndarray, pos: np.ndarray) -> pa.Table:
@@ -653,15 +644,16 @@ def _edge_table(sc: _Scored, keep: np.ndarray, pos: np.ndarray) -> pa.Table:
     })
 
 
-def make_block_stages(part: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
-    """One key-sorted partition → its rows of every checkpointed stage in
-    one table: kept edges (``make_block_clusters``' edge set, with ids,
-    sorted positions and features), one ``block_metrics`` row per block
-    and the cluster rows, tagged by ``kind`` and padded with typed nulls
-    to :func:`tagged_schema` (as ``joins.arrow_tagged_union`` pads), once
-    per partition. One blocking pass thus feeds all three stages. Pair
-    payloads never leave the task: only edges at or above
-    ``min(tau_attach, tau_edge)`` (~100 B/row) enter the object store."""
+def make_block_stages(part: pa.Table, cfg: SNDConfig,
+                      idf_w=None) -> dict[str, pa.Table]:
+    """One key-sorted partition → its rows of every checkpointed stage,
+    keyed by :data:`BLOCK_STAGES` name, each in its
+    :func:`block_stage_schemas` schema: the kept edges
+    (``make_block_clusters``' edge set, with ids, sorted positions and
+    features), one ``block_metrics`` row per block and the cluster rows.
+    One blocking pass thus feeds all three stages, and the write task
+    that computes them writes them (``pipelines.snd``): pair payloads
+    never leave the task."""
     sc = _score_partition(part, cfg, idf_w)
     order, shas, pos, keep, labels = _clustered(sc, cfg)
     sizes = np.diff(sc.starts)
@@ -671,17 +663,9 @@ def make_block_stages(part: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
                         "salted": pa.array(sizes > cfg.max_allpairs_block),
                         "truncated_pairs": pa.array(sc.truncated)},
                        schema=BLOCK_METRICS_SCHEMA)
-    parts = [_edge_table(sc, keep, pos), metrics,
-             _cluster_rows(sc.block_key, sc.rows.rids, order, shas, labels)]
-    target = tagged_schema(cfg)
-    out = []
-    for kind, t in enumerate(parts):
-        m = t.num_rows
-        cols = [pa.array(np.full(m, kind, np.int8))] + [
-            t.column(f.name) if f.name in t.column_names else pa.nulls(m, f.type)
-            for f in target if f.name != "kind"]
-        out.append(pa.Table.from_arrays(cols, schema=target))
-    return pa.concat_tables(out)
+    return dict(zip(BLOCK_STAGES, (
+        _edge_table(sc, keep, pos), metrics,
+        _cluster_rows(sc.block_key, sc.rows.rids, order, shas, labels))))
 
 
 def default_vote_configs(base: SNDConfig | None = None,

@@ -274,7 +274,9 @@ def _intersections(
     if w_a is not None:
         w = np.concatenate([w_a.astype(np.float64), w_b.astype(np.float64)])[order]
         contrib = w[1:][dup] * w[:-1][dup]
-        dots = np.bincount(sp[1:][dup], weights=contrib, minlength=n)
+        # float64 even with no hit (bincount of an empty input is int64)
+        dots = np.bincount(sp[1:][dup], weights=contrib, minlength=n).astype(
+            np.float64, copy=False)
     return inter, dots
 
 
