@@ -1910,40 +1910,41 @@ _PAIR_COUNT_SCHEMA = pa.schema(
        for c, s in (("i", ""), ("n", "_a"), ("n", "_b"))])
 
 
-def _block_pair_counts(g: pa.Table, cfg) -> pa.Table:
-    """One block → its candidate pairs' INTEGER set-overlap features,
-    ids canonical (id_a < id_b): ``candidate_index_pairs`` and one
-    ``allpairs_matrix(pairs=…)`` pass per token family. On the compact
-    encoding the token overlap is the tfv-position overlap and the token
-    count is ``tok_n`` — exact, because ``vectorize`` keeps that encoding
-    only when min_df ≤ 2 and the vocabulary is not truncated, so every
-    token two records share is in the vocabulary. Counts over 64-bit
-    token hashes equal counts over the token strings themselves
+def _block_pair_counts(part: pa.Table, cfg, idf_w) -> pa.Table:
+    """A key-sorted partition → its candidate pairs' INTEGER set-overlap
+    features, ids canonical (id_a < id_b): the pairs
+    ``pairs._score_partition`` scores — so the oracle grades exactly the
+    pairs inference scores — and one ``allpairs_matrix(pairs=…)`` pass
+    per token family over the partition (the counts are exact integers
+    whichever path ``allpairs_matrix`` takes). On the compact encoding
+    the token overlap is the tfv-position overlap and the token count is
+    ``tok_n`` — exact, because ``vectorize`` keeps that encoding only
+    when min_df ≤ 2 and the vocabulary is not truncated, so every token
+    two records share is in the vocabulary. Counts over 64-bit token
+    hashes equal counts over the token strings themselves
     (collision-free at oracle scale), which is what the SQL side
     computes."""
-    from whoiswho_ray.stages.pairs import _candidates, _decode, _flat_list
+    from whoiswho_ray.stages.pairs import _score_partition
     from whoiswho_ray.stages.scoring import allpairs_matrix
 
-    n = g.num_rows
-    rows = _decode(g)
-    rids = rows.rids
-    ii, jj, _ = _candidates(rows, cfg)
+    sc = _score_partition(part, cfg, idf_w)
+    rows, ii, jj = sc.rows, sc.ii, sc.jj
     if ii.size == 0:
         return _PAIR_COUNT_SCHEMA.empty_table()
+    rids = rows.rids
     swap = rids[ii] > rids[jj]
     out = {
-        "block_key": pa.array(np.repeat(g.column("block_key")[0].as_py(), ii.size), pa.string()),
+        "block_key": sc.block_key.take(pa.array(ii, pa.int64())),
         "id_a": pa.array(np.where(swap, rids[jj], rids[ii]), pa.string()),
         "id_b": pa.array(np.where(swap, rids[ii], rids[jj]), pa.string()),
     }
-    compact = "tok_ids" not in g.column_names
+    compact = rows.tok_n is not None
     for fam in ("tok", "repo", "ctx", "tfv"):
-        values, offsets = _flat_list(g.column("tfv_ids" if fam == "tok" and compact
-                                              else f"{fam}_ids"))
-        lens = (g.column("tok_n").to_numpy(zero_copy_only=False) if fam == "tok" and compact
-                else np.diff(offsets)).astype(np.int64)
+        values, offsets = rows.sets["tfv" if fam == "tok" and compact else fam]
+        lens = (rows.tok_n if fam == "tok" and compact else np.diff(offsets)).astype(np.int64)
         la, lb = lens[ii], lens[jj]
-        out[f"i_{fam}"] = allpairs_matrix(n, values, offsets, pairs=(ii, jj)).astype(np.int64)
+        out[f"i_{fam}"] = allpairs_matrix(rows.n, values, offsets,
+                                          pairs=(ii, jj)).astype(np.int64)
         out[f"n_{fam}_a"] = np.where(swap, lb, la)
         out[f"n_{fam}_b"] = np.where(swap, la, lb)
     return pa.table(out, schema=_PAIR_COUNT_SCHEMA)
@@ -1972,12 +1973,12 @@ def snd_edges(sf_dir: str):
     compact shuffle encoding with its hot-block salting, and the
     all-pairs overlap kernel, with zero float-compare risk."""
     from whoiswho_ray.config import SNDConfig
-    from whoiswho_ray.pipelines.snd import _blocked, _per_block, prepare
+    from whoiswho_ray.pipelines.snd import _blocked, prepare
     from whoiswho_ray.sources.tables import records_from_documents
 
     cfg = SNDConfig()
     _, idf, vec = prepare(records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS), cfg)
-    return _blocked(vec, _per_block(lambda g, _w: _block_pair_counts(g, cfg)))
+    return _blocked(vec, lambda g, w: _block_pair_counts(g, cfg, w), idf)
 
 
 def q_temporal_split(sf_dir: str):

@@ -278,6 +278,15 @@ class TestSssp:
         got = self._run(edges, {"a"}, 50)  # fixpoint after 1 round
         assert got == {"a": 0, "b": 1}  # x,y unreachable -> absent
 
+    def test_distance_above_2_53_is_exact(self, ray_session):
+        """int64 distances stay int64 through the merge: 2^53 + 1 is not
+        a float64 value, so a float pass would round it to 2^53."""
+        big = 2 ** 53 + 1
+        edges = pd.DataFrame({"src": ["a", "b", "a"], "dst": ["b", "c", "c"],
+                              "w": np.array([big, 2, big + 4], dtype=np.int64)})
+        got = self._run(edges, {"a"}, 4, nparts=2)
+        assert got == {"a": 0, "b": big, "c": big + 2}
+
     def test_empty_sources_and_negative_weight(self, ray_session):
         from whoiswho_ray.stages.graph import sssp
         edges = pd.DataFrame({"src": ["a"], "dst": ["b"],

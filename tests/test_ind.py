@@ -7,8 +7,10 @@ profile, flag records outside the largest component."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
+import ray
 import ray.data as rd
 
 from whoiswho_ray.config import SNDConfig
@@ -155,26 +157,90 @@ class TestRunIndLearned:
     def test_features_bounded_fit(self, ray_session, small_fixture):
         """max_train_records caps the fit set via the deterministic
         smallest-hash sample."""
-        from whoiswho_ray.pipelines.ind import (attach_profiles,
-                                                fit_ind_ensemble,
-                                                ind_features)
-        from whoiswho_ray.pipelines.ind import IND_SIG_COLS
-        from whoiswho_ray.stages.idf import build_idf
-        from whoiswho_ray.stages.normalize import normalize_records
-        from whoiswho_ray.stages.scoring import vectorize
+        from whoiswho_ray.pipelines.ind import fit_ind_ensemble, score_profiles
 
         spec, tabs = small_fixture
         gt = tabs["ground_truth"].to_pandas()
         asg, truth = _planted_assignments(gt)
-        norm = normalize_records(rd.from_arrow(tabs["records"])).select_columns(
-            [c for c in IND_SIG_COLS if c not in ("tfv_ids", "tfv_w")]).materialize()
-        idf = build_idf(norm)
-        vec = vectorize(norm, idf, keep=IND_SIG_COLS)
-        feats = ind_features(attach_profiles(vec, rd.from_pandas(asg))).materialize()
+        feats = score_profiles(rd.from_arrow(tabs["records"]), rd.from_pandas(asg))
         model, diag = fit_ind_ensemble(feats, truth, max_train_records=40)
         assert diag["n_train_records"] == 40
         model2, diag2 = fit_ind_ensemble(feats, truth, max_train_records=40)
         assert diag2["n_train_records"] == 40
+
+
+class TestAttachProfiles:
+    def test_many_to_many_claims_are_the_inner_merge(self, ray_session, small_fixture):
+        """One record claimed by two profiles and one record_id carried by
+        two records give the rows of the inner merge of records and
+        claims on record_id, each profile sized by its merged rows; the
+        doubly claimed record is an outlier only in the foreign profile."""
+        from whoiswho_ray.stages.normalize import normalize_records
+
+        spec, tabs = small_fixture
+        records = tabs["records"].to_pandas()
+        gt = tabs["ground_truth"].to_pandas().sort_values("record_id", ignore_index=True)
+        asg = gt[["record_id", "entity_id"]].rename(columns={"entity_id": "profile_id"})
+        sizes = asg["profile_id"].value_counts()
+        home, foreign = sizes.index[-1], sizes.index[0]
+        twice = asg.loc[asg["profile_id"] == home, "record_id"].iloc[0]
+        asg = pd.concat([asg, pd.DataFrame({"record_id": [twice], "profile_id": [foreign]})],
+                        ignore_index=True)
+        dup = records.iloc[[0]].assign(content=records["content"].iloc[0] + "\nextra = 1\n")
+        records = pd.concat([records, dup], ignore_index=True)
+
+        norm = normalize_records(rd.from_pandas(records)).to_pandas()
+        want = norm[["record_id", "content_sha256"]].merge(asg, on="record_id", how="inner")
+        want["n_members"] = want.groupby("profile_id")["record_id"].transform("size")
+        assert want["record_id"].duplicated().sum() == 2
+        out = run_ind(rd.from_pandas(records), rd.from_pandas(asg)).to_pandas()
+        cols = ["profile_id", "record_id", "content_sha256", "n_members"]
+        pd.testing.assert_frame_equal(
+            out[cols].sort_values(cols, ignore_index=True),
+            want[cols].sort_values(cols, ignore_index=True), check_dtype=False)
+        flags = out[out["record_id"] == twice].set_index("profile_id")["is_outlier"]
+        assert not flags[home] and flags[foreign]
+
+    def test_salted_profile_gets_the_snd_candidates(self, ray_session, small_fixture):
+        """A profile above ``max_allpairs_block`` is salted exactly as an
+        SND block of the same records: the same candidate pairs and
+        truncation counts, and the same kernel output as on the SND
+        shuffle rows with the block as the profile."""
+        import dataclasses
+
+        from whoiswho_ray.pipelines.ind import attach_profiles, profile_kernel, score_profiles
+        from whoiswho_ray.pipelines.snd import prepare
+        from whoiswho_ray.stages.pairs import _score_partition
+
+        cfg = dataclasses.replace(SNDConfig(), max_allpairs_block=12)
+        spec, tabs = small_fixture
+        gt = tabs["ground_truth"].to_pandas()
+        asg = rd.from_pandas(gt[["record_id", "block_key"]].rename(
+            columns={"block_key": "profile_id"}))
+        _, idf, vec = prepare(rd.from_arrow(tabs["records"]), cfg)
+        idf_w = np.asarray(idf.idf)
+
+        def scored(ds):
+            t = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by("block_key")
+            sc = _score_partition(t, cfg, idf_w)
+            a, b = sc.rows.rids[sc.ii], sc.rows.rids[sc.jj]
+            pairs = set(zip(sc.block_key.take(pa.array(sc.ii)).to_pylist(),
+                            np.minimum(a, b), np.maximum(a, b)))
+            return t, sc, pairs
+
+        snd_t, snd_sc, snd_pairs = scored(vec)
+        _, ind_sc, ind_pairs = scored(attach_profiles(vec.materialize(), asg))
+        sizes = np.diff(snd_sc.starts)
+        salted = sizes > cfg.max_allpairs_block
+        assert (snd_sc.n_pairs[salted] < sizes[salted] * (sizes[salted] - 1) // 2).any()
+        assert ind_pairs == snd_pairs
+        assert ind_sc.keys == snd_sc.keys
+        np.testing.assert_array_equal(ind_sc.truncated, snd_sc.truncated)
+
+        got = score_profiles(rd.from_arrow(tabs["records"]), asg, cfg).to_pandas()
+        want = profile_kernel(snd_t, cfg, idf_w).to_pandas()
+        pd.testing.assert_frame_equal(got.sort_values("record_id", ignore_index=True),
+                                      want.sort_values("record_id", ignore_index=True))
 
 
 class TestWeightedAuc:

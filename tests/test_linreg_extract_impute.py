@@ -89,6 +89,27 @@ class TestExtractRegexAll:
         # duplicate matches keep distinct ordinals
         assert len(got[(got["id"] == 3)]) == 3
 
+    def test_repeated_id_numbers_each_row(self):
+        """Rows that share an id number their matches apart, as SQL's
+        per-row unnest does, whether they share a batch or not."""
+        one = pd.DataFrame({"id": np.array([1, 1, 2], dtype=np.int64),
+                            "t": ["a1 a2", "a3 a4", "a5"]})
+        two = pd.DataFrame({"id": np.array([1], dtype=np.int64), "t": ["a6 a7 a8"]})
+        cols = ["id", "match_idx", "match"]
+        for ds in (rd.from_pandas(one), rd.from_pandas([one, two])):
+            got = extract_regex_all(ds, "t", "a[0-9]", "id").to_pandas()
+            rows = ds.to_pandas()  # noqa: F841 — read by the SQL below
+            want = duckdb.connect().execute("""
+                SELECT id, CAST(generate_subscripts(
+                           regexp_extract_all(t, 'a[0-9]'), 1) - 1 AS BIGINT) AS match_idx,
+                       unnest(regexp_extract_all(t, 'a[0-9]')) AS match
+                FROM rows
+            """).df()
+            pd.testing.assert_frame_equal(
+                got[cols].sort_values(cols, ignore_index=True),
+                want[cols].sort_values(cols, ignore_index=True), check_dtype=False)
+            assert got.loc[got["match"] == "a3", "match_idx"].tolist() == [0]
+
     def test_no_matches_is_typed_empty(self):
         df = pd.DataFrame({"id": [1], "t": ["nope"]})
         out = extract_regex_all(rd.from_pandas(df), "t", "[0-9]{5}", "id")

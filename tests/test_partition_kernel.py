@@ -189,22 +189,28 @@ def test_relational_rows_equal_one_block_tables(vectorized):
 
 
 def _kernels(cfg: SNDConfig) -> dict:
-    from whoiswho_ray.pipelines.snd import _per_block
+    """Every partition kernel; IND's reads ``block_key`` as the claimed
+    profile, and "edges" is the ``snd_edges`` query's."""
+    import __ray_entry__ as entry
+    from whoiswho_ray.pipelines.ind import profile_kernel
 
     cfgs = pairs.default_vote_configs(cfg)
     return {
         "clusters": lambda g, w: pairs.make_block_clusters(g, cfg, idf_w=w),
         "vote": lambda g, w: pairs.make_block_vote_clusters(g, cfgs, len(cfgs) // 2 + 1,
                                                            idf_w=w),
-        "sgc": _per_block(lambda g, w: pairs.make_block_sgc_clusters(g, cfg, idf_w=w,
-                                                                   refine_rounds=1)),
+        "sgc": lambda g, w: pairs.make_block_sgc_clusters(g, cfg, idf_w=w, refine_rounds=1),
         "pr": lambda g, w: pairs.make_block_pr_counts(g, cfg, (1.0, 1.5, 2.0), idf_w=w),
+        "ind": lambda g, w: profile_kernel(g, cfg, idf_w=w),
+        "edges": lambda g, w: entry._block_pair_counts(g, cfg, w),
     }
 
 
 def _canonical(kind: str, df: pd.DataFrame) -> pd.DataFrame:
     if kind == "pr":
         return df.groupby("tau_cents", as_index=False).sum()
+    if kind == "edges":
+        return df.sort_values(["block_key", "id_a", "id_b"], ignore_index=True)
     return df.sort_values("record_id", ignore_index=True)
 
 

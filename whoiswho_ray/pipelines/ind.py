@@ -33,11 +33,15 @@ Per (profile, record) output:
     is_outlier  record ∉ core; profiles with no core (all singleton
                 components, or n == 1) carry no evidence and flag nothing
 
-One hash-bucketed co-group attaches the claimed ``profile_id`` (same join
-shape as the RND record⋈cluster join), one ``group_apply(profile_id)``
-runs the scoring kernel — O(buckets) Ray groups, the same block-bounded
-matrix/flat regimes as SND blocking (``pairs._score_block``), no
-per-record Python.
+The front end is SND's (``snd.prepare``: normalize → idf → vectorize in
+the compact shuffle encoding). :func:`attach_profiles` co-groups the
+vectorized records with the claims on record_id and makes each claimed
+``profile_id`` the record's ``block_key``; the one SND blocking pass
+(``snd._blocked``) then runs :func:`profile_kernel` once per sorted
+partition. One ``pairs._score_partition`` call scores every profile of a
+partition, with the block-bounded matrix/flat regimes and the hot-block
+salting of SND blocking, so a profile is scored exactly as an SND block
+of the same records would be — no per-profile call, no per-record Python.
 """
 
 from __future__ import annotations
@@ -49,141 +53,36 @@ import pyarrow as pa
 import ray.data as rd
 
 from whoiswho_ray.config import SNDConfig
-from whoiswho_ray.stages.idf import build_idf
-from whoiswho_ray.stages.normalize import normalize_records
-from whoiswho_ray.stages.scoring import vectorize
-
-IND_SIG_COLS = ["record_id", "name", "tok_ids", "repo_ids", "ctx_ids",
-                "tfv_ids", "tfv_w", "content_sha256"]
 
 
 def attach_profiles(
     vectorized: "rd.Dataset", assignments: "rd.Dataset"
 ) -> "rd.Dataset":
-    """(vectorized records) ⋈ (record_id → profile_id) — hash-bucketed
-    co-group on record_id (one Ray group per bucket, one vectorized merge
-    inside), the same join shape as ``rnd.build_profiles``. Records with
-    no assignment row are dropped (they belong to no claimed profile)."""
-    _EI = np.empty(0, np.int64)
-    _EF = np.empty(0, np.float32)
+    """(vectorized records) ⋈ (record_id → profile_id), inner and
+    many-to-many, with the claimed profile as the ``block_key``: a
+    hash-bucketed co-group on record_id (``joins.arrow_tagged_union``),
+    one Arrow join per bucket. Only scalars go through the join —
+    (record_id, profile_id) against (record_id, row index), since Arrow
+    joins carry no list payload — and the records' rows follow by
+    ``take``. Records with no claim are dropped (they belong to no
+    claimed profile)."""
+    from whoiswho_ray.stages.cluster import _cc_num_buckets
+    from whoiswho_ray.stages.joins import arrow_tagged_union, split_sides
 
-    def tag_l(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[IND_SIG_COLS].copy()
-        df["profile_id"] = ""
-        df["__side"] = "l"
-        return df
+    u, lcols, rcols = arrow_tagged_union(
+        vectorized, assignments.select_columns(["record_id", "profile_id"]),
+        ["record_id"], ["record_id"], _cc_num_buckets())
 
-    def tag_r(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        return pd.DataFrame({
-            "record_id": df["record_id"],
-            "name": [""] * n,
-            "tok_ids": [_EI] * n,
-            "repo_ids": [_EI] * n,
-            "ctx_ids": [_EI] * n,
-            "tfv_ids": [_EI] * n,
-            "tfv_w": [_EF] * n,
-            "content_sha256": [""] * n,
-            "profile_id": df["profile_id"],
-            "__side": ["r"] * n,
-        })
+    def attach_bucket(g: pa.Table) -> pa.Table:
+        recs, claims = split_sides(g, lcols, rcols)
+        rows = pa.table({"record_id": recs.column("record_id"),
+                         "__row": pa.array(np.arange(recs.num_rows, dtype=np.int64))})
+        hit = claims.join(rows, "record_id", join_type="inner", use_threads=False)
+        out = recs.take(hit.column("__row"))
+        return out.set_column(out.schema.get_field_index("block_key"), "block_key",
+                              hit.column("profile_id"))
 
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
-
-    tagged = vectorized.map_batches(tag_l, batch_format="pandas").union(
-        assignments.map_batches(tag_r, batch_format="pandas"))
-    bucketed = _bucket_by(tagged, "record_id", _cc_num_buckets())
-
-    def attach_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns=["__bucket"])
-        sig = df[df["__side"] == "l"].drop(columns=["__side", "profile_id"])
-        asg = df[df["__side"] == "r"][["record_id", "profile_id"]]
-        if len(sig) == 0 or len(asg) == 0:
-            out = sig.iloc[0:0].copy()
-            out["profile_id"] = pd.Series([], dtype=object)
-            return out
-        return sig.merge(asg, on="record_id", how="inner")
-
-    return bucketed.groupby("__bucket").map_groups(
-        attach_bucket, batch_format="pandas")
-
-
-def _coerce_lists(group: pa.Table) -> pa.Table:
-    """All-empty list columns can round-trip the bucket shuffle as
-    untyped nulls (pandas object column of empty arrays → Arrow
-    NullArray); restore the typed empty lists the scoring kernel expects."""
-    for col, vt in (("tok_ids", pa.int64()), ("repo_ids", pa.int64()),
-                    ("ctx_ids", pa.int64()), ("tfv_ids", pa.int64()),
-                    ("tfv_w", pa.float32())):
-        i = group.schema.get_field_index(col)
-        t = group.column(i).type
-        if pa.types.is_null(t) or (pa.types.is_list(t)
-                                   and pa.types.is_null(t.value_type)):
-            empty = pa.array([[]] * group.num_rows, pa.list_(vt))
-            group = group.set_column(i, col, empty)
-    return group
-
-
-def _profile_scores(group: pa.Table, cfg: SNDConfig) -> pa.Table:
-    """One claimed profile → per-member core membership + consensus score."""
-    from whoiswho_ray.stages.cluster import cc_labels
-    from whoiswho_ray.stages.pairs import _score_block
-
-    group = _coerce_lists(group)
-    n = group.num_rows
-    pid = group.column("profile_id")[0].as_py() if n else ""
-    rid_col = np.asarray(group.column("record_id").to_pylist(), dtype=object)
-    sha_col = np.asarray(group.column("content_sha256").to_pylist(), dtype=object)
-    order = np.argsort(rid_col, kind="stable")
-    rids_sorted = rid_col[order]
-    shas_sorted = sha_col[order]
-
-    f_dom = np.zeros(n)
-    flag = np.zeros(n, dtype=bool)
-    scored = _score_block(group, cfg) if n >= 2 else None
-    if scored is not None:
-        rids, ii, jj, feats, _ = scored
-        sorted_pos = np.empty(n, dtype=np.int64)
-        sorted_pos[np.argsort(rids, kind="stable")] = np.arange(n, dtype=np.int64)
-        si, sj = sorted_pos[ii], sorted_pos[jj]
-        sc = feats["score"]
-        keep = sc >= cfg.tau_edge
-        labels = cc_labels(n, si[keep], sj[keep])
-        sizes = np.bincount(labels, minlength=n)
-        if sizes.max() >= 2:
-            # core = largest component; ties resolve to the smallest
-            # min-record_id root (labels are min sorted positions, argmax
-            # returns the first maximum)
-            dom = int(np.argmax(sizes))
-            in_dom = labels == dom
-            flag = ~in_dom
-            # mean pair score against core members, over the pairs the
-            # kernel scored (all pairs in the matrix regime; the candidate
-            # subset in the flat regime — unpaired records default to 0)
-            wj, wi = in_dom[sj], in_dom[si]
-            num = (np.bincount(si[wj], weights=sc[wj], minlength=n)
-                   + np.bincount(sj[wi], weights=sc[wi], minlength=n))
-            cnt = (np.bincount(si[wj], minlength=n)
-                   + np.bincount(sj[wi], minlength=n))
-            f_dom = num / np.maximum(cnt, 1)
-    return pa.table({
-        "profile_id": pa.array(np.repeat(pid, n), pa.string()),
-        "record_id": pa.array(rids_sorted, pa.string()),
-        "n_members": pa.array(np.full(n, n, np.int64)),
-        "score": pa.array(f_dom, pa.float64()),
-        "is_outlier": pa.array(flag, pa.bool_()),
-        "content_sha256": pa.array(shas_sorted, pa.string()),
-    })
-
-
-def ind_scores(attached: "rd.Dataset", cfg: SNDConfig | None = None) -> "rd.Dataset":
-    """Attached records → one scored row per (profile, record)."""
-    from whoiswho_ray.stages.agg import group_apply
-
-    cfg = cfg or SNDConfig()
-    return group_apply(attached, "profile_id",
-                       lambda g: _profile_scores(g, cfg),
-                       batch_format="pyarrow")
+    return u.groupby("__bucket").map_groups(attach_bucket, batch_format="pyarrow")
 
 
 #: Feature family for the learned IND scorer (one row per
@@ -192,86 +91,92 @@ IND_FEATURES = ("f_dom", "f_max", "f_all", "f_cos", "f_tok", "f_frac",
                 "f_logn")
 
 
-def _profile_features(group: pa.Table, cfg: SNDConfig) -> pa.Table:
-    """One claimed profile → per-member feature row (the learned-scorer
-    analog of ``_profile_scores``): consensus statistics (mean/max pair
-    score vs the core, component-size fraction) plus raw-similarity
-    statistics (mean cosine / token-Jaccard vs the core) and profile
-    size. Deterministic and fully unsupervised — the core comes from the
-    same within-profile clustering as the consensus path, so the learned
-    model stacks ON the consensus signal instead of replacing it."""
+def profile_kernel(part: pa.Table, cfg: SNDConfig, idf_w=None) -> pa.Table:
+    """One key-sorted partition of attached records (``block_key`` = the
+    claimed profile) → one row per (profile, record) in record_id order
+    within each profile: ``n_members``, the consensus ``score`` and
+    ``is_outlier``, and the :data:`IND_FEATURES`.
+
+    Strong edges (score ≥ tau_edge) between record_id-sorted positions
+    go through one ``cc_labels`` call; no edge spans two profiles, so its
+    components are every profile's. A profile's core is its largest
+    component (ties: the smallest root, i.e. the smallest record_id);
+    a profile with no component of two or more records has no core and
+    carries no evidence. Against the core, each record gets the mean
+    (``f_dom``, which is also the consensus ``score``) and maximum
+    (``f_max``) pair score and the mean cosine (``f_cos``) and token
+    Jaccard (``f_tok``), over the pairs the kernel scored (all pairs in
+    the matrix regime, the candidate subset in a salted profile; no such
+    pair scores 0). ``f_all`` is its mean score over all its scored
+    pairs, ``f_frac`` its component's share of the profile and ``f_logn``
+    log1p of the profile size. The core comes from the same clustering
+    as the consensus flags, so the learned model stacks on the consensus
+    signal instead of replacing it. ``idf_w``: as for ``pairs._decode``."""
     from whoiswho_ray.stages.cluster import cc_labels
-    from whoiswho_ray.stages.pairs import _score_block
+    from whoiswho_ray.stages.pairs import _record_order, _score_partition, _sorted_pos
 
-    group = _coerce_lists(group)
-    n = group.num_rows
-    pid = group.column("profile_id")[0].as_py() if n else ""
-    rid_col = np.asarray(group.column("record_id").to_pylist(), dtype=object)
-    sha_col = np.asarray(group.column("content_sha256").to_pylist(), dtype=object)
-    order = np.argsort(rid_col, kind="stable")
+    sc = _score_partition(part, cfg, idf_w)
+    n, sizes = sc.rows.n, np.diff(sc.starts)
+    order, shas = _record_order(part, sc.starts)
+    pos = _sorted_pos(order)
+    si, sj, s = pos[sc.ii], pos[sc.jj], sc.feats["score"]
+    strong = s >= cfg.tau_edge
+    labels = cc_labels(n, si[strong], sj[strong])
+    comp = np.bincount(labels, minlength=n)  # component size at each root
+    blk = np.repeat(np.arange(sizes.size), sizes)
+    first = sc.starts[:-1]
+    big = np.maximum.reduceat(comp, first)
+    dom = np.minimum.reduceat(np.where(comp == big[blk], np.arange(n), n), first)
+    has_core = (big >= 2)[blk]
+    core = has_core & (labels == dom[blk])
+    wi, wj = core[si], core[sj]
 
-    feats_out = {k: np.zeros(n) for k in IND_FEATURES}
-    feats_out["f_logn"] = np.full(n, np.log1p(n))
-    feats_out["f_frac"] = np.full(n, 1.0 / max(n, 1))
-    scored = _score_block(group, cfg) if n >= 2 else None
-    if scored is not None:
-        rids, ii, jj, feats, _ = scored
-        sorted_pos = np.empty(n, dtype=np.int64)
-        sorted_pos[np.argsort(rids, kind="stable")] = np.arange(n, dtype=np.int64)
-        si, sj = sorted_pos[ii], sorted_pos[jj]
-        sc = feats["score"]
-        keep = sc >= cfg.tau_edge
-        labels = cc_labels(n, si[keep], sj[keep])
-        sizes = np.bincount(labels, minlength=n)
-        feats_out["f_frac"] = sizes[labels] / float(n)
-        # mean pair score against ALL scored partners
-        num_a = (np.bincount(si, weights=sc, minlength=n)
-                 + np.bincount(sj, weights=sc, minlength=n))
-        cnt_a = np.bincount(si, minlength=n) + np.bincount(sj, minlength=n)
-        feats_out["f_all"] = num_a / np.maximum(cnt_a, 1)
-        if sizes.max() >= 2:
-            dom = int(np.argmax(sizes))
-            in_dom = labels == dom
-            wj, wi = in_dom[sj], in_dom[si]
+    def mean(idx_a, idx_b, va, vb):
+        num = (np.bincount(idx_a, weights=va, minlength=n)
+               + np.bincount(idx_b, weights=vb, minlength=n))
+        cnt = np.bincount(idx_a, minlength=n) + np.bincount(idx_b, minlength=n)
+        return num / np.maximum(cnt, 1)
 
-            def _core_stat(vals, reduce_max=False):
-                if reduce_max:
-                    out = np.zeros(n)
-                    np.maximum.at(out, si[wj], vals[wj])
-                    np.maximum.at(out, sj[wi], vals[wi])
-                    return out
-                num = (np.bincount(si[wj], weights=vals[wj], minlength=n)
-                       + np.bincount(sj[wi], weights=vals[wi], minlength=n))
-                cnt = (np.bincount(si[wj], minlength=n)
-                       + np.bincount(sj[wi], minlength=n))
-                return num / np.maximum(cnt, 1)
+    def core_mean(vals):
+        return mean(si[wj], sj[wi], vals[wj], vals[wi])
 
-            feats_out["f_dom"] = _core_stat(sc)
-            feats_out["f_max"] = _core_stat(sc, reduce_max=True)
-            feats_out["f_cos"] = _core_stat(feats["cos"])
-            feats_out["f_tok"] = _core_stat(feats["j_tok"])
-    # feature arrays are already indexed by SORTED position (si/sj come
-    # from sorted_pos) — emit them as-is next to the sorted ids; applying
-    # [order] again would scramble them (the r2 f_dom bug class)
-    cols = {
-        "profile_id": pa.array(np.repeat(pid, n), pa.string()),
-        "record_id": pa.array(rid_col[order], pa.string()),
-        "n_members": pa.array(np.full(n, n, np.int64)),
-        "content_sha256": pa.array(sha_col[order], pa.string()),
-    }
-    for k in IND_FEATURES:
-        cols[k] = pa.array(feats_out[k], pa.float64())
-    return pa.table(cols)
+    f_max = np.zeros(n)
+    np.maximum.at(f_max, si[wj], s[wj])
+    np.maximum.at(f_max, sj[wi], s[wi])
+    f_dom = core_mean(s)
+    feats = {"f_dom": f_dom, "f_max": f_max, "f_all": mean(si, sj, s, s),
+             "f_cos": core_mean(sc.feats["cos"]), "f_tok": core_mean(sc.feats["j_tok"]),
+             "f_frac": comp[labels] / sizes[blk], "f_logn": np.log1p(sizes[blk])}
+    return pa.table({
+        "profile_id": sc.block_key,
+        "record_id": pa.array(sc.rows.rids[order], pa.string()),
+        "n_members": pa.array(sizes[blk], pa.int64()),
+        "score": pa.array(f_dom, pa.float64()),
+        "is_outlier": pa.array(has_core & ~core, pa.bool_()),
+        "content_sha256": shas,
+        **{k: pa.array(feats[k], pa.float64()) for k in IND_FEATURES},
+    })
 
 
-def ind_features(attached: "rd.Dataset", cfg: SNDConfig | None = None) -> "rd.Dataset":
-    """Attached records → one feature row per (profile, record)."""
-    from whoiswho_ray.stages.agg import group_apply
+def score_profiles(
+    records: "rd.Dataset | str",
+    assignments: "rd.Dataset | str",
+    cfg: SNDConfig | None = None,
+) -> "rd.Dataset":
+    """records + claimed (record_id → profile_id) → one
+    :func:`profile_kernel` row per (profile, record): the SND front end
+    (``snd.prepare``), :func:`attach_profiles` and the one blocking pass,
+    returned executed (``snd._blocked``)."""
+    from whoiswho_ray.pipelines.snd import _blocked, prepare
 
     cfg = cfg or SNDConfig()
-    return group_apply(attached, "profile_id",
-                       lambda g: _profile_features(g, cfg),
-                       batch_format="pyarrow")
+    if isinstance(assignments, str):
+        assignments = rd.read_parquet(assignments)
+    _, idf, vec = prepare(records, cfg)
+    # materialized: the co-group reads its schema, which would otherwise
+    # run the vectorize map once more
+    return _blocked(attach_profiles(vec.materialize(), assignments),
+                    lambda g, w: profile_kernel(g, cfg, idf_w=w), idf)
 
 
 def fit_ind_ensemble(
@@ -297,7 +202,8 @@ def fit_ind_ensemble(
     def keep_labeled(df: pd.DataFrame, _ids=frozenset(truth["record_id"])) -> pd.DataFrame:
         return df[df["record_id"].isin(_ids)]
 
-    X = features.map_batches(keep_labeled, batch_format="pandas").to_pandas()
+    X = features.select_columns(["record_id", *IND_FEATURES]).map_batches(
+        keep_labeled, batch_format="pandas").to_pandas()
     if len(X) > max_train_records:
         h = pd.util.hash_pandas_object(X["record_id"], index=False)
         X = X.iloc[np.argsort(h.to_numpy(), kind="stable")[:max_train_records]]
@@ -320,23 +226,14 @@ def run_ind_learned(
     cells: tuple | None = None,
     max_train_records: int = 50_000,
 ) -> "rd.Dataset":
-    """Learned IND lifecycle (the mind/ analog): normalize → vectorize →
-    attach claimed profiles → per-(profile, record) feature extraction →
-    CellSpec ensemble fit on the labeled subset (driver-side, few KB) →
-    broadcast scoring of every record. Output mirrors :func:`run_ind`
-    (score ranks likely-correct HIGH; ``is_outlier`` = score < 0.5)."""
+    """Learned IND lifecycle (the mind/ analog): :func:`score_profiles`
+    → CellSpec ensemble fit on the labeled subset of its feature rows
+    (in the calling process, few KB) → broadcast scoring of every
+    record. Output mirrors :func:`run_ind` (score ranks likely-correct
+    HIGH; ``is_outlier`` = score < 0.5)."""
     from whoiswho_ray.training import apply_ensemble
 
-    cfg = cfg or SNDConfig()
-    if isinstance(records, str):
-        records = rd.read_parquet(records)
-    if isinstance(assignments, str):
-        assignments = rd.read_parquet(assignments)
-    normalized = normalize_records(records, cfg).select_columns(
-        [c for c in IND_SIG_COLS if c not in ("tfv_ids", "tfv_w")]).materialize()
-    idf = build_idf(normalized, cfg)
-    vec = vectorize(normalized, idf, cfg, keep=IND_SIG_COLS)
-    feats = ind_features(attach_profiles(vec, assignments), cfg).materialize()
+    feats = score_profiles(records, assignments, cfg)
     model, _ = fit_ind_ensemble(feats, truth_train, cells=cells,
                                 max_train_records=max_train_records)
     scored = apply_ensemble(feats, model, out_col="score")
@@ -359,18 +256,7 @@ def run_ind(
     assignments: "rd.Dataset | str",
     cfg: SNDConfig | None = None,
 ) -> "rd.Dataset":
-    """records + claimed (record_id → profile_id) → outlier flags/scores.
-
-    The full IND lifecycle: normalize → idf → vectorize (full encoding —
-    the in-profile kernel reads the same columns as SND blocking) →
-    attach claimed profiles → cluster-consensus scoring."""
-    cfg = cfg or SNDConfig()
-    if isinstance(records, str):
-        records = rd.read_parquet(records)
-    if isinstance(assignments, str):
-        assignments = rd.read_parquet(assignments)
-    normalized = normalize_records(records, cfg).select_columns(
-        [c for c in IND_SIG_COLS if c not in ("tfv_ids", "tfv_w")]).materialize()
-    idf = build_idf(normalized, cfg)
-    vec = vectorize(normalized, idf, cfg, keep=IND_SIG_COLS)
-    return ind_scores(attach_profiles(vec, assignments), cfg)
+    """records + claimed (record_id → profile_id) → outlier flags/scores:
+    the consensus columns of :func:`score_profiles`."""
+    return score_profiles(records, assignments, cfg).select_columns(
+        ["profile_id", "record_id", "n_members", "score", "is_outlier", "content_sha256"])

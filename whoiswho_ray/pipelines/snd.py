@@ -20,10 +20,11 @@ rather than paying a Python call per block. The streaming
 front end (normalize → idf → vectorize in the compact shuffle encoding)
 is written once, :func:`prepare`, and every pair consumer — the
 clusters, the vote and SGC variants, the PR curve, the trainer's pair
-features and the ``__ray_entry__`` edge and relational queries — runs
-its block kernel through the one blocking pass, :func:`_blocked`, which
-is executed once and returned materialized: Ray 2.49 cannot infer the
-schema of a map after a sort, so the first
+features, IND's profile scores (``pipelines/ind``, with the claimed
+profile as the block key) and the ``__ray_entry__`` edge and relational
+queries — runs its partition kernel through the one blocking pass,
+:func:`_blocked`, which is executed once and returned materialized: Ray
+2.49 cannot infer the schema of a map after a sort, so the first
 ``schema``/``to_arrow_refs``/``join`` on a lazy result would re-run
 vectorize → sort → block kernels under ``limit(1)``.
 
@@ -62,7 +63,7 @@ from ray.data.block import BlockAccessor
 from whoiswho_ray.config import SNDConfig
 from whoiswho_ray.stages.idf import IdfModel, _idf_from_partials, _partial_df, build_idf
 from whoiswho_ray.stages.normalize import normalize_records
-from whoiswho_ray.stages.pairs import (BLOCK_STAGES, CLUSTER_SHUFFLE_COLUMNS, _block_bounds,
+from whoiswho_ray.stages.pairs import (BLOCK_STAGES, CLUSTER_SHUFFLE_COLUMNS,
                                        block_stage_schemas, make_block_clusters,
                                        make_block_stages, shuffle_partitions)
 from whoiswho_ray.stages.scoring import vectorize
@@ -78,8 +79,7 @@ def _blocked(vectorized: "rd.Dataset", kernel, idf=None,
     lands whole in one partition, and the partition arrives sorted by
     ``block_key``, so a kernel decodes, scores and clusters all of its
     blocks at once (``pairs._score_partition``) instead of paying a
-    per-block call; a kernel written for one block goes through
-    :func:`_per_block`.
+    per-block call.
 
     ``idf``: required when ``vectorized`` was built with
     ship_weights=False — the kernel re-derives tfv_w from the broadcast
@@ -97,21 +97,6 @@ def _blocked(vectorized: "rd.Dataset", kernel, idf=None,
         vectorized = vectorized.repartition(partitions)
     return vectorized.sort("block_key").map_batches(
         fused, batch_size=None, batch_format="pyarrow").materialize()
-
-
-def _per_block(kernel):
-    """A partition kernel for :func:`_blocked` from a kernel written for
-    one block (``kernel(block, idf_w)``): the blocks' outputs,
-    concatenated in key order. An empty partition goes to the kernel as
-    it is, so the result keeps the kernel's typed schema."""
-    def run(part, w):
-        starts, _ = _block_bounds(part.column("block_key").combine_chunks())
-        if part.num_rows == 0:
-            return kernel(part, w)
-        return pa.concat_tables([kernel(part.slice(s, e - s), w)
-                                 for s, e in zip(starts[:-1], starts[1:])])
-
-    return run
 
 
 def prepare(records: "rd.Dataset | str", cfg: SNDConfig):
@@ -277,7 +262,7 @@ def run_snd_sgc(
                                        refine_rounds=refine_rounds,
                                        learned_rounds=learned_rounds)
 
-    return _blocked(vec, _per_block(kernel), idf)
+    return _blocked(vec, kernel, idf)
 
 
 def run_snd(

@@ -995,18 +995,22 @@ def sssp(
             batch_format="pandas")
 
         def merge(df: pd.DataFrame) -> pd.DataFrame:
-            # per node: min over each side; improved iff new < old or unseen
-            g = (df.groupby([node_col, "is_new"], sort=False)["d"].min()
-                 .unstack("is_new"))
-            o = g[0] if 0 in g.columns else pd.Series(np.nan, index=g.index)
-            n = g[1] if 1 in g.columns else pd.Series(np.nan, index=g.index)
-            improved = n.notna() & (o.isna() | (n < o))
-            d = o.where(~improved, n)
-            out = pd.DataFrame({node_col: g.index.to_numpy(),
-                                "d": d.to_numpy(np.float64).astype(np.int64),
-                                "improved":
-                                    improved.to_numpy().astype(np.int8)})
-            return out
+            # per node: min over each side, kept in int64 (a float or NaN
+            # column would round distances above 2^53); improved iff
+            # new < old or unseen
+            new = df["is_new"].to_numpy() == 1
+            d = df["d"].to_numpy(np.int64)
+            top = np.iinfo(np.int64).max
+            g = pd.DataFrame({node_col: df[node_col], "o": np.where(new, top, d),
+                              "n": np.where(new, d, top), "seen": ~new,
+                              "has_new": new}).groupby(node_col, sort=False).agg(
+                o=("o", "min"), n=("n", "min"), seen=("seen", "max"),
+                has_new=("has_new", "max"))
+            o, n = g["o"].to_numpy(), g["n"].to_numpy()
+            improved = g["has_new"].to_numpy() & (~g["seen"].to_numpy() | (n < o))
+            return pd.DataFrame({node_col: g.index.to_numpy(),
+                                 "d": np.where(improved, n, o),
+                                 "improved": improved.astype(np.int8)})
 
         merged = group_apply(old.union(cand), node_col, merge,
                              batch_format="pandas",

@@ -266,17 +266,11 @@ BLOCK_METRICS_SCHEMA = pa.schema([
     ("salted", pa.bool_()), ("truncated_pairs", pa.int64())])
 
 
-def _matrix_features(rows: _Rows, ii: np.ndarray, jj: np.ndarray,
-                     want_gram: bool = False) -> dict:
+def _matrix_features(rows: _Rows, ii: np.ndarray, jj: np.ndarray) -> dict:
     """The set features of the pairs ``(ii, jj)`` from one all-pairs pass
     per feature family (the reference's per-name matrix, block-bounded)
     that scores only the candidate pairs — no per-pair set ops, no n×n
-    count matrices.
-
-    ``want_gram``: also return the full n×n tf-idf Gram under
-    ``"_gram"``, with an exactly computed diagonal (``allpairs_matrix``
-    skips tokens unique within the block, which contribute only to self
-    dots) — the graph-smoothed cluster kernel consumes it."""
+    count matrices."""
     from whoiswho_ray.stages.scoring import allpairs_matrix
 
     n = rows.n
@@ -291,30 +285,18 @@ def _matrix_features(rows: _Rows, ii: np.ndarray, jj: np.ndarray,
     tfv_vals, tfv_off = rows.sets["tfv"]
     tfv_w64 = rows.tfv_w.astype(np.float64)
     if rows.tok_n is not None:
-        # the intersection counts of the tfv stream give j_tok exactly
-        # with the original token counts, since the min_df-pruned tokens
-        # (df==1) can never intersect
-        if want_gram:
-            Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64)
-            inter = allpairs_matrix(n, tfv_vals, tfv_off, pairs=(ii, jj))
-        else:  # ONE pass yields both the tf-idf dots and the counts
-            Mw, inter = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
-                                        with_counts=True, pairs=(ii, jj))
+        # ONE pass yields both the tf-idf dots and the intersection
+        # counts of the tfv stream, which give j_tok exactly with the
+        # original token counts, since the min_df-pruned tokens (df==1)
+        # can never intersect
+        cos, inter = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
+                                     with_counts=True, pairs=(ii, jj))
         union = rows.tok_n[ii] + rows.tok_n[jj] - inter
         j_tok = np.where(union > 0, inter / np.maximum(union, 1.0), 0.0)
     else:
         j_tok = jac("tok")
-        Mw = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64,
-                             pairs=None if want_gram else (ii, jj))
-    feats = {"j_tok": j_tok, "t_repo": jac("repo"), "t_ctx": jac("ctx"),
-             "cos": Mw[ii, jj] if want_gram else Mw}
-    if want_gram:
-        # exact self dots: Σ w² per record. cos was gathered above (fancy
-        # indexing copies), so filling the diagonal in place is safe.
-        cs = np.concatenate(([0.0], np.cumsum(tfv_w64 ** 2)))
-        np.fill_diagonal(Mw, cs[tfv_off[1:]] - cs[tfv_off[:-1]])
-        feats["_gram"] = Mw
-    return feats
+        cos = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64, pairs=(ii, jj))
+    return {"j_tok": j_tok, "t_repo": jac("repo"), "t_ctx": jac("ctx"), "cos": cos}
 
 
 def _flat_features(rows: _Rows, ii: np.ndarray, jj: np.ndarray) -> dict:
@@ -386,16 +368,14 @@ def _finish(feats: dict, names: np.ndarray, n: int, ii: np.ndarray,
     return feats
 
 
-def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
-                 want_gram: bool = False):
+def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None):
     """One block → (rids, ii, jj, feats, truncated) — candidate generation
     + scoring, with the count of pairs the candidate budget dropped;
-    None when the block yields no candidate pairs. The per-block scorer
-    of the kernels that need one block at a time (the graph-smoothed
-    clusters, IND's profiles); the partition kernels score through
-    :func:`_score_partition`. ``idf_w``: as for :func:`_decode`;
-    ``want_gram``: as for :func:`_matrix_features`, in the matrix regime
-    only (absent for blocks above ``matrix_block_cap``)."""
+    None when the block yields no candidate pairs. The per-block
+    reference scorer: no kernel calls it (they score whole partitions
+    through :func:`_score_partition`), and the tests hold the partition
+    scorer's features equal to it bit for bit. ``idf_w``: as for
+    :func:`_decode`."""
     n = group.num_rows
     if n < 2:
         return None
@@ -403,7 +383,7 @@ def _score_block(group: pa.Table, cfg: SNDConfig, idf_w=None,
     ii, jj, truncated = _candidates(rows, cfg)
     if ii.size == 0:
         return None
-    feats = (_matrix_features(rows, ii, jj, want_gram) if n <= cfg.matrix_block_cap
+    feats = (_matrix_features(rows, ii, jj) if n <= cfg.matrix_block_cap
              else _flat_features(rows, ii, jj))
     return rows.rids, ii, jj, _finish(feats, rows.names, n, ii, jj, cfg), truncated
 
@@ -788,7 +768,7 @@ def _smoothed_gram_at(G: np.ndarray, P: np.ndarray, ii: np.ndarray,
 
 
 def make_block_sgc_clusters(
-    group: pa.Table,
+    part: pa.Table,
     cfg: SNDConfig,
     tau_strong: float | None = None,
     idf_w=None,
@@ -801,14 +781,18 @@ def make_block_sgc_clusters(
     embeddings). The trained attention network is swapped for one hop of
     parameter-free graph convolution (SGC, Wu et al. 2019, "Simplifying
     Graph Convolutional Networks"): each record's TF-IDF vector is
-    averaged with its strong neighbors' before the pairwise cosine.
+    averaged with its strong neighbors' before the pairwise cosine. A
+    partition kernel: one :func:`_score_partition` call scores every
+    block of the key-sorted partition, then each block is smoothed and
+    closed on its own (:func:`_sgc_block_labels`).
 
     Computed entirely in Gram space: with P = I + A (A = the strong-edge
     adjacency induced by the base scores at ``tau_strong``) the smoothed
     features are H' = P·H, so their Gram is H'·H'ᵀ = P·G·Pᵀ — two n×n
-    matmuls over the dense tf-idf dot matrix G the matrix-regime kernel
-    already produces; no per-record feature vectors are re-materialized
-    and nothing extra enters the shuffle. Cosine is invariant to row
+    matmuls over the block's dense tf-idf dot matrix G (one full
+    ``allpairs_matrix`` pass, with the exact Σw² self dots on the
+    diagonal); no per-record feature vectors are re-materialized and
+    nothing extra enters the shuffle. Cosine is invariant to row
     scaling, so the unnormalized closed-neighborhood sum equals
     degree-normalized SGC exactly. The pair score then swaps the raw
     cosine for the smoothed one; clusters are components over
@@ -847,76 +831,88 @@ def make_block_sgc_clusters(
     territory (no SQL oracle); determinism is still exact.
     """
     ts = cfg.tau_edge if tau_strong is None else tau_strong
-    n = group.num_rows
-    block_key = group.column("block_key").combine_chunks()
-    order, shas = _record_order(group, _block_bounds(block_key)[0])
+    sc = _score_partition(part, cfg, idf_w)
+    order, shas = _record_order(part, sc.starts)
+    pos = _sorted_pos(order)
+    labels = np.arange(sc.rows.n, dtype=np.int64)
+    first_pair = np.r_[0, np.cumsum(sc.n_pairs)]
+    for b in np.flatnonzero(sc.n_pairs):
+        s, e = int(sc.starts[b]), int(sc.starts[b + 1])
+        p = slice(first_pair[b], first_pair[b + 1])
+        ii, jj = sc.ii[p], sc.jj[p]
+        ii -= s  # block-local in place: a hot block's pairs are not copied
+        jj -= s
+        labels[s:e] = s + _sgc_block_labels(
+            sc.rows.block(s, e), ii, jj, {k: v[p] for k, v in sc.feats.items()},
+            pos[s:e] - s, cfg, ts, refine_rounds, learned_rounds)
+    return _cluster_rows(sc.block_key, sc.rows.rids, order, shas, labels)
 
+
+def _sgc_block_labels(rows: _Rows, ii: np.ndarray, jj: np.ndarray, feats: dict,
+                      sorted_pos: np.ndarray, cfg: SNDConfig, ts: float,
+                      refine_rounds: int, learned_rounds: int) -> np.ndarray:
+    """One block's :func:`make_block_sgc_clusters` components: labels per
+    record_id-sorted position (``sorted_pos``: each row's), from its
+    candidate pairs ``(ii, jj)`` (sorted, as candidates are) and their
+    features."""
     from whoiswho_ray.stages.cluster import cc_labels
+    from whoiswho_ray.stages.scoring import allpairs_matrix
 
-    scored = _score_block(group, cfg, idf_w=idf_w, want_gram=True)
-    if scored is None:
-        labels = np.arange(n, dtype=np.int64)
-    else:
-        _, ii, jj, feats, _ = scored
-        G = feats.pop("_gram", None)
-        if G is None:  # beyond matrix_block_cap: raw-score fallback
-            score2 = feats["score"]
-        else:
-            P = np.eye(n)
-            strong = feats["score"] >= ts
-            P[ii[strong], jj[strong]] = 1.0
-            P[jj[strong], ii[strong]] = 1.0
-            d, gh = _smoothed_gram_at(G, P, ii, jj)
-            del P
-            ok = (d[ii] > 0) & (d[jj] > 0)
-            denom = np.sqrt(np.where(ok, d[ii] * d[jj], 1.0))
-            cos2 = np.where(ok, gh / denom, 0.0)
-            score2 = (feats["score"]
-                      + cfg.w_tfidf * (cos2 - feats["cos"]))
-        keep = score2 >= cfg.tau_edge
-        sorted_pos = _sorted_pos(order)
-        labels = cc_labels(n, sorted_pos[ii[keep]], sorted_pos[jj[keep]])
-        if G is not None:
-            for _ in range(max(0, refine_rounds)):
-                # pseudo-labels = current components; re-embed = pool the
-                # Gram per cluster (cosine is scale-invariant, so the
-                # cluster SUM equals the centroid)
-                comp = labels[sorted_pos]  # per ii/jj index: its root
-                _, cidx = np.unique(comp, return_inverse=True)
-                k = cidx.max() + 1 if n else 0
-                B = np.zeros((n, k))
-                B[np.arange(n), cidx] = 1.0
-                M = B.T @ G @ B
-                dM = np.diagonal(M)
-                ci, cj = cidx[ii], cidx[jj]
-                ok = (dM[ci] > 0) & (dM[cj] > 0)
-                denom = np.sqrt(np.where(ok, dM[ci] * dM[cj], 1.0))
-                cosr = np.where(ok, M[ci, cj] / denom, 0.0)
-                scorer = feats["score"] + cfg.w_tfidf * (cosr - feats["cos"])
-                keep = scorer >= cfg.tau_edge
-                new_labels = cc_labels(n, sorted_pos[ii[keep]],
-                                       sorted_pos[jj[keep]])
-                if np.array_equal(new_labels, labels):
-                    break
-                labels = new_labels
-        if G is not None and learned_rounds > 0 and ii.size > 0:
-            X = np.column_stack([feats["j_tok"], feats["t_repo"],
-                                 feats["t_ctx"], feats["cos"],
-                                 feats["jw"]])
-            for _ in range(learned_rounds):
-                comp = labels[sorted_pos]
-                y = (comp[ii] == comp[jj]).astype(np.float64)
-                if y.all() or not y.any():
-                    break  # degenerate pseudo-labels: nothing to learn
-                prob = _fit_pair_logistic(X, y)
-                keep = prob(X) >= 0.5
-                new_labels = cc_labels(n, sorted_pos[ii[keep]],
-                                       sorted_pos[jj[keep]])
-                if np.array_equal(new_labels, labels):
-                    break
-                labels = new_labels
-    return _cluster_rows(block_key, _objects(group.column("record_id")), order, shas,
-                         labels)
+    n = rows.n
+
+    def closure(keep):
+        return cc_labels(n, sorted_pos[ii[keep]], sorted_pos[jj[keep]])
+
+    if n > cfg.matrix_block_cap:  # raw-score fallback
+        return closure(feats["score"] >= cfg.tau_edge)
+    tfv_vals, tfv_off = rows.sets["tfv"]
+    tfv_w64 = rows.tfv_w.astype(np.float64)
+    G = allpairs_matrix(n, tfv_vals, tfv_off, tfv_w64)
+    # exact self dots: Σ w² per record (``allpairs_matrix`` skips tokens
+    # unique within the block, which contribute only to them)
+    cs = np.concatenate(([0.0], np.cumsum(tfv_w64 ** 2)))
+    np.fill_diagonal(G, cs[tfv_off[1:]] - cs[tfv_off[:-1]])
+    P = np.eye(n)
+    strong = feats["score"] >= ts
+    P[ii[strong], jj[strong]] = 1.0
+    P[jj[strong], ii[strong]] = 1.0
+    d, gh = _smoothed_gram_at(G, P, ii, jj)
+    del P
+    ok = (d[ii] > 0) & (d[jj] > 0)
+    denom = np.sqrt(np.where(ok, d[ii] * d[jj], 1.0))
+    cos2 = np.where(ok, gh / denom, 0.0)
+    labels = closure(feats["score"] + cfg.w_tfidf * (cos2 - feats["cos"]) >= cfg.tau_edge)
+    for _ in range(max(0, refine_rounds)):
+        # pseudo-labels = current components; re-embed = pool the Gram
+        # per cluster (cosine is scale-invariant, so the cluster SUM
+        # equals the centroid)
+        comp = labels[sorted_pos]  # per ii/jj index: its root
+        _, cidx = np.unique(comp, return_inverse=True)
+        B = np.zeros((n, cidx.max() + 1))
+        B[np.arange(n), cidx] = 1.0
+        M = B.T @ G @ B
+        dM = np.diagonal(M)
+        ci, cj = cidx[ii], cidx[jj]
+        ok = (dM[ci] > 0) & (dM[cj] > 0)
+        denom = np.sqrt(np.where(ok, dM[ci] * dM[cj], 1.0))
+        cosr = np.where(ok, M[ci, cj] / denom, 0.0)
+        new_labels = closure(feats["score"] + cfg.w_tfidf * (cosr - feats["cos"])
+                             >= cfg.tau_edge)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    X = np.column_stack([feats["j_tok"], feats["t_repo"], feats["t_ctx"], feats["cos"],
+                         feats["jw"]]) if learned_rounds > 0 else None
+    for _ in range(learned_rounds):
+        comp = labels[sorted_pos]
+        y = (comp[ii] == comp[jj]).astype(np.float64)
+        if y.all() or not y.any():
+            break  # degenerate pseudo-labels: nothing to learn
+        new_labels = closure(_fit_pair_logistic(X, y)(X) >= 0.5)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels
 
 
 SHUFFLE_CPU_MULT = 2

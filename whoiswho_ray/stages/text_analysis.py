@@ -1784,22 +1784,24 @@ def extract_regex_all(
     vectorized ``str.extract_all`` + explode (rust regex engine — keep
     patterns to the RE2-compatible subset shared with the DuckDB oracle:
     no backrefs/lookaround, which neither engine supports anyway), and
-    the per-row match ordinal is one windowed cum_count. Embarrassingly
+    the per-row match ordinal is one windowed cum_count over the row
+    index (not the id: rows sharing an id number their matches apart,
+    as the SQL does, whatever batch they fall in). Embarrassingly
     parallel; output order within a row is match order.
     """
     import polars as pl
     import pyarrow as pa
 
     def fn(t: pa.Table) -> pa.Table:
-        df = pl.from_arrow(t.select([id_col, text_col]))
+        df = pl.from_arrow(t.select([id_col, text_col])).with_row_index("__row")
         out = (
             df.with_columns(
                 pl.col(text_col).str.extract_all(pattern).alias("match"))
-            .select([id_col, "match"])
+            .select(["__row", id_col, "match"])
             .explode("match")
             .drop_nulls("match")
             .with_columns(
-                (pl.col("match").cum_count().over(id_col) - 1)
+                (pl.col("match").cum_count().over("__row") - 1)
                 .cast(pl.Int64).alias("match_idx"))
             .select([id_col, "match_idx", "match"])
         )
