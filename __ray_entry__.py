@@ -2290,6 +2290,21 @@ def snd_publications(sf_dir: str):
     return cluster_publications(_rd.from_arrow(pubs))
 
 
+def _rnd_split(sf_dir: str):
+    """The RND queries' input: the derived records split 80/20 into
+    (known, new) on a content-stable hash of the commit column."""
+    from whoiswho_ray.sources.tables import records_from_documents
+
+    recs = records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS)
+
+    def split(t: pa.Table, keep_new: bool) -> pa.Table:
+        is_new = np.array([int(c[:2], 16) % 5 == 0 for c in t.column("commit").to_pylist()])
+        return t.filter(pa.array(is_new if keep_new else ~is_new))
+
+    return (recs.map_batches(lambda t: split(t, False), batch_format="pyarrow"),
+            recs.map_batches(lambda t: split(t, True), batch_format="pyarrow"))
+
+
 def rnd_assign(sf_dir: str):
     """RND pipeline: cluster 80% of derived records as "known", assign the
     held-out 20% to the resulting entity profiles with NIL thresholding
@@ -2297,22 +2312,9 @@ def rnd_assign(sf_dir: str):
     EXACT-oracled: the SQL replays clustering → profile aggregation →
     assignment end-to-end (``_rnd_assign_oracle_sql``); the query projects
     the float-free columns so the hash compare is noise-free."""
-    import pyarrow.compute as _pc
-
     from whoiswho_ray.pipelines.rnd import run_rnd
-    from whoiswho_ray.sources.tables import records_from_documents
 
-    recs = records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS)
-    # deterministic split on a content-stable hash of the commit column
-    def split(t: pa.Table, keep_new: bool) -> pa.Table:
-        commits = t.column("commit").to_pylist()
-        is_new = np.array([int(c[:2], 16) % 5 == 0 for c in commits])
-        mask = is_new if keep_new else ~is_new
-        return t.filter(pa.array(mask))
-
-    known = recs.map_batches(lambda t: split(t, False), batch_format="pyarrow")
-    new = recs.map_batches(lambda t: split(t, True), batch_format="pyarrow")
-    return run_rnd(known, new).select_columns(
+    return run_rnd(*_rnd_split(sf_dir)).select_columns(
         ["record_id", "block_key", "assigned_cluster", "n_candidates"])
 
 
@@ -2324,19 +2326,8 @@ def rnd_assign_learned(sf_dir: str):
     argmax with NIL (AutoTrainRND.py:35-71 analog). Model-driven —
     rows-only check by design; accuracy gated in test_rnd."""
     from whoiswho_ray.pipelines.rnd import run_rnd_learned
-    from whoiswho_ray.sources.tables import records_from_documents
 
-    recs = records_from_documents(sf_dir, n_blocks=N_DOC_BLOCKS)
-
-    def split(t: pa.Table, keep_new: bool) -> pa.Table:
-        commits = t.column("commit").to_pylist()
-        is_new = np.array([int(c[:2], 16) % 5 == 0 for c in commits])
-        mask = is_new if keep_new else ~is_new
-        return t.filter(pa.array(mask))
-
-    known = recs.map_batches(lambda t: split(t, False), batch_format="pyarrow")
-    new = recs.map_batches(lambda t: split(t, True), batch_format="pyarrow")
-    return run_rnd_learned(known, new)
+    return run_rnd_learned(*_rnd_split(sf_dir))
 
 
 def q_custkeys_intersect(sf_dir: str):
@@ -4711,11 +4702,11 @@ def _rnd_assign_oracle_sql() -> str:
     known records → the flagship score + two recursive-CTE closures
     (verbatim from the snd_clusters oracle, seeded on known records) →
     per-cluster profiles (distinct token-set unions; summed-then-L2-
-    normalized member TF-IDF weights — ``build_profiles.to_profile``) →
+    normalized member TF-IDF weights — ``rnd.profile_kernel``) →
     record × same-block-profile scoring with the shared ``_score_expr``
     formula → deterministic argmax (score DESC, cluster_id ASC — numpy's
     first-max over id-sorted candidates) with the NIL threshold
-    (``assign_records``, AutoTrainRND.py:52-71 analog). Output is the
+    (``rnd.assign_kernel``, AutoTrainRND.py:52-71 analog). Output is the
     float-free projection (record_id, block_key, assigned_cluster,
     n_candidates), so the hash compare never touches a float column."""
     from whoiswho_ray.config import SNDConfig

@@ -409,3 +409,33 @@ class TestPagerankPersonalized:
             pagerank_personalized(
                 rd.from_pandas(edges),
                 rd.from_pandas(pd.DataFrame({"node": ["zzz"]})))
+
+
+class TestBroadcastBound:
+    """The broadcast-only PageRank variants refuse a node set above
+    ``graph.MAX_BROADCAST_NODES`` before collecting it to the driver."""
+
+    EDGES = pd.DataFrame({"src": ["a", "b", "c"], "dst": ["b", "c", "d"],
+                          "w": np.array([1, 2, 3], dtype=np.int64)})
+
+    def test_weighted_and_personalized_raise_above_the_bound(self, ray_session,
+                                                             monkeypatch):
+        import pytest as _pt
+
+        from whoiswho_ray.stages import graph
+
+        monkeypatch.setattr(graph, "MAX_BROADCAST_NODES", 3)
+        with _pt.raises(ValueError, match="4 nodes exceed the broadcast bound 3"):
+            graph.pagerank_weighted(rd.from_pandas(self.EDGES))
+        with _pt.raises(ValueError, match="4 nodes exceed the broadcast bound 3"):
+            graph.pagerank_personalized(rd.from_pandas(self.EDGES),
+                                        rd.from_pandas(pd.DataFrame({"node": ["a"]})))
+
+    def test_at_the_bound_they_run(self, ray_session, monkeypatch):
+        from whoiswho_ray.stages import graph
+
+        monkeypatch.setattr(graph, "MAX_BROADCAST_NODES", 4)
+        assert len(graph.pagerank_weighted(rd.from_pandas(self.EDGES)).to_pandas()) == 4
+        out = graph.pagerank_personalized(rd.from_pandas(self.EDGES),
+                                          rd.from_pandas(pd.DataFrame({"node": ["a"]})))
+        assert set(out.to_pandas()["node"]) == {"a", "b", "c", "d"}

@@ -208,8 +208,9 @@ class TestAttachProfiles:
         shuffle rows with the block as the profile."""
         import dataclasses
 
-        from whoiswho_ray.pipelines.ind import attach_profiles, profile_kernel, score_profiles
+        from whoiswho_ray.pipelines.ind import profile_kernel, score_profiles
         from whoiswho_ray.pipelines.snd import prepare
+        from whoiswho_ray.stages.joins import attach_claims
         from whoiswho_ray.stages.pairs import _score_partition
 
         cfg = dataclasses.replace(SNDConfig(), max_allpairs_block=12)
@@ -229,7 +230,7 @@ class TestAttachProfiles:
             return t, sc, pairs
 
         snd_t, snd_sc, snd_pairs = scored(vec)
-        _, ind_sc, ind_pairs = scored(attach_profiles(vec.materialize(), asg))
+        _, ind_sc, ind_pairs = scored(attach_claims(vec.materialize(), asg, "profile_id"))
         sizes = np.diff(snd_sc.starts)
         salted = sizes > cfg.max_allpairs_block
         assert (snd_sc.n_pairs[salted] < sizes[salted] * (sizes[salted] - 1) // 2).any()

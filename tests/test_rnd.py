@@ -1,7 +1,11 @@
 """RND assignment pipeline: profiles, argmax-with-NIL, accuracy gate."""
 
+import dataclasses
+
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 import ray.data as rd
@@ -270,3 +274,245 @@ class TestEnsembleSampling:
         model2, diag2 = fit_rnd_ensemble(vec, profiles, clusters,
                                          max_train_records=cap)
         assert diag2["n_train_records"] == cap
+
+
+NAMES = ["model.py", "Model.py", "util.py", None, "b.py"]
+
+
+def _attached(seed: int = 0, n_clusters: int = 12) -> pa.Table:
+    """A profile-kernel partition: full-encoding records of several
+    clusters, sorted by cluster (``block_key``), records of a cluster in
+    no particular record_id order, ids shared between members, some
+    names missing, one member-less id family."""
+    rng = np.random.RandomState(seed)
+    rows = []
+    for c in range(n_clusters):
+        pool = np.unique(rng.randint(0, 10**9, 24)).astype(np.int64)
+        for i in rng.permutation(int(rng.randint(1, 9))):
+            tok = np.unique(rng.choice(pool, rng.randint(0, 14)))
+            tfv = tok[rng.rand(tok.size) < 0.8]
+            w = rng.rand(tfv.size).astype(np.float32)
+            rows.append({
+                "record_id": f"r{c:02d}-{i}-{rng.randint(1000):03d}",
+                "block_key": f"c{c:02d}", "member_key": f"bk{c % 4}",
+                "name": NAMES[rng.randint(len(NAMES))] if c != 3 else None,
+                "tok_ids": tok, "repo_ids": np.unique(rng.choice(pool[:4], rng.randint(0, 3))),
+                "ctx_ids": np.empty(0, np.int64) if c == 5 else np.unique(
+                    rng.choice(pool[4:10], rng.randint(0, 4))),
+                "tfv_ids": tfv, "tfv_w": w / max(float(np.linalg.norm(w)), 1e-9)})
+    ids = pa.list_(pa.int64())
+    return pa.table({
+        **{k: pa.array([r[k] for r in rows], pa.string())
+           for k in ("record_id", "block_key", "member_key", "name")},
+        **{k: pa.array([r[k].tolist() for r in rows], ids)
+           for k in ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids")},
+        "tfv_w": pa.array([r["tfv_w"].tolist() for r in rows], pa.list_(pa.float32()))})
+
+
+def _reference_profiles(t: pa.Table, cap: int, keep_members: int) -> pd.DataFrame:
+    """The profile rule one cluster at a time, in plain numpy/pandas."""
+    out = []
+    for cid, g in t.to_pandas().groupby("block_key", sort=True):
+        g = g.sort_values("record_id")
+
+        def union(col):
+            allv = np.concatenate([np.asarray(a, np.int64) for a in g[col]])
+            ids, counts = np.unique(allv, return_counts=True)
+            if ids.size > cap:
+                ids = np.sort(ids[np.argsort(-counts, kind="stable")[:cap]])
+            return ids
+
+        tfv = union("tfv_ids")
+        acc = np.zeros(tfv.size)
+        for ids, w in zip(g["tfv_ids"], g["tfv_w"]):
+            for v, x in zip(ids, w):
+                if v in tfv:
+                    acc[np.searchsorted(tfv, v)] += np.float64(x)
+        if np.linalg.norm(acc) > 0:
+            acc /= np.linalg.norm(acc)
+        modes = g["name"].dropna().mode()
+        row = {"cluster_id": cid, "block_key": g["member_key"].iloc[0],
+               "name": modes.iloc[0] if len(modes) else None, "n_members": len(g),
+               **{c: union(c) for c in ("tok_ids", "repo_ids", "ctx_ids")},
+               "tfv_ids": tfv, "tfv_w": acc.astype(np.float32)}
+        if keep_members:
+            head = g.head(keep_members)
+            row["member_tfv_ids"] = [np.asarray(x, np.int64) for x in head["tfv_ids"]]
+            row["member_tfv_w"] = [np.asarray(x, np.float64) for x in head["tfv_w"]]
+        out.append(row)
+    return pd.DataFrame(out)
+
+
+class TestProfileKernel:
+    @pytest.mark.parametrize("cap,keep_members", [(256, 0), (5, 3)])
+    def test_equals_the_per_cluster_rule(self, monkeypatch, cap, keep_members):
+        """Capped unions (most frequent first, ties by the smaller id),
+        the record_id-ordered centroid, the modal name (ties to the
+        smallest, none for a nameless cluster) and the member prefix."""
+        from whoiswho_ray.pipelines import rnd
+
+        monkeypatch.setattr(rnd, "PROFILE_TOKEN_CAP", cap)
+        t = _attached()
+        got = rnd.profile_kernel(t, keep_members).to_pandas()
+        want = _reference_profiles(t, cap, keep_members)
+        assert list(got["cluster_id"]) == list(want["cluster_id"])
+        for c in ("block_key", "name", "n_members"):
+            assert list(got[c]) == list(want[c]), c
+        capped = False
+        for c in ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids"):
+            for a, b in zip(got[c], want[c]):
+                np.testing.assert_array_equal(np.asarray(a, np.int64), b, err_msg=c)
+                capped |= len(b) == cap
+        assert capped == (cap == 5)
+        for a, b in zip(got["tfv_w"], want["tfv_w"]):
+            np.testing.assert_allclose(np.asarray(a, np.float64), b, rtol=1e-6, atol=0)
+        for c in ("member_tfv_ids", "member_tfv_w") if keep_members else ():
+            for a, b in zip(got[c], want[c]):
+                assert len(a) == len(b) == min(keep_members, len(a))
+                for x, y in zip(a, b):
+                    np.testing.assert_array_equal(np.asarray(x), y)
+
+    def test_partition_cuts_and_empty_partition(self):
+        from whoiswho_ray.pipelines.rnd import profile_kernel
+
+        t = _attached(seed=1)
+        for keep in (0, 4):
+            whole = profile_kernel(t, keep)
+            starts = np.flatnonzero(np.r_[True, np.asarray(t["block_key"])[1:]
+                                          != np.asarray(t["block_key"])[:-1]])
+            cuts = [0, int(starts[3]), int(starts[8]), t.num_rows]
+            parts = [profile_kernel(t.slice(a, b - a), keep) for a, b in zip(cuts, cuts[1:])]
+            assert pa.concat_tables(parts).equals(whole)
+            assert profile_kernel(t.slice(0, 0), keep).schema == whole.schema
+
+
+def _assign_partition(seed: int = 0) -> tuple[pa.Table, pa.Table, pa.Table]:
+    """(profiles, new records, their assignment partition): new records
+    in the profiles' blocks, two identical profiles in one block (a
+    score tie) and one block with no profile."""
+    from whoiswho_ray.pipelines.rnd import profile_kernel
+
+    t = _attached(seed)
+    profs = profile_kernel(t).to_pandas()
+    twin = profs.iloc[[0]].assign(cluster_id="c00-twin")
+    profs = pd.concat([profs, twin], ignore_index=True)
+    rng = np.random.RandomState(seed + 7)
+    recs = t.to_pandas().sample(frac=0.6, random_state=seed).assign(
+        block_key=lambda d: d["member_key"])
+    recs["record_id"] = [f"new-{i:03d}" for i in range(len(recs))]
+    recs = pd.concat([recs, recs.iloc[:2].assign(block_key="bk-unseen",
+                                                  record_id=["new-x", "new-y"])])
+    recs["tok_ids"] = [np.unique(np.r_[a, rng.randint(0, 10**9, 2)]).astype(np.int64)
+                       for a in recs["tok_ids"]]
+    cols = ["record_id", "block_key", "name", "tok_ids", "repo_ids", "ctx_ids",
+            "tfv_ids", "tfv_w"]
+    ids = pa.list_(pa.int64())
+
+    def table(df, side):
+        return pa.table({
+            **{k: pa.array(df[k], pa.string()) for k in ("record_id", "block_key", "name")},
+            **{k: pa.array([np.asarray(x, np.int64).tolist() for x in df[k]], ids)
+               for k in cols[3:7]},
+            "tfv_w": pa.array([np.asarray(x, np.float32).tolist() for x in df["tfv_w"]],
+                              pa.list_(pa.float32())),
+            "side": pa.array(np.full(len(df), side, np.int8))})
+
+    recs_t = table(recs, 0)
+    profs_t = table(profs.rename(columns={"cluster_id": "record_id"}), 1)
+    part = pa.concat_tables([recs_t, profs_t])
+    part = part.take(pc.sort_indices(part, sort_keys=[("block_key", "ascending")]))
+    return profs_t, recs_t, part
+
+
+def _brute_best(recs: pd.DataFrame, profs: pd.DataFrame, cfg: SNDConfig) -> dict:
+    """record_id → (best score, its cluster_id, n_candidates) by the
+    scalar scorer (ties: the smallest cluster_id)."""
+    from whoiswho_ray.stages.scoring import score_pair_arrays
+
+    out = {}
+    for r in recs.itertuples():
+        cands = profs[profs["block_key"] == r.block_key].sort_values("record_id")
+        best = (0.0, NIL)
+        for p in cands.itertuples():
+            s = score_pair_arrays(
+                np.asarray(r.tok_ids), np.asarray(p.tok_ids), np.asarray(r.repo_ids),
+                np.asarray(p.repo_ids), np.asarray(r.ctx_ids), np.asarray(p.ctx_ids),
+                np.asarray(r.tfv_ids), np.asarray(r.tfv_w, np.float64), np.asarray(p.tfv_ids),
+                np.asarray(p.tfv_w, np.float64), r.name or "", p.name or "", cfg)[-1]
+            if best[1] == NIL or s > best[0]:
+                best = (s, p.record_id)
+        out[r.record_id] = (*best, len(cands))
+    return out
+
+
+class TestAssignKernel:
+    def test_argmax_nil_and_ties_match_the_scalar_scorer(self):
+        from whoiswho_ray.pipelines.rnd import assign_kernel
+
+        profs, recs, part = _assign_partition()
+        brute = _brute_best(recs.to_pandas(), profs.to_pandas(), SNDConfig())
+        scores = sorted(b[0] for b in brute.values() if b[2])
+        cfg = dataclasses.replace(SNDConfig(), tau_edge=scores[len(scores) // 2])
+        got = assign_kernel(part, cfg).to_pandas().set_index("record_id")
+        assert sorted(got.index) == sorted(brute)
+        n_nil = 0
+        for rid, (s, cid, n) in brute.items():
+            row = got.loc[rid]
+            assert row["n_candidates"] == n, rid
+            assert abs(row["score"] - s) <= 1e-12, rid
+            nil = n == 0 or s < cfg.tau_edge
+            assert row["assigned_cluster"] == (NIL if nil else cid), rid
+            n_nil += nil
+        assert 0 < n_nil < len(brute)
+        assert got.loc[["new-x", "new-y"], "n_candidates"].tolist() == [0, 0]
+        # the twin profile ties its original; the smaller cluster_id wins
+        twin_block = profs.to_pandas().set_index("record_id").loc["c00-twin", "block_key"]
+        tied = got[(got["block_key"] == twin_block) & (got["assigned_cluster"] != NIL)]
+        assert "c00-twin" not in set(tied["assigned_cluster"])
+
+    def test_empty_partition_keeps_the_typed_schema(self):
+        from whoiswho_ray.pipelines.rnd import assign_kernel
+
+        _, _, part = _assign_partition()
+        assert assign_kernel(part.slice(0, 0), SNDConfig()).schema == \
+            assign_kernel(part, SNDConfig()).schema
+
+
+class TestRndOnTheEngine:
+    @pytest.fixture(scope="class")
+    def encoded(self, rnd_setup):
+        from whoiswho_ray.pipelines.rnd import _encode, build_profiles
+
+        known, new, _, _ = rnd_setup
+        cols = ["repo", "path", "commit", "lang", "content"]
+        cfg = SNDConfig()
+        known_vec, clusters, new_vec = _encode(rd.from_pandas(known[cols]),
+                                               rd.from_pandas(new[cols]), cfg)
+        return cfg, new_vec.materialize(), build_profiles(known_vec, clusters)
+
+    def test_scores_are_the_scalar_scores_of_the_read_back_profiles(self, rnd_setup,
+                                                                    encoded):
+        """Every assigned score is the scalar score of the record and the
+        profile ``build_profiles`` returns, the best of its block, and NIL
+        is given exactly below ``tau_edge``."""
+        cfg, new_vec, profiles = encoded
+        assigned = rnd_setup[3].set_index("record_id")
+        recs = new_vec.to_pandas()
+        profs = profiles.to_pandas().rename(columns={"cluster_id": "record_id"})
+        brute = _brute_best(recs, profs, cfg)
+        assert set(brute) == set(assigned.index)
+        for rid, (s, cid, n) in brute.items():
+            row = assigned.loc[rid]
+            assert row["n_candidates"] == n
+            assert abs(row["score"] - s) <= 1e-12
+            want = cid if n and s >= cfg.tau_edge else NIL
+            assert row["assigned_cluster"] == want
+        assert (assigned["assigned_cluster"] != NIL).any()
+
+    def test_empty_new_records_give_typed_zero_rows(self, encoded):
+        from whoiswho_ray.pipelines.rnd import _ASSIGN_SCHEMA, assign_records
+
+        cfg, new_vec, profiles = encoded
+        out = assign_records(new_vec.limit(0), profiles, cfg)
+        assert out.count() == 0
+        assert out.schema().base_schema == _ASSIGN_SCHEMA

@@ -16,6 +16,7 @@ import uuid
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 import ray
@@ -255,3 +256,104 @@ class TestCheckpointedRunExecutions:
         run_snd(rd.from_arrow(tabs["records"]), out_dir=str(tmp_path / "parts"),
                 partition_resume=True, n_edge_partitions=3)
         assert len(executions) == 1 + 3
+
+
+class TestAttachRunsOnce:
+    """The record ⋈ claim co-group (``joins.attach_claims``) reads its
+    inputs' schemas without running them: no execution of IND or of
+    the RND profiles holds a ``limit(1)`` schema probe."""
+
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+        plans = []
+        execute = StreamingExecutor.execute
+
+        def names(op) -> list[str]:
+            return [n for d in op.input_dependencies for n in names(d)] + [op.name]
+
+        def counting(self, dag, *args, **kwargs):
+            plans.append(names(dag))
+            return execute(self, dag, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", counting)
+        return plans
+
+    @staticmethod
+    def _no_probe(plans) -> bool:
+        return not any(n.startswith("limit") for plan in plans for n in plan)
+
+    def test_run_ind(self, small_fixture, executed):
+        from whoiswho_ray.pipelines.ind import run_ind
+
+        _spec, tabs = small_fixture
+        gt = tabs["ground_truth"].to_pandas()
+        claims = rd.from_pandas(gt[["record_id", "entity_id"]].rename(
+            columns={"entity_id": "profile_id"}))
+        out = run_ind(rd.from_arrow(tabs["records"]), claims)
+        assert self._no_probe(executed), executed
+        # normalize (materialized), vectorize (materialized), the blocking pass
+        assert len(executed) == 3, executed
+        assert out.count() == len(gt)
+
+    def test_build_profiles(self, small_fixture, executed):
+        from whoiswho_ray.pipelines.rnd import build_profiles
+
+        _spec, tabs = small_fixture
+        gt = tabs["ground_truth"].to_pandas()
+        ids = [[i % 7, 7 + i % 3] for i in range(len(gt))]
+        vec = rd.from_arrow(pa.table({
+            "record_id": gt["record_id"], "block_key": gt["block_key"],
+            "name": ["a.py"] * len(gt), "extra": [1] * len(gt),
+            **{c: pa.array(ids, pa.list_(pa.int64()))
+               for c in ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids")},
+            "tfv_w": pa.array([[0.6, 0.8]] * len(gt), pa.list_(pa.float32()))}))
+        clusters = rd.from_pandas(gt[["record_id", "entity_id"]].rename(
+            columns={"entity_id": "cluster_id"}))
+        profiles = build_profiles(vec, clusters)
+        assert profiles.schema(fetch_if_missing=False) is not None
+        assert profiles.count() == gt["entity_id"].nunique()
+        assert self._no_probe(executed), executed
+        assert len(executed) == 1, executed
+
+
+class TestRndCommandRunsOnce:
+    def test_each_blocking_pass_runs_its_kernels_once(self, small_fixture, tmp_path,
+                                                      monkeypatch):
+        """``python -m whoiswho_ray rnd`` writes the assignments and counts
+        them without running the assignment (or the profile) pass again:
+        every pass's kernel sees each of its partitions once."""
+        import pyarrow.parquet as pq
+
+        from whoiswho_ray.__main__ import main
+        from whoiswho_ray.pipelines import snd
+
+        _spec, tabs = small_fixture
+        recs = tabs["records"]
+        pq.write_table(recs.slice(0, recs.num_rows - 40), tmp_path / "known.parquet")
+        pq.write_table(recs.slice(recs.num_rows - 40), tmp_path / "new.parquet")
+        (tmp_path / "calls").mkdir()
+        mark = _marker(tmp_path / "calls")
+        blocked, passes = snd._blocked, []
+
+        def spy(vectorized, kernel, idf=None, partitions=None):
+            n = len(passes)
+            passes.append(n)
+
+            def counted(part, w, _n=n):
+                mark((_n, part.num_rows, part.column("block_key")[0].as_py()
+                      if part.num_rows else ""))
+                return kernel(part, w)
+
+            return blocked(vectorized, counted, idf, partitions)
+
+        monkeypatch.setattr(snd, "_blocked", spy)
+        monkeypatch.setattr(ray, "shutdown", lambda: None)
+        assert main(["rnd", "--known", str(tmp_path / "known.parquet"), "--new",
+                     str(tmp_path / "new.parquet"), "--out", str(tmp_path / "out")]) == 0
+        calls = _calls(tmp_path / "calls")
+        # the SND clusters, the profiles and the assignment
+        assert len(passes) == 3
+        assert calls and set(calls.values()) == {1}, calls
+        assert pq.read_table(tmp_path / "out").num_rows == 40

@@ -7,8 +7,9 @@ import pyarrow as pa
 import pytest
 
 from whoiswho_ray.config import SNDConfig
-from whoiswho_ray.stages.scoring import (_flat, jw_for_pairs, score_flat_components,
-                                         score_pair_arrays)
+from whoiswho_ray.pipelines.rnd import pair_scores
+from whoiswho_ray.stages.pairs import _decode
+from whoiswho_ray.stages.scoring import score_pair_arrays
 
 FEATURES = ["j_tok", "t_repo", "t_ctx", "cos", "jw", "score"]
 
@@ -47,21 +48,23 @@ def test_batch_kernel_matches_scalar(seed):
                      ("tfv_ids_b", tfb), ("tfv_w_b", wb)]:
             rows[k].append(v)
 
+    # the a sides are rows 0..n-1 of one decoded table, the b sides rows
+    # n..2n-1, and RND's record × profile scorer scores the pairs (i, n+i)
+    def side(x):
+        return {"record_id": [f"r{i}{x}" for i in range(n)], "block_key": rows["block_key"],
+                "name": rows[f"name_{x}"],
+                **{f"{f}_ids": rows[f"{f}_{x}" if f != "tfv" else f"tfv_ids_{x}"]
+                   for f in ("tok", "repo", "ctx", "tfv")},
+                "tfv_w": rows[f"tfv_w_{x}"]}
+
+    a, b = side("a"), side("b")
     t = pa.table({
-        **{k: pa.array(rows[k], pa.string()) for k in ("block_key", "id_a", "id_b", "name_a", "name_b")},
-        **{k: pa.array([a.tolist() for a in rows[k]], pa.list_(pa.int64()))
-           for k in ("tok_a", "tok_b", "repo_a", "repo_b", "ctx_a", "ctx_b", "tfv_ids_a", "tfv_ids_b")},
-        **{k: pa.array([a.tolist() for a in rows[k]], pa.list_(pa.float32()))
-           for k in ("tfv_w_a", "tfv_w_b")},
+        **{k: pa.array(a[k] + b[k], pa.string()) for k in ("record_id", "block_key", "name")},
+        **{k: pa.array([v.tolist() for v in a[k] + b[k]], pa.list_(pa.int64()))
+           for k in ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids")},
+        "tfv_w": pa.array([v.tolist() for v in a["tfv_w"] + b["tfv_w"]], pa.list_(pa.float32())),
     })
-    col = lambda c: _flat(t.column(c))  # noqa: E731
-    out = score_flat_components(
-        cfg, n,
-        (col("tok_a"), col("tok_b")), (col("repo_a"), col("repo_b")),
-        (col("ctx_a"), col("ctx_b")),
-        ((*col("tfv_ids_a"), col("tfv_w_a")[0]), (*col("tfv_ids_b"), col("tfv_w_b")[0])),
-        jw_for_pairs(np.array(rows["name_a"] + rows["name_b"], dtype=object),
-                     np.arange(n), n + np.arange(n)))
+    out = pair_scores(_decode(t), np.arange(n), n + np.arange(n), cfg)
     exp = np.array(expected)
     for ci, c in enumerate(FEATURES):
         np.testing.assert_allclose(out[c], exp[:, ci], rtol=1e-6, atol=1e-9, err_msg=c)

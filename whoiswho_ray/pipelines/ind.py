@@ -34,9 +34,10 @@ Per (profile, record) output:
                 components, or n == 1) carry no evidence and flag nothing
 
 The front end is SND's (``snd.prepare``: normalize → idf → vectorize in
-the compact shuffle encoding). :func:`attach_profiles` co-groups the
-vectorized records with the claims on record_id and makes each claimed
-``profile_id`` the record's ``block_key``; the one SND blocking pass
+the compact shuffle encoding). ``joins.attach_claims``, the record ⋈
+claim co-group RND's profiles use too, joins the vectorized records with
+the claims on record_id and makes each claimed ``profile_id`` the
+record's ``block_key``; the one SND blocking pass
 (``snd._blocked``) then runs :func:`profile_kernel` once per sorted
 partition. One ``pairs._score_partition`` call scores every profile of a
 partition, with the block-bounded matrix/flat regimes and the hot-block
@@ -53,36 +54,6 @@ import pyarrow as pa
 import ray.data as rd
 
 from whoiswho_ray.config import SNDConfig
-
-
-def attach_profiles(
-    vectorized: "rd.Dataset", assignments: "rd.Dataset"
-) -> "rd.Dataset":
-    """(vectorized records) ⋈ (record_id → profile_id), inner and
-    many-to-many, with the claimed profile as the ``block_key``: a
-    hash-bucketed co-group on record_id (``joins.arrow_tagged_union``),
-    one Arrow join per bucket. Only scalars go through the join —
-    (record_id, profile_id) against (record_id, row index), since Arrow
-    joins carry no list payload — and the records' rows follow by
-    ``take``. Records with no claim are dropped (they belong to no
-    claimed profile)."""
-    from whoiswho_ray.stages.cluster import _cc_num_buckets
-    from whoiswho_ray.stages.joins import arrow_tagged_union, split_sides
-
-    u, lcols, rcols = arrow_tagged_union(
-        vectorized, assignments.select_columns(["record_id", "profile_id"]),
-        ["record_id"], ["record_id"], _cc_num_buckets())
-
-    def attach_bucket(g: pa.Table) -> pa.Table:
-        recs, claims = split_sides(g, lcols, rcols)
-        rows = pa.table({"record_id": recs.column("record_id"),
-                         "__row": pa.array(np.arange(recs.num_rows, dtype=np.int64))})
-        hit = claims.join(rows, "record_id", join_type="inner", use_threads=False)
-        out = recs.take(hit.column("__row"))
-        return out.set_column(out.schema.get_field_index("block_key"), "block_key",
-                              hit.column("profile_id"))
-
-    return u.groupby("__bucket").map_groups(attach_bucket, batch_format="pyarrow")
 
 
 #: Feature family for the learned IND scorer (one row per
@@ -165,9 +136,10 @@ def score_profiles(
 ) -> "rd.Dataset":
     """records + claimed (record_id → profile_id) → one
     :func:`profile_kernel` row per (profile, record): the SND front end
-    (``snd.prepare``), :func:`attach_profiles` and the one blocking pass,
-    returned executed (``snd._blocked``)."""
+    (``snd.prepare``), the claims attached (``joins.attach_claims``) and
+    the one blocking pass, returned executed (``snd._blocked``)."""
     from whoiswho_ray.pipelines.snd import _blocked, prepare
+    from whoiswho_ray.stages.joins import attach_claims
 
     cfg = cfg or SNDConfig()
     if isinstance(assignments, str):
@@ -175,7 +147,7 @@ def score_profiles(
     _, idf, vec = prepare(records, cfg)
     # materialized: the co-group reads its schema, which would otherwise
     # run the vectorize map once more
-    return _blocked(attach_profiles(vec.materialize(), assignments),
+    return _blocked(attach_claims(vec.materialize(), assignments, "profile_id"),
                     lambda g, w: profile_kernel(g, cfg, idf_w=w), idf)
 
 

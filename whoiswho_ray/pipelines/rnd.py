@@ -3,292 +3,293 @@
 The Ray-Data re-expression of the reference's RND (real-time name
 disambiguation) task (``/root/reference/whoiswho/training/AutoTrainRND.py``,
 SURVEY.md §3.2): "real-time" is micro-batch scoring against a static
-profile database, so the pipeline is
+profile database. Both steps are partition kernels on the SND blocking
+pass (``snd._blocked``):
 
-    profiles   = clusters ⋈ record signatures → one aggregated row per entity
-                 (profile caps follow the reference: ≤256 member token sets,
-                 ``adhoc_features.py:38,105``)
-    candidates = new records → same normalize/vectorize stages → candidate
-                 profiles by shared block key (the J2 fuzzy name→candidate
-                 join collapsed to the normalized blocking key)
-    assign     = per block: score record × profile with the same weighted
-                 feature kernel, take argmax, assign iff score ≥ tau_assign
-                 else NIL (``AutoTrainRND.py:52-71`` NIL-threshold rule,
-                 O3 top-1-with-threshold)
+    profiles = the known records ⋈ their clusters (``joins.attach_claims``,
+               IND's co-group, the cluster as block key) → :func:`profile_kernel`:
+               one row per cluster, id unions capped at the reference's
+               256 (``adhoc_features.py:38,105``), a TF-IDF centroid
+    assign   = new records ∪ profiles on ``block_key`` (the J2 fuzzy
+               name→candidate join collapsed to the blocking key) →
+               :func:`assign_kernel`: every record × every profile of its
+               block scored with SND's pair scorer, argmax, NIL below
+               ``tau_edge`` (``AutoTrainRND.py:52-71``, O3 top-1 + NIL)
 
-Everything streams: profile building is one groupby(cluster_id), candidate
-generation one groupby(block_key) co-group; no per-record Python in the
-hot path (the scoring reuses ``score_flat_components``).
+RND keeps the full encoding: its new records lie outside the idf corpus,
+so the compact encoding's df==1 pruning would not be exact for them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data as rd
 
 from whoiswho_ray.config import SNDConfig
-from whoiswho_ray.stages.idf import IdfModel, build_idf
+from whoiswho_ray.stages.idf import build_idf
 from whoiswho_ray.stages.normalize import normalize_records
+from whoiswho_ray.stages.pairs import _block_bounds, _decode, _flat_list
 from whoiswho_ray.stages.scoring import vectorize
 
 NIL = "NIL"
 
 PROFILE_TOKEN_CAP = 256  # reference profile cap (adhoc_features.py:105)
 
+# the vectorized record columns profiles are built from and scored against
+_SIG_COLS = ["record_id", "block_key", "name", "tok_ids", "repo_ids", "ctx_ids",
+             "tfv_ids", "tfv_w"]
+_ID_LISTS = ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids")
 
-def _agg_ids(series, cap: int = PROFILE_TOKEN_CAP) -> np.ndarray:
-    """Union of member token-id arrays, most-frequent-first cap, sorted."""
-    arrays = [np.asarray(a, dtype=np.int64) for a in series]
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    allv = np.concatenate(arrays)
-    if allv.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ids, counts = np.unique(allv, return_counts=True)
-    if ids.size > cap:
-        keep = np.argsort(-counts, kind="stable")[:cap]
-        ids = np.sort(ids[keep])
-    return ids
+
+def _profile_schema(keep_members: int) -> pa.Schema:
+    ids, s = pa.list_(pa.int64()), pa.string()
+    members = [("member_tfv_ids", pa.list_(ids)),
+               ("member_tfv_w", pa.list_(pa.list_(pa.float64())))]
+    return pa.schema([("cluster_id", s), ("block_key", s), ("name", s), ("n_members", pa.int64()),
+                      *[(c, ids) for c in _ID_LISTS], ("tfv_w", pa.list_(pa.float32())),
+                      *(members if keep_members else [])])
+
+
+def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices ``starts[k] + 0 … lens[k] - 1`` for every k, concatenated."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(int(ends[-1]) if ends.size else 0)
+
+
+def _capped_union(values: np.ndarray, offsets: np.ndarray, row_cluster: np.ndarray,
+                  cap: int):
+    """Per cluster, the union of its rows' id sets capped at the ``cap``
+    most frequent ids (ties: the smaller id), sorted. Returns the kept
+    (cluster, id) pairs in (cluster, id) order, and for every id of the
+    input its kept slot (-1: capped away)."""
+    c = np.repeat(row_cluster, np.diff(offsets))
+    v = values.astype(np.int64)
+    o = np.lexsort((v, c))
+    cs, vs = c[o], v[o]
+    new = np.ones(cs.size, dtype=bool)
+    new[1:] = (cs[1:] != cs[:-1]) | (vs[1:] != vs[:-1])
+    first = np.flatnonzero(new)
+    uc, uv = cs[first], vs[first]
+    r = np.lexsort((uv, -np.diff(np.r_[first, cs.size]), uc))
+    keep = np.zeros(uc.size, dtype=bool)
+    keep[r[np.arange(r.size) - np.searchsorted(uc[r], uc[r]) < cap]] = True
+    slot = np.where(keep, np.cumsum(keep) - 1, -1)
+    inv = np.empty(v.size, dtype=np.int64)
+    inv[o] = np.cumsum(new) - 1
+    return uc[keep], uv[keep], slot[inv]
+
+
+def _list_array(lens: np.ndarray, values: pa.Array) -> pa.Array:
+    """A list array of ``values`` cut into runs of ``lens``."""
+    off = np.zeros(lens.size + 1, dtype=np.int32)
+    np.cumsum(lens, out=off[1:])
+    return pa.ListArray.from_arrays(pa.array(off), values)
+
+
+def profile_kernel(part: pa.Table, keep_members: int = 0) -> pa.Table:
+    """One partition of attached records, sorted by ``block_key`` (the
+    cluster) → one profile row per cluster: ``cluster_id``, the members'
+    ``block_key`` (``member_key``), the modal ``name`` (ties: the
+    smallest), ``n_members``, each id family's union capped at
+    :data:`PROFILE_TOKEN_CAP` (most frequent first, ties by the smaller
+    id; sorted), and ``tfv_w``: the members' weights summed per kept
+    tfv id in record_id order, L2-normalized, float32. ``keep_members``
+    > 0 adds the first that many members' ``tfv_ids``/``tfv_w`` in
+    record_id order (``member_tfv_ids``/``member_tfv_w``) — the
+    reference's ≤40-paper profile cap for its KNRM features
+    (``oagbert_features.py:45``)."""
+    cluster = part.column("block_key").combine_chunks()
+    starts, keys = _block_bounds(cluster)
+    n_cl, sizes = len(keys), np.diff(starts)
+    row_cl = np.repeat(np.arange(n_cl), sizes)
+    order = pc.sort_indices(pa.table({"c": row_cl, "r": part.column("record_id")}),
+                            sort_keys=[("c", "ascending"), ("r", "ascending")]
+                            ).to_numpy().astype(np.int64)
+    out = {"cluster_id": pa.array(keys, pa.string()),
+           "block_key": part.column("member_key").take(pa.array(order[starts[:-1]])),
+           "name": _modal_names(part.column("name"), row_cl, n_cl),
+           "n_members": pa.array(sizes, pa.int64())}
+    for col in _ID_LISTS:
+        values, offsets = _flat_list(part.column(col))
+        uc, uv, slot = _capped_union(values, offsets, row_cl, PROFILE_TOKEN_CAP)
+        counts = np.bincount(uc, minlength=n_cl)
+        out[col] = _list_array(counts, pa.array(uv, pa.int64()))
+    # the centroid over the kept tfv ids (the loop's last family): each
+    # member token adds its weight to its id's slot, members in record_id
+    # order, then each cluster's sum is L2-normalized
+    lens = np.diff(offsets)
+    tok = _ragged(offsets[:-1][order], lens[order])
+    w = _flat_list(part.column("tfv_w"))[0].astype(np.float64)
+    kept = slot[tok] >= 0
+    acc = np.bincount(slot[tok][kept], weights=w[tok][kept], minlength=uv.size)
+    nonempty = counts > 0
+    scale = np.ones(n_cl)
+    if acc.size:
+        norm = np.sqrt(np.add.reduceat(acc * acc, (np.cumsum(counts) - counts)[nonempty]))
+        scale[nonempty] = np.where(norm > 0, norm, 1.0)
+    out["tfv_w"] = _list_array(counts, pa.array(
+        (acc / np.repeat(scale, counts)).astype(np.float32), pa.float32()))
+    if keep_members:
+        m = np.minimum(sizes, keep_members)
+        rows = order[_ragged(starts[:-1], m)]
+        for col, dt in (("tfv_ids", np.int64), ("tfv_w", np.float64)):
+            values, offsets = _flat_list(part.column(col))
+            lens = np.diff(offsets)[rows]
+            inner = _list_array(lens, pa.array(
+                values[_ragged(offsets[:-1][rows], lens)].astype(dt)))
+            out[f"member_{col}"] = _list_array(m, inner)
+    return pa.table(out, schema=_profile_schema(keep_members))
+
+
+def _modal_names(names, row_cl: np.ndarray, n_cl: int) -> pa.Array:
+    """Each cluster's most frequent non-null name, ties to the smallest
+    (code point order, as ``pandas.Series.mode``); null if it has none."""
+    valid = pc.is_valid(names).to_numpy(zero_copy_only=False)
+    uniq, code = np.unique(np.asarray(names.to_numpy(zero_copy_only=False), object)[valid]
+                           .astype(str), return_inverse=True)
+    uc, uv, _ = _capped_union(code, np.r_[0, np.cumsum(valid)], row_cl, 1)
+    out = np.full(n_cl, None, dtype=object)
+    out[uc] = uniq[uv]
+    return pa.array(out, pa.string())
 
 
 def build_profiles(
     vectorized: "rd.Dataset",
     clusters: "rd.Dataset",
-    cfg: SNDConfig | None = None,
     keep_members: int = 0,
-    token_cap: int = PROFILE_TOKEN_CAP,
 ) -> "rd.Dataset":
-    """(vectorized records, cluster table) → one profile row per cluster:
-    (cluster_id, block_key, name, tok_ids, repo_ids, ctx_ids, tfv_ids, tfv_w).
+    """(vectorized records, cluster table) → one :func:`profile_kernel`
+    row per cluster, returned executed: the records ⋈ (record_id →
+    cluster_id) co-group (``joins.attach_claims``), then the one blocking
+    pass (``snd._blocked``) with the cluster as the block key. Pass
+    ``vectorized`` materialized (the co-group reads its schema)."""
+    from whoiswho_ray.pipelines.snd import _blocked
+    from whoiswho_ray.stages.joins import attach_claims
 
-    ``keep_members`` > 0 additionally retains up to that many MEMBER TF-IDF
-    vectors per profile (``member_tfv_ids`` / ``member_tfv_w`` list-of-list
-    columns, record_id-sorted prefix — the reference's ≤40-paper profile
-    cap for its KNRM features, ``oagbert_features.py:45``) so downstream
-    scoring can pool per-member similarities instead of only the centroid.
+    return _blocked(attach_claims(vectorized, clusters, "cluster_id", _SIG_COLS),
+                    lambda g, _w: profile_kernel(g, keep_members))
 
-    The record⋈cluster join is a co-group on record_id (both sides keyed by
-    it); profile aggregation is one groupby(cluster_id)."""
-    cfg = cfg or SNDConfig()
 
-    sig_cols = ["record_id", "block_key", "name", "tok_ids", "repo_ids",
-                "ctx_ids", "tfv_ids", "tfv_w"]
-    left = vectorized.select_columns(sig_cols)
-    right = clusters.select_columns(["record_id", "cluster_id"])
+_ASSIGN_SCHEMA = pa.schema([("record_id", pa.string()), ("block_key", pa.string()),
+                            ("assigned_cluster", pa.string()), ("score", pa.float64()),
+                            ("n_candidates", pa.int64())])
 
-    # co-group join on record_id (1:1) without a pandas merge of payloads;
-    # both sides carry the SAME schema (typed empties on the side that
-    # lacks a column) so downstream block unification never mixes NaN into
-    # array-typed columns
-    _EI = np.empty(0, np.int64)
-    _EF = np.empty(0, np.float32)
 
-    def tag_l(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["cluster_id"] = ""
-        df["__side"] = "l"
-        return df
+def pair_scores(rows, ii: np.ndarray, jj: np.ndarray, cfg: SNDConfig) -> dict:
+    """Features and score of the pairs ``(ii, jj)`` of decoded rows
+    (``pairs._decode``): SND's flat-regime set features, Jaro-Winkler of
+    the names and the weighted score, without the ``w_rel`` graph blend
+    (a record × profile pair has no strong-edge graph)."""
+    from whoiswho_ray.stages.pairs import _flat_features, _weighted_score
+    from whoiswho_ray.stages.scoring import jw_for_pairs
 
-    def tag_r(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        df = df.copy()
-        df["block_key"] = ""
-        df["name"] = ""
-        for c in ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids"):
-            df[c] = [_EI] * n
-        df["tfv_w"] = [_EF] * n
-        df["__side"] = "r"
-        return df[sig_cols + ["cluster_id", "__side"]]
+    feats = _flat_features(rows, ii, jj)
+    feats["jw"] = jw_for_pairs(rows.names, ii, jj)
+    feats["score"] = _weighted_score(feats, cfg)
+    return feats
 
-    tagged_l = left.map_batches(tag_l, batch_format="pandas")
-    tagged_r = right.map_batches(tag_r, batch_format="pandas")
 
-    # hash-bucket co-group on record_id: ONE Ray group per bucket (4×CPUs
-    # buckets total), one vectorized pandas merge inside — never one Ray
-    # group per record (the r1 version paid ~0.5 ms of grouping overhead
-    # per record; at 2M records that was 17 CPU-minutes of pure overhead)
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
-
-    bucketed = _bucket_by(tagged_l.union(tagged_r), "record_id", _cc_num_buckets())
-
-    def attach_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns=["__bucket"])
-        sig = df[df["__side"] == "l"].drop(columns=["__side", "cluster_id"])
-        cl = df[df["__side"] == "r"][["record_id", "cluster_id"]]
-        if len(sig) == 0 or len(cl) == 0:
-            out = sig.iloc[0:0].copy()
-            out["cluster_id"] = pd.Series([], dtype=object)
-            return out
-        return sig.merge(cl, on="record_id", how="inner")
-
-    joined = bucketed.groupby("__bucket").map_groups(attach_bucket, batch_format="pandas")
-
-    def to_profile(g: pd.DataFrame) -> pd.DataFrame:
-        if not len(g):
-            cols = {
-                "cluster_id": pd.Series([], dtype=object),
-                "block_key": pd.Series([], dtype=object),
-                "name": pd.Series([], dtype=object),
-                "n_members": pd.Series([], dtype=np.int64),
-                "tok_ids": pd.Series([], dtype=object),
-                "repo_ids": pd.Series([], dtype=object),
-                "ctx_ids": pd.Series([], dtype=object),
-                "tfv_ids": pd.Series([], dtype=object),
-                "tfv_w": pd.Series([], dtype=object),
-            }
-            if keep_members:
-                cols["member_tfv_ids"] = pd.Series([], dtype=object)
-                cols["member_tfv_w"] = pd.Series([], dtype=object)
-            return pd.DataFrame(cols)
-        tfv_ids = _agg_ids(g["tfv_ids"], cap=token_cap)
-        # centroid weights: mean of member weights per kept id, renormalized
-        w_acc = np.zeros(tfv_ids.size, dtype=np.float64)
-        for ids, w in zip(g["tfv_ids"], g["tfv_w"]):
-            ids = np.asarray(ids, dtype=np.int64)
-            w = np.asarray(w, dtype=np.float64)
-            pos = np.searchsorted(tfv_ids, ids)
-            ok = (pos < tfv_ids.size)
-            ok[ok] &= tfv_ids[pos[ok]] == ids[ok]
-            w_acc[pos[ok]] += w[ok]
-        norm = np.linalg.norm(w_acc)
-        if norm > 0:
-            w_acc /= norm
-        name = g["name"].mode().iloc[0] if len(g) else ""
-        cols = {
-            "cluster_id": [g["cluster_id"].iloc[0]],
-            "block_key": [g["block_key"].iloc[0]],
-            "name": [name],
-            "n_members": [len(g)],
-            "tok_ids": [_agg_ids(g["tok_ids"], cap=token_cap)],
-            "repo_ids": [_agg_ids(g["repo_ids"], cap=token_cap)],
-            "ctx_ids": [_agg_ids(g["ctx_ids"], cap=token_cap)],
-            "tfv_ids": [tfv_ids],
-            "tfv_w": [w_acc.astype(np.float32)],
-        }
-        if keep_members:
-            gg = g.sort_values("record_id", kind="stable").head(keep_members)
-            cols["member_tfv_ids"] = [[np.asarray(x, np.int64) for x in gg["tfv_ids"]]]
-            cols["member_tfv_w"] = [[np.asarray(x, np.float64) for x in gg["tfv_w"]]]
-        return pd.DataFrame(cols)
-
-    # O(buckets) Ray groups, per-cluster split inside the bucket task
-    from whoiswho_ray.stages.agg import group_apply
-
-    return group_apply(joined, "cluster_id", to_profile, batch_format="pandas")
+def assign_kernel(part: pa.Table, cfg: SNDConfig) -> pa.Table:
+    """One partition of new records and profiles (``side`` 1, the
+    ``cluster_id`` as ``record_id``), sorted by ``block_key`` → one row
+    per record: every record is paired with every profile of its block,
+    the pairs are scored at once (:func:`pair_scores`), and the best
+    (score descending, then cluster_id ascending) is assigned if its
+    score reaches ``cfg.tau_edge``, else NIL. A record whose block has no
+    profile gets NIL, score 0 and ``n_candidates`` 0."""
+    rows = _decode(part)
+    starts, _ = _block_bounds(part.column("block_key").combine_chunks())
+    blk = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    is_prof = part.column("side").to_numpy(zero_copy_only=False) == 1
+    rec = np.flatnonzero(~is_prof)
+    prof = np.flatnonzero(is_prof)
+    prof = prof[pc.sort_indices(pa.table({"b": blk[prof], "c": rows.rids[prof].astype(str)}),
+                                sort_keys=[("b", "ascending"), ("c", "ascending")]
+                                ).to_numpy()]
+    per_block = np.bincount(blk[prof], minlength=starts.size - 1)
+    first = np.cumsum(per_block) - per_block
+    cand = per_block[blk[rec]]
+    ii = np.repeat(rec, cand)
+    jj = prof[_ragged(first[blk[rec]], cand)]
+    has = cand > 0
+    best = np.zeros(rec.size, dtype=np.int64)
+    score = np.zeros(rec.size)
+    if ii.size:
+        s = pair_scores(rows, ii, jj, cfg)["score"]
+        lo = (np.cumsum(cand) - cand)[has]
+        top = np.repeat(np.maximum.reduceat(s, lo), cand[has])
+        best[has] = np.minimum.reduceat(np.where(s == top, np.arange(s.size), s.size), lo)
+        score[has] = s[best[has]]
+    assigned = np.where(has & (score >= cfg.tau_edge), rows.rids[jj[best]] if jj.size
+                        else NIL, NIL)
+    return pa.table({"record_id": pa.array(rows.rids[rec], pa.string()),
+                     "block_key": part.column("block_key").take(pa.array(rec)),
+                     "assigned_cluster": pa.array(assigned, pa.string()),
+                     "score": pa.array(score, pa.float64()),
+                     "n_candidates": pa.array(cand, pa.int64())}, schema=_ASSIGN_SCHEMA)
 
 
 def assign_records(
     new_vectorized: "rd.Dataset",
     profiles: "rd.Dataset",
     cfg: SNDConfig | None = None,
-    tau_assign: float | None = None,
 ) -> "rd.Dataset":
     """Score every new record against its block's profiles; argmax ≥
-    tau_assign assigns, else NIL. Returns
-    (record_id, block_key, assigned_cluster, score, n_candidates)."""
+    ``cfg.tau_edge`` assigns, else NIL. Returns
+    (record_id, block_key, assigned_cluster, score, n_candidates), one
+    row per record, executed: the records ∪ the profiles through the one
+    blocking pass (``snd._blocked``) and :func:`assign_kernel`."""
+    from whoiswho_ray.pipelines.snd import _blocked
+
     cfg = cfg or SNDConfig()
-    tau = cfg.tau_edge if tau_assign is None else tau_assign
 
-    rec_cols = ["record_id", "block_key", "name", "tok_ids", "repo_ids",
-                "ctx_ids", "tfv_ids", "tfv_w"]
-    recs = new_vectorized.select_columns(rec_cols).map_batches(
-        lambda df: df.assign(__side="rec"), batch_format="pandas")
-    profs = profiles.map_batches(
-        lambda df: df.rename(columns={"cluster_id": "record_id"})
-        .assign(__side="prof")[rec_cols + ["__side"]],
-        batch_format="pandas",
-    )
+    def side(s: int):
+        def tag(t: pa.Table) -> pa.Table:
+            if s:
+                t = t.rename_columns(["record_id" if c == "cluster_id" else c
+                                      for c in t.column_names])
+            return t.select(_SIG_COLS).append_column(
+                "side", pa.array(np.full(t.num_rows, s, np.int8)))
+        return tag
 
-    from whoiswho_ray.stages.scoring import jw_for_pairs, score_flat_components
+    both = new_vectorized.map_batches(side(0), batch_format="pyarrow").union(
+        profiles.map_batches(side(1), batch_format="pyarrow"))
+    return _blocked(both, lambda g, _w: assign_kernel(g, cfg))
 
-    def per_block(g: pd.DataFrame) -> pd.DataFrame:
-        rec = g[g["__side"] == "rec"]
-        prof = g[g["__side"] == "prof"]
-        nr, np_ = len(rec), len(prof)
-        if nr == 0:
-            return pd.DataFrame({"record_id": [], "block_key": [], "assigned_cluster": [],
-                                 "score": [], "n_candidates": []})
-        if np_ == 0:
-            return pd.DataFrame({
-                "record_id": rec["record_id"].to_numpy(),
-                "block_key": rec["block_key"].to_numpy(),
-                "assigned_cluster": np.repeat(NIL, nr),
-                "score": np.zeros(nr),
-                "n_candidates": np.zeros(nr, dtype=np.int64),
-            })
-        # full record × profile cross within the block
-        ri = np.repeat(np.arange(nr), np_)
-        pj = np.tile(np.arange(np_), nr)
 
-        def flat_pairs(series, idx):
-            arrays = [np.asarray(a) for a in series]
-            lens = np.fromiter((arrays[i].size for i in idx), np.int64, idx.size)
-            vals = (np.concatenate([arrays[i] for i in idx])
-                    if idx.size else np.empty(0, np.int64))
-            return vals, lens
+def _encode(known_records: "rd.Dataset | str", new_records: "rd.Dataset | str",
+            cfg: SNDConfig):
+    """The front end both RND paths share: the known records normalized,
+    their idf built and the full encoding vectorized (materialized) and
+    SND-clustered, and the new records encoded with the known side's
+    idf. Returns (known vectorized, clusters, new vectorized)."""
+    from whoiswho_ray.pipelines.snd import snd_cluster
 
-        feats = score_flat_components(
-            cfg, ri.size,
-            (flat_pairs(rec["tok_ids"], ri), flat_pairs(prof["tok_ids"], pj)),
-            (flat_pairs(rec["repo_ids"], ri), flat_pairs(prof["repo_ids"], pj)),
-            (flat_pairs(rec["ctx_ids"], ri), flat_pairs(prof["ctx_ids"], pj)),
-            (
-                (*flat_pairs(rec["tfv_ids"], ri), flat_pairs(rec["tfv_w"], ri)[0].astype(np.float64)),
-                (*flat_pairs(prof["tfv_ids"], pj), flat_pairs(prof["tfv_w"], pj)[0].astype(np.float64)),
-            ),
-            jw_for_pairs(np.concatenate([rec["name"].to_numpy(object),
-                                         prof["name"].to_numpy(object)]), ri, nr + pj),
-        )
-        scores = feats["score"].reshape(nr, np_)
-        # deterministic argmax: score desc, then candidate id asc
-        prof_ids = prof["record_id"].to_numpy()
-        order = np.argsort(prof_ids, kind="stable")
-        scores_o = scores[:, order]
-        best_local = np.argmax(scores_o, axis=1)
-        best_score = scores_o[np.arange(nr), best_local]
-        assigned = np.where(best_score >= tau, prof_ids[order][best_local], NIL)
-        return pd.DataFrame({
-            "record_id": rec["record_id"].to_numpy(),
-            "block_key": rec["block_key"].to_numpy(),
-            "assigned_cluster": assigned,
-            "score": best_score,
-            "n_candidates": np.repeat(np_, nr),
-        })
-
-    # O(buckets) Ray groups — block count is unbounded at scale
-    from whoiswho_ray.stages.agg import group_apply
-
-    return group_apply(recs.union(profs), "block_key", per_block, batch_format="pandas")
+    if isinstance(known_records, str):
+        known_records = rd.read_parquet(known_records)
+    if isinstance(new_records, str):
+        new_records = rd.read_parquet(new_records)
+    known_norm = normalize_records(known_records, cfg).materialize()
+    idf = build_idf(known_norm, cfg)
+    known_vec = vectorize(known_norm, idf, cfg).materialize()
+    clusters = snd_cluster(known_norm, known_vec, cfg)
+    return known_vec, clusters, vectorize(normalize_records(new_records, cfg), idf, cfg)
 
 
 def run_rnd(
     known_records: "rd.Dataset | str",
     new_records: "rd.Dataset | str",
     cfg: SNDConfig | None = None,
-    tau_assign: float | None = None,
-    profile_token_cap: int = PROFILE_TOKEN_CAP,
 ) -> "rd.Dataset":
     """End-to-end: cluster the known records (SND), build profiles, assign
-    the new records. Returns the assignment table. ``profile_token_cap``
-    bounds every profile's token/tfv union (most-frequent-first; the
-    reference's 256-member cap, ``adhoc_features.py:105``)."""
-    from whoiswho_ray.pipelines.snd import snd_cluster
-
+    the new records. Returns the assignment table, executed."""
     cfg = cfg or SNDConfig()
-    if isinstance(known_records, str):
-        known_records = rd.read_parquet(known_records)
-    if isinstance(new_records, str):
-        new_records = rd.read_parquet(new_records)
-
-    known_norm = normalize_records(known_records, cfg).materialize()
-    idf = build_idf(known_norm, cfg)
-    known_vec = vectorize(known_norm, idf, cfg).materialize()
-    clusters = snd_cluster(known_norm, known_vec, cfg)
-    profiles = build_profiles(known_vec, clusters, cfg, token_cap=profile_token_cap)
-    new_vec = vectorize(normalize_records(new_records, cfg), idf, cfg)
-    return assign_records(new_vec, profiles, cfg, tau_assign)
+    known_vec, clusters, new_vec = _encode(known_records, new_records, cfg)
+    return assign_records(new_vec, build_profiles(known_vec, clusters), cfg)
 
 
 def rnd_knrm_features(
@@ -642,23 +643,10 @@ def run_rnd_learned(
     member-retaining profiles, fit the KNRM-feature ensemble on the known
     records, assign the new ones — the reference's full
     feature→GBDT→assign RND lifecycle as one call."""
-    from whoiswho_ray.pipelines.snd import snd_cluster
-
-    cfg = cfg or SNDConfig()
-    if isinstance(known_records, str):
-        known_records = rd.read_parquet(known_records)
-    if isinstance(new_records, str):
-        new_records = rd.read_parquet(new_records)
-
-    known_norm = normalize_records(known_records, cfg).materialize()
-    idf = build_idf(known_norm, cfg)
-    known_vec = vectorize(known_norm, idf, cfg).materialize()
-    clusters = snd_cluster(known_norm, known_vec, cfg)
-    profiles = build_profiles(known_vec, clusters, cfg,
-                              keep_members=keep_members).materialize()
+    known_vec, clusters, new_vec = _encode(known_records, new_records, cfg or SNDConfig())
+    profiles = build_profiles(known_vec, clusters, keep_members=keep_members)
     model, _diag = fit_rnd_ensemble(known_vec, profiles, clusters,
                                     max_train_records=max_train_records,
                                     with_graph=with_graph)
-    new_vec = vectorize(normalize_records(new_records, cfg), idf, cfg)
     return assign_records_learned(new_vec, profiles, model, tau_prob=tau_prob,
                                   with_graph=with_graph)

@@ -22,7 +22,8 @@ is written once, :func:`prepare`, and every pair consumer — the
 clusters, the vote and SGC variants, the PR curve, the trainer's pair
 features, IND's profile scores (``pipelines/ind``, with the claimed
 profile as the block key) and the ``__ray_entry__`` edge and relational
-queries — runs its partition kernel through the one blocking pass,
+queries, and RND's profiles and assignment (``pipelines/rnd``) — runs
+its partition kernel through the one blocking pass,
 :func:`_blocked`, which is executed once and returned materialized: Ray
 2.49 cannot infer the schema of a map after a sort, so the first
 ``schema``/``to_arrow_refs``/``join`` on a lazy result would re-run
@@ -139,8 +140,8 @@ def snd_cluster(
     pre_partitioned: bool = False,
 ) -> "rd.Dataset":
     """Clustering tail of the pipeline for callers that already hold the
-    normalized/vectorized records (e.g. the RND pipeline, which reuses
-    them for profile building); only ``vectorized`` is read.
+    normalized/vectorized records (RND clusters its known records here,
+    on the full encoding); only ``vectorized`` is read.
 
     Scoring and clustering run inside the one blocking sort
     (``pairs.make_block_clusters``) — no edge shuffle, no node/edge union,

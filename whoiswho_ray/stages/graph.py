@@ -137,13 +137,31 @@ def attach_out_weights(edges: "rd.Dataset", src_col: str, dst_col: str,
         attach, batch_format="pandas")
 
 
+#: The largest node set the graph operators collect to the driver (the
+#: broadcast-state paths); read at call time.
+MAX_BROADCAST_NODES = 2_000_000
+
+
+def _broadcast_cap(cap: int | None) -> int:
+    return MAX_BROADCAST_NODES if cap is None else cap
+
+
+def _check_broadcast(n: int, what: str, cap: int | None = None) -> None:
+    """Refuse a node set above the broadcast bound before it is collected
+    to the driver, for operators with no distributed path."""
+    if n > _broadcast_cap(cap):
+        raise ValueError(f"{what}: {n} nodes exceed the broadcast bound "
+                         f"{_broadcast_cap(cap)}; this operator collects every node "
+                         "to the driver and has no distributed path")
+
+
 def pagerank(
     edges: "rd.Dataset",
     iters: int = 3,
     damping: float = 0.85,
     src_col: str = "src",
     dst_col: str = "dst",
-    max_broadcast_nodes: int = 2_000_000,
+    max_broadcast_nodes: int | None = None,
 ) -> "rd.Dataset":
     """(src, dst) edge table → (node, rank) after ``iters`` power
     iterations from the uniform start. Multi-edges contribute once each
@@ -151,8 +169,9 @@ def pagerank(
 
     Two execution paths on the same math (the exact_dedup
     ``broadcast_threshold`` pattern): node sets ≤ ``max_broadcast_nodes``
-    broadcast the rank vector (``ray.put`` per iteration) and reduce
-    per-batch contribution partials on the driver — ONE map job per
+    (default :data:`MAX_BROADCAST_NODES`) broadcast the rank vector
+    (``ray.put`` per iteration) and reduce per-batch contribution
+    partials on the driver — ONE map job per
     iteration, zero shuffles, the edges never re-sort; out-degrees come
     from a driver-side bincount over the integer-encoded edges, so the
     degree-attach co-groups never run on this path at all. Larger graphs
@@ -175,7 +194,7 @@ def pagerank(
 
     r0 = 1.0 / n
 
-    if n <= max_broadcast_nodes:
+    if n <= _broadcast_cap(max_broadcast_nodes):
         return _pagerank_broadcast(edges, nodes, n, d, iters,
                                    src_col, dst_col)
 
@@ -496,7 +515,7 @@ def label_propagation(
     iters: int = 4,
     src_col: str = "src",
     dst_col: str = "dst",
-    max_broadcast_nodes: int = 2_000_000,
+    max_broadcast_nodes: int | None = None,
 ) -> "rd.Dataset":
     """Synchronous label-propagation community detection (Raghavan et
     al. 2007, "Near linear time algorithm to detect community structures
@@ -536,7 +555,7 @@ def label_propagation(
             {"node": pd.Series([], dtype=object),
              "community": pd.Series([], dtype=object)}))
 
-    if n <= max_broadcast_nodes:
+    if n <= _broadcast_cap(max_broadcast_nodes):
         return _lpa_broadcast(und, nodes, n, iters)
 
     # ---- co-group scale path (int64 labels throughout) ----
@@ -821,7 +840,7 @@ def hits(
     iters: int = 3,
     src_col: str = "src",
     dst_col: str = "dst",
-    max_broadcast_nodes: int = 2_000_000,
+    max_broadcast_nodes: int | None = None,
 ) -> "rd.Dataset":
     """HITS hubs-and-authorities (Kleinberg 1999) over a DIRECTED edge
     table, ``iters`` mutual-reinforcement rounds from the all-ones hub
@@ -835,8 +854,8 @@ def hits(
     in place; each iteration is two bincount map passes with the h / a
     vectors shipped via ``ray.put`` — no shuffle ever. Node sets beyond
     the broadcast bound would take pagerank's co-group shape (rank state
-    ⋈ edges, one bucketed reduce per half-step); asserted rather than
-    silently degraded here since every shipped graph is ≪ the bound.
+    ⋈ edges, one bucketed reduce per half-step); refused with a
+    ``ValueError`` here since every shipped graph is ≪ the bound.
 
     Float regime: per-edge terms are identical IEEE ops; only sum order
     differs across engines (~1e-16 relative), absorbed by the callers'
@@ -857,9 +876,7 @@ def hits(
             {"node": pd.Series([], dtype=object),
              "hub": pd.Series([], dtype=np.float64),
              "auth": pd.Series([], dtype=np.float64)}))
-    assert n <= max_broadcast_nodes, (
-        f"hits: {n} nodes exceeds the broadcast bound; wire the "
-        "pagerank co-group path for larger graphs")
+    _check_broadcast(n, "hits", max_broadcast_nodes)
 
     node_arr = np.sort(nodes.to_pandas()["node"].to_numpy(dtype=object))
     pos = {v: i for i, v in enumerate(node_arr)}
@@ -1046,9 +1063,9 @@ def pagerank_weighted(
     against the ``ray.put`` rank vector, and the driver adds O(n·blocks)
     partials. No shuffle ever touches the edges after encoding. Weights
     must be positive; dangling mass (nodes with no out-edges)
-    redistributes uniformly as in the unweighted operator. At node
-    counts beyond driver memory the same partials ride the partitioned
-    path pagerank uses — this entry point covers the broadcast regime.
+    redistributes uniformly as in the unweighted operator. This entry
+    point covers the broadcast regime only: above
+    :data:`MAX_BROADCAST_NODES` nodes it raises ``ValueError``.
     """
     import ray
 
@@ -1059,6 +1076,7 @@ def pagerank_weighted(
             {"node": pd.concat([df[src_col], df[dst_col]])}),
             batch_format="pandas"),
         ["node"], final="shuffle").materialize()
+    _check_broadcast(nodes.count(), "pagerank_weighted")
     node_arr = np.sort(nodes.to_pandas()["node"].to_numpy(dtype=object))
     n = len(node_arr)
     if n == 0:
@@ -1144,8 +1162,9 @@ def pagerank_personalized(
 
     Same broadcast-state scale shape as :func:`pagerank_weighted`
     (per-edge w/W stamped once, weighted-bincount partials, O(n·blocks)
-    driver adds); nodes outside every source's reach keep rank exactly
-    0.0, so the result doubles as a soft reachability measure.
+    driver adds, and the same :data:`MAX_BROADCAST_NODES` bound); nodes
+    outside every source's reach keep rank exactly 0.0, so the result
+    doubles as a soft reachability measure.
     """
     import ray
 
@@ -1156,6 +1175,7 @@ def pagerank_personalized(
             {"node": pd.concat([df[src_col], df[dst_col]])}),
             batch_format="pandas"),
         ["node"], final="shuffle").materialize()
+    _check_broadcast(nodes.count(), "pagerank_personalized")
     node_arr = np.sort(nodes.to_pandas()["node"].to_numpy(dtype=object))
     n = len(node_arr)
     if n == 0:

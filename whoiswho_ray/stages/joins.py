@@ -100,10 +100,17 @@ def arrow_tagged_union(
     lkeys: list[str],
     rkeys: list[str],
     num_buckets: int,
+    lcols: list[str] | None = None,
+    rcols: list[str] | None = None,
 ):
     """Schema-aligned union of two datasets with a side tag (``__side``:
     0=left, 1=right) and a key-hash bucket column, padding each side's
     missing columns with Arrow TYPED NULLS (``pa.nulls(n, type)``).
+
+    ``lcols``/``rcols`` project a side to those columns inside its pad
+    map. Each side's schema is read from the dataset as given, so pass
+    the projection here rather than a lazy ``select_columns``: Ray 2.49
+    runs a lazy map's plan under ``limit(1)`` to answer ``schema()``.
 
     This replaces the earlier pandas ``reindex`` + NaN padding: NaN
     promotes int64 columns to float64 across the shuffle and silently
@@ -117,7 +124,7 @@ def arrow_tagged_union(
     import pyarrow as pa
 
     lschema, rschema = left.schema(), right.schema()
-    lcols, rcols = list(lschema.names), list(rschema.names)
+    lcols, rcols = list(lcols or lschema.names), list(rcols or rschema.names)
     types: dict = {}
     for n, t in zip(lschema.names, lschema.types):
         types[n] = _arrow_type(t)
@@ -128,20 +135,20 @@ def arrow_tagged_union(
         [pa.field(c, types[c]) for c in all_cols]
         + [pa.field("__bucket", pa.int64()), pa.field("__side", pa.int8())])
 
-    def pad(side: int, keys: list[str]):
+    def pad(side: int, keys: list[str], own: list[str]):
         def f(t: pa.Table) -> pa.Table:
             n = t.num_rows
             b = (_key_hash(t, keys) % np.uint64(num_buckets)).astype(np.int64)
-            cols = {c: (t.column(c) if c in t.column_names
-                        else pa.nulls(n, type=types[c])) for c in all_cols}
+            cols = {c: (t.column(c) if c in own else pa.nulls(n, type=types[c]))
+                    for c in all_cols}
             cols["__bucket"] = pa.array(b, pa.int64())
             cols["__side"] = pa.array(np.full(n, side, np.int8))
             return pa.table(cols).cast(target)
         return f
 
-    lb = left.map_batches(pad(0, lkeys), batch_format="pyarrow",
+    lb = left.map_batches(pad(0, lkeys, lcols), batch_format="pyarrow",
                           zero_copy_batch=True)
-    rb = right.map_batches(pad(1, rkeys), batch_format="pyarrow",
+    rb = right.map_batches(pad(1, rkeys, rcols), batch_format="pyarrow",
                            zero_copy_batch=True)
     return lb.union(rb), lcols, rcols
 
@@ -156,6 +163,60 @@ def split_sides(t, lcols: list[str], rcols: list[str]):
     l = t.filter(pa.array(side == 0)).select(lcols)
     r = t.filter(pa.array(side == 1)).select(rcols)
     return l, r
+
+
+def attach_claims(
+    records: "ray.data.Dataset",
+    claims: "ray.data.Dataset",
+    claim: str,
+    columns: list[str] | None = None,
+) -> "ray.data.Dataset":
+    """(records) ⋈ (record_id → ``claim``), inner and many-to-many: each
+    record row (``columns`` of it) once per claim, with the claim as its
+    ``block_key`` and its own key as ``member_key``, ready for the SND
+    blocking pass (``snd._blocked``). A co-group on record_id
+    (:func:`arrow_tagged_union`, which projects both sides) with one
+    Arrow join per bucket of (record_id, claim) against (record_id, row
+    index) — pyarrow joins carry no list payload — then a ``take``. Pass
+    ``records`` materialized: its schema is read."""
+    import pyarrow as pa
+
+    from whoiswho_ray.stages.cluster import _cc_num_buckets
+    from whoiswho_ray.stages.pairs import _flat_list
+
+    schema = records.schema()
+    tensors = {n: t.scalar_type for n, t in zip(schema.names, schema.types)
+               if hasattr(t, "scalar_type") and n in (columns or schema.names)}
+    if tensors:
+        # Ray stores pandas-built 1-D array columns as tensor extensions
+        # (an all-empty one as nulls) whose declared and block types can
+        # differ, which the typed padding cannot cast: make them plain lists
+        def plain(t: pa.Table) -> pa.Table:
+            t = t.select(columns or t.column_names)
+            for name, scalar in tensors.items():
+                col = t.column(name)
+                values, offsets = ((np.empty(0), np.zeros(len(col) + 1, np.int64))
+                                   if pa.types.is_null(col.type) else _flat_list(col))
+                t = t.set_column(t.schema.get_field_index(name), name, pa.ListArray.from_arrays(
+                    pa.array(offsets.astype(np.int32)), pa.array(values, scalar)))
+            return t
+
+        records = records.map_batches(plain, batch_format="pyarrow").materialize()
+
+    u, lcols, rcols = arrow_tagged_union(records, claims, ["record_id"], ["record_id"],
+                                         _cc_num_buckets(), columns, ["record_id", claim])
+
+    def attach_bucket(g: pa.Table) -> pa.Table:
+        recs, claimed = split_sides(g, lcols, rcols)
+        rows = pa.table({"record_id": recs.column("record_id"),
+                         "__row": pa.array(np.arange(recs.num_rows, dtype=np.int64))})
+        hit = claimed.join(rows, "record_id", join_type="inner", use_threads=False)
+        out = recs.take(hit.column("__row"))
+        return out.set_column(out.schema.get_field_index("block_key"), "block_key",
+                              hit.column(claim)).append_column("member_key",
+                                                               out.column("block_key"))
+
+    return u.groupby("__bucket").map_groups(attach_bucket, batch_format="pyarrow")
 
 
 _BROADCAST_CACHE: dict = {}

@@ -8,16 +8,18 @@
   four idf dicts in ``__loadEssential`` at construction): the IdfModel is
   broadcast **once** via ``ray.put`` and each worker process builds one
   vectorizer from it (:func:`vectorize`).
-* The pair-feature kernels the block kernels (``pairs._score_partition``)
-  score with — the 36-dim-hand-feature analog
-  (``feature_process.py:242-350``) reduced to the score the SND trainer
-  actually blends (``AutoTrainSND.py:142-161``): token Jaccard (coauthor
-  analog), repo tanimoto (org), context tanimoto (venue), TF-IDF cosine,
-  Jaro-Winkler on basenames. :func:`allpairs_matrix` serves blocks up to
-  ``matrix_block_cap`` (and a partition's small blocks at once),
-  :func:`_intersections` the larger ones and RND's
-  :func:`score_flat_components`; :func:`score_pair_arrays` is the scalar
-  oracle they are tested against.
+* The pair-feature kernels the block kernels score with — the
+  36-dim-hand-feature analog (``feature_process.py:242-350``) reduced to
+  the score the SND trainer actually blends (``AutoTrainSND.py:142-161``):
+  token Jaccard (coauthor analog), repo tanimoto (org), context tanimoto
+  (venue), TF-IDF cosine, Jaro-Winkler on basenames. The features of a
+  pair come from ``pairs._matrix_features`` or ``pairs._flat_features``
+  and its score from ``pairs._weighted_score``, for SND, IND and RND's
+  record × profile pairs alike. :func:`allpairs_matrix` serves blocks up
+  to ``matrix_block_cap`` (and a partition's small blocks at once),
+  :func:`_intersections` the larger ones and RND's pairs;
+  :func:`score_pair_arrays` is the scalar oracle they are tested
+  against.
 
 The kernels are fully vectorized: token sets are flattened **zero-copy**
 via (values, offsets), and every set intersection of a flat batch is
@@ -452,42 +454,6 @@ def jw_for_pairs(names: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarra
     uk, inv = np.unique(np.minimum(ca, cb) * k + np.maximum(ca, cb), return_inverse=True)
     lowered = [str(s).lower() for s in uniq]
     return jaro_winkler_pairs(lowered, uk // k, uk % k)[inv]
-
-
-def score_flat_components(
-    cfg: SNDConfig,
-    n: int,
-    tok, repo, ctx, tfv,
-    jw: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Vectorized feature+score computation for n pairs.
-
-    ``tok``/``repo``/``ctx``: ((vals_a, lens_a), (vals_b, lens_b)) flat set
-    representations; ``tfv``: ((ids_a, lens_a, w_a), (ids_b, lens_b, w_b));
-    ``jw``: the pairs' Jaro-Winkler (:func:`jw_for_pairs`). RND's
-    record × profile scorer.
-    """
-    def jac(pair):
-        (va, la), (vb, lb) = pair
-        inter, _ = _intersections(n, va, la, vb, lb)
-        union = la + lb - inter
-        return np.where(union > 0, inter / np.maximum(union, 1), 0.0)
-
-    j_tok = jac(tok)
-    t_repo = jac(repo)
-    t_ctx = jac(ctx)
-    (ia, la, wa), (ib, lb, wb) = tfv
-    _, dots = _intersections(n, ia, la, ib, lb, wa, wb)
-    cos = dots if dots is not None else np.zeros(n)
-    score = (
-        cfg.w_tokens * j_tok
-        + cfg.w_repo * t_repo
-        + cfg.w_ctx * t_ctx
-        + cfg.w_tfidf * cos
-        + cfg.w_name * jw
-    )
-    return {"j_tok": j_tok, "t_repo": t_repo, "t_ctx": t_ctx,
-            "cos": cos, "jw": jw, "score": score}
 
 
 def score_pair_arrays(
