@@ -417,6 +417,32 @@ class TestJoins:
         h_null_b = _key_hash(pa.table({"k": pa.array([None], pa.string())}), ["k"])
         assert h_null_a[0] == h_null_b[0]
 
+    @pytest.mark.parametrize("arrays", ["ragged", "all_empty"])
+    def test_array_payload_from_pandas(self, arrays):
+        """A pandas-built column of 1-D arrays (Ray declares a tensor
+        type; its blocks store a variable-shaped tensor, or nulls when
+        every array is empty) rides both shuffled joins as plain lists."""
+        from whoiswho_ray.stages.joins import shuffle_hash_join, shuffle_semi_join
+
+        n = 40
+        arr = [np.arange(i % 5 if arrays == "ragged" else 0, dtype=np.int64)
+               for i in range(n)]
+        l = pd.DataFrame({"k": np.arange(n) % 13, "x": np.arange(n), "arr": arr})
+        # right keys past the left's: some buckets hold right rows only
+        r = pd.DataFrame({"k": np.arange(0, 40, 2), "y": np.arange(0, 40, 2) * 10})
+
+        def rows(df):
+            return sorted((int(t.k), int(t.x), tuple(np.asarray(t.arr).tolist()),
+                           *((int(t.y),) if "y" in df else ()))
+                          for t in df.itertuples())
+
+        got = shuffle_hash_join(rd.from_pandas(l), rd.from_pandas(r), on="k",
+                                num_buckets=16).to_pandas()
+        assert rows(got) == rows(l.merge(r, on="k"))
+        got = shuffle_semi_join(rd.from_pandas(l), rd.from_pandas(r), on="k",
+                                num_buckets=16).to_pandas()
+        assert rows(got) == rows(l[l["k"].isin(r["k"])])
+
     def test_semi_and_anti(self):
         from whoiswho_ray.stages.joins import semi_join
 

@@ -1,6 +1,10 @@
 """RND assignment pipeline: profiles, argmax-with-NIL, accuracy gate."""
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pandas as pd
@@ -142,10 +146,10 @@ class TestKnrmFeatures:
         newrec = rd.from_pandas(pd.DataFrame([vec_row("q0", "bk", q_ids, q_w)]))
         feats = rnd_knrm_features(newrec, profs).to_pandas()
         assert len(feats) == 2
-        f = feats.set_index("candidate_cluster")["knrm"]
+        f = feats.set_index("candidate_cluster")["k20"]
         # exact-match kernel (last) fires for P1 (contains the identical
         # member), not for P2
-        assert f["P1"][-1] > f["P2"][-1] + 1.0
+        assert f["P1"] > f["P2"] + 1.0
 
 
 class TestGraphFeatures:
@@ -161,8 +165,8 @@ class TestGraphFeatures:
                 "tfv_ids": np.asarray(ids, np.int64),
                 "tfv_w": np.asarray(w, np.float32)}
 
-    def test_common_neighbor_counts(self, ray_session):
-        from whoiswho_ray.pipelines.rnd import build_profiles, rnd_knrm_features
+    def test_common_neighbor_counts(self, ray_session, monkeypatch):
+        from whoiswho_ray.pipelines import rnd
 
         # q links ONLY m_a (in P2); m_a links P1's member m1.
         # -> g_deg(q,P2)=1, g_deg(q,P1)=0, g_cn(q,P1)=1 (via m_a), g_cn(q,P2)=0
@@ -177,12 +181,14 @@ class TestGraphFeatures:
             "record_id": ["m1", "m2", "ma", "mb"],
             "cluster_id": ["P1", "P1", "P2", "P2"],
         }))
-        profs = build_profiles(vec, clusters, keep_members=8)
-        q = rd.from_pandas(pd.DataFrame(
-            [self._vec_row("q0", "bk", [1, 2], [0.9, 0.436])]))
-        feats = rnd_knrm_features(q, profs, with_graph=True,
-                                  graph_tau=0.4).to_pandas()
-        f = feats.set_index("candidate_cluster")
+        profs = rnd.build_profiles(vec, clusters, keep_members=8).take_batch(
+            10, batch_format="pyarrow")
+        q = pa.Table.from_pylist([self._vec_row("q0", "bk", [1, 2], [0.9, 0.436])])
+        # the threshold is read where the kernel runs: run it here
+        monkeypatch.setattr(rnd, "GRAPH_TAU", 0.4)
+        part = pa.concat_tables([rnd._tag(q, 0, members=True),
+                                 rnd._tag(profs, 1, members=True)])
+        f = rnd.knrm_kernel(part, with_graph=True).to_pandas().set_index("candidate_cluster")
         # cos(q, ma) = 0.9*0.5774 = 0.52 >= 0.4; cos(ma, m1) = 2*0.5774*0.7 dot...
         assert f.loc["P2", "g_deg"] == 1.0
         assert f.loc["P1", "g_deg"] == 0.0
@@ -190,11 +196,11 @@ class TestGraphFeatures:
         assert f.loc["P2", "g_cn"] == 0.0
 
     def test_knrm_values_match_per_pair_reference(self, ray_session):
-        """The vectorized gather path must produce the same kernel values
-        as a direct per-(record, member) cosine + pooling computation
-        (VERDICT r2 #7)."""
-        from whoiswho_ray.functions.similarity import knrm_mus_sigmas
-        from whoiswho_ray.pipelines.rnd import build_profiles, rnd_knrm_features
+        """The engine's KNRM features are ``knrm_profile_features`` of the
+        record against each profile's members (VERDICT r2 #7)."""
+        from whoiswho_ray.functions.similarity import knrm_profile_features
+        from whoiswho_ray.pipelines.rnd import (KNRM_FEATURES, build_profiles,
+                                                rnd_knrm_features)
 
         rng = np.random.RandomState(5)
         members, clusters_rows = [], []
@@ -212,23 +218,15 @@ class TestGraphFeatures:
         q_w = rng.rand(6); q_w = q_w / np.linalg.norm(q_w)
         q = rd.from_pandas(pd.DataFrame([self._vec_row("q0", "bk", q_ids, q_w)]))
         got = rnd_knrm_features(q, profs).to_pandas().set_index("candidate_cluster")
+        assert sorted(got.index) == ["P0", "P1", "P2"]
 
-        # reference computation: per-member cosine, per-kernel pooled log
-        mus, sigmas = knrm_mus_sigmas(21, 0.1)
-        by_p = {}
         q_w32 = q_w.astype(np.float32).astype(np.float64)  # pipeline stores float32
-        for row, crow in zip(members, clusters_rows):
-            inter, qi, mi = np.intersect1d(q_ids, row["tfv_ids"],
-                                           return_indices=True)
-            cos = float(np.sum(q_w32[qi] * row["tfv_w"].astype(np.float64)[mi]))
-            by_p.setdefault(crow["cluster_id"], []).append(cos)
-        for p, sims in by_p.items():
-            sims = np.asarray(sims)
-            pooled = np.exp(-((sims[:, None] - mus[None, :]) ** 2)
-                            / (2.0 * sigmas[None, :] ** 2)).sum(axis=0)
-            want = np.log(np.maximum(pooled, 1e-10))
-            np.testing.assert_allclose(np.asarray(got.loc[p, "knrm"]), want,
-                                       rtol=0, atol=1e-12)
+        for p in got.index:
+            mine = [r for r, c in zip(members, clusters_rows) if c["cluster_id"] == p]
+            want = knrm_profile_features(q_ids, q_w32, [r["tfv_ids"] for r in mine],
+                                         [r["tfv_w"].astype(np.float64) for r in mine])
+            np.testing.assert_allclose(got.loc[p, list(KNRM_FEATURES)].to_numpy(np.float64),
+                                       want, rtol=0, atol=1e-12)
 
     def test_learned_with_graph_meets_gate(self, rnd_setup):
         from whoiswho_ray.pipelines.rnd import run_rnd_learned
@@ -251,8 +249,8 @@ class TestEnsembleSampling:
     def test_max_train_records_bounds_collect(self, rnd_setup):
         """fit_rnd_ensemble with a forced-low cap trains on a deterministic
         hash sample and reports it (VERDICT r2 #8)."""
-        from whoiswho_ray.pipelines.rnd import (build_profiles,
-                                                fit_rnd_ensemble)
+        from whoiswho_ray.pipelines.rnd import (build_profiles, fit_rnd_ensemble,
+                                                rnd_knrm_features)
         from whoiswho_ray.pipelines.snd import run_snd, snd_cluster
         from whoiswho_ray.stages.idf import build_idf
         from whoiswho_ray.stages.normalize import normalize_records
@@ -274,20 +272,31 @@ class TestEnsembleSampling:
         model2, diag2 = fit_rnd_ensemble(vec, profiles, clusters,
                                          max_train_records=cap)
         assert diag2["n_train_records"] == cap
+        feats = rnd_knrm_features(vec, profiles).to_pandas()
+        assert np.array_equal(model.predict_proba(feats), model2.predict_proba(feats))
+        # the fit reads its rows in a fixed order: the known records'
+        # partitioning does not move the model by a bit
+        for parts in (1, 5):
+            again, _ = fit_rnd_ensemble(vec.repartition(parts), profiles, clusters)
+            if parts == 1:
+                whole = again
+            else:
+                assert pickle.dumps(again.cells) == pickle.dumps(whole.cells)
 
 
 NAMES = ["model.py", "Model.py", "util.py", None, "b.py"]
 
 
-def _attached(seed: int = 0, n_clusters: int = 12) -> pa.Table:
+def _attached(seed: int = 0, n_clusters: int = 12, vocab: int = 10**9) -> pa.Table:
     """A profile-kernel partition: full-encoding records of several
     clusters, sorted by cluster (``block_key``), records of a cluster in
     no particular record_id order, ids shared between members, some
-    names missing, one member-less id family."""
+    names missing, one member-less id family. A small ``vocab`` makes
+    clusters share ids too."""
     rng = np.random.RandomState(seed)
     rows = []
     for c in range(n_clusters):
-        pool = np.unique(rng.randint(0, 10**9, 24)).astype(np.int64)
+        pool = np.unique(rng.randint(0, vocab, 24)).astype(np.int64)
         for i in rng.permutation(int(rng.randint(1, 9))):
             tok = np.unique(rng.choice(pool, rng.randint(0, 14)))
             tfv = tok[rng.rand(tok.size) < 0.8]
@@ -386,16 +395,19 @@ class TestProfileKernel:
             assert profile_kernel(t.slice(0, 0), keep).schema == whole.schema
 
 
-def _assign_partition(seed: int = 0) -> tuple[pa.Table, pa.Table, pa.Table]:
-    """(profiles, new records, their assignment partition): new records
-    in the profiles' blocks, two identical profiles in one block (a
-    score tie) and one block with no profile."""
-    from whoiswho_ray.pipelines.rnd import profile_kernel
+def _assign_partition(seed: int = 0, keep_members: int = 0, vocab: int = 10**9
+                      ) -> tuple[pa.Table, pa.Table, pa.Table]:
+    """(profiles, new records, their assignment partition), each side
+    tagged as the engine tags it: new records in the profiles' blocks,
+    two identical profiles in one block (a score tie) and one block with
+    no profile. ``keep_members`` keeps that many members per profile
+    and tags both sides with them (the KNRM partition)."""
+    from whoiswho_ray.pipelines.rnd import _tag, profile_kernel
 
-    t = _attached(seed)
-    profs = profile_kernel(t).to_pandas()
-    twin = profs.iloc[[0]].assign(cluster_id="c00-twin")
-    profs = pd.concat([profs, twin], ignore_index=True)
+    t = _attached(seed, vocab=vocab)
+    profs = profile_kernel(t, keep_members)
+    profs = pa.concat_tables([profs, profs.slice(0, 1).set_column(
+        0, "cluster_id", pa.array(["c00-twin"]))])
     rng = np.random.RandomState(seed + 7)
     recs = t.to_pandas().sample(frac=0.6, random_state=seed).assign(
         block_key=lambda d: d["member_key"])
@@ -404,21 +416,15 @@ def _assign_partition(seed: int = 0) -> tuple[pa.Table, pa.Table, pa.Table]:
                                                   record_id=["new-x", "new-y"])])
     recs["tok_ids"] = [np.unique(np.r_[a, rng.randint(0, 10**9, 2)]).astype(np.int64)
                        for a in recs["tok_ids"]]
-    cols = ["record_id", "block_key", "name", "tok_ids", "repo_ids", "ctx_ids",
-            "tfv_ids", "tfv_w"]
     ids = pa.list_(pa.int64())
-
-    def table(df, side):
-        return pa.table({
-            **{k: pa.array(df[k], pa.string()) for k in ("record_id", "block_key", "name")},
-            **{k: pa.array([np.asarray(x, np.int64).tolist() for x in df[k]], ids)
-               for k in cols[3:7]},
-            "tfv_w": pa.array([np.asarray(x, np.float32).tolist() for x in df["tfv_w"]],
-                              pa.list_(pa.float32())),
-            "side": pa.array(np.full(len(df), side, np.int8))})
-
-    recs_t = table(recs, 0)
-    profs_t = table(profs.rename(columns={"cluster_id": "record_id"}), 1)
+    recs = pa.table({
+        **{k: pa.array(recs[k], pa.string()) for k in ("record_id", "block_key", "name")},
+        **{k: pa.array([np.asarray(x, np.int64).tolist() for x in recs[k]], ids)
+           for k in ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids")},
+        "tfv_w": pa.array([np.asarray(x, np.float32).tolist() for x in recs["tfv_w"]],
+                          pa.list_(pa.float32()))})
+    recs_t = _tag(recs, 0, members=bool(keep_members))
+    profs_t = _tag(profs, 1, members=bool(keep_members))
     part = pa.concat_tables([recs_t, profs_t])
     part = part.take(pc.sort_indices(part, sort_keys=[("block_key", "ascending")]))
     return profs_t, recs_t, part
@@ -476,6 +482,170 @@ class TestAssignKernel:
         _, _, part = _assign_partition()
         assert assign_kernel(part.slice(0, 0), SNDConfig()).schema == \
             assign_kernel(part, SNDConfig()).schema
+
+
+def _cuts(part: pa.Table, n: int) -> list:
+    """A key-sorted partition cut at block boundaries into ``n`` parts."""
+    keys = np.asarray(part["block_key"].to_pylist(), object)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    inner = starts[np.linspace(0, starts.size, n + 1).astype(int)[1:-1]]
+    cuts = [0, *inner.tolist(), part.num_rows]
+    return [part.slice(a, b - a) for a, b in zip(cuts, cuts[1:])]
+
+
+def _block_cells(recs: pd.DataFrame, profs: pd.DataFrame):
+    """Every (record, profile of its block) in record-major, cluster_id order."""
+    for r in recs.itertuples():
+        for p in profs[profs["block_key"] == r.block_key].sort_values("record_id").itertuples():
+            yield r, p
+
+
+def _ego_reference(recs: pd.DataFrame, profs: pd.DataFrame, tau: float) -> dict:
+    """(record_id, cluster_id) → (g_deg, g_frac, g_cn, g_cnf), one
+    record and one candidate at a time, every cosine from
+    ``cosine_sparse``."""
+    from whoiswho_ray.functions.similarity import cosine_sparse
+
+    def cos(a, b):
+        return cosine_sparse(np.asarray(a[0], np.int64), np.asarray(a[1], np.float64),
+                             np.asarray(b[0], np.int64), np.asarray(b[1], np.float64))
+
+    out = {}
+    for r, p in _block_cells(recs, profs):
+        block = profs[profs["block_key"] == r.block_key]
+        mem = [(q.record_id, (i, w)) for q in block.itertuples()
+               for i, w in zip(q.member_tfv_ids, q.member_tfv_w)]
+        linked = [cos((r.tfv_ids, r.tfv_w), m) >= tau for _, m in mem]
+        own = [c == p.record_id for c, _ in mem]
+        deg = sum(l and o for l, o in zip(linked, own))
+        cn = sum(l and not o and any(cos(m, mc) >= tau for mc, oc in zip(
+                     [x for _, x in mem], own) if oc)
+                 for l, o, (_, m) in zip(linked, own, mem))
+        out[r.record_id, p.record_id] = (deg, deg / max(sum(own), 1), cn,
+                                         cn / max(sum(linked) - deg, 1))
+    return out
+
+
+class _StubModel:
+    """A fixed logistic function of two KNRM features."""
+
+    def predict_proba(self, feats: pd.DataFrame) -> np.ndarray:
+        z = feats["k20"].to_numpy() + 0.5 * feats["k16"].to_numpy() + 1.0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+class TestKnrmKernel:
+    @pytest.mark.parametrize("n_parts", [1, 3])
+    def test_equals_knrm_profile_features(self, n_parts):
+        """Every record × every profile of its block, record-major with
+        the profiles in cluster_id order, each row the reference's
+        per-profile KNRM pooling to 1e-12, however the blocks are cut."""
+        from whoiswho_ray.functions.similarity import knrm_profile_features
+        from whoiswho_ray.pipelines.rnd import KNRM_FEATURES, knrm_kernel
+
+        profs, recs, part = _assign_partition(keep_members=4, vocab=60)
+        parts = _cuts(part, n_parts)
+        assert len(parts) == n_parts
+        got = pa.concat_tables([knrm_kernel(p) for p in parts]).to_pandas()
+        keyed = got.set_index(["record_id", "candidate_cluster"])
+        want = list(_block_cells(recs.to_pandas(), profs.to_pandas()))
+        assert sorted(keyed.index) == sorted((r.record_id, p.record_id) for r, p in want)
+        for rid, g in got.groupby("record_id", sort=False):
+            assert list(g["candidate_cluster"]) == sorted(g["candidate_cluster"])
+            assert np.ptp(g.index.to_numpy()) == len(g) - 1  # a record's rows are adjacent
+        assert got["block_key"].nunique() >= 3
+        for r, p in want:
+            ref = knrm_profile_features(
+                np.asarray(r.tfv_ids, np.int64), np.asarray(r.tfv_w, np.float64),
+                [np.asarray(x, np.int64) for x in p.member_tfv_ids],
+                [np.asarray(x, np.float64) for x in p.member_tfv_w])
+            np.testing.assert_allclose(
+                keyed.loc[(r.record_id, p.record_id), list(KNRM_FEATURES)].to_numpy(np.float64),
+                ref, rtol=0, atol=1e-12)
+
+    def test_graph_features_equal_a_per_block_reference(self):
+        from whoiswho_ray.pipelines.rnd import GRAPH_FEATURES, GRAPH_TAU, knrm_kernel
+
+        profs, recs, part = _assign_partition(keep_members=4, vocab=60)
+        got = pa.concat_tables([knrm_kernel(p, with_graph=True) for p in _cuts(part, 3)]
+                               ).to_pandas().set_index(["record_id", "candidate_cluster"])
+        want = _ego_reference(recs.to_pandas(), profs.to_pandas(), GRAPH_TAU)
+        assert sorted(got.index) == sorted(want)
+        for key, row in want.items():
+            assert tuple(got.loc[key, list(GRAPH_FEATURES)]) == row, key
+        assert (got["g_cn"] > 0).any() and (got["g_deg"] > 0).any()
+
+    def test_learned_argmax_ties_and_nil(self, monkeypatch):
+        """The best cell by prob (ties to the smaller cluster_id) is
+        assigned at TAU_PROB and above; a record with no candidate gets
+        NIL, prob -1.0 and no candidates."""
+        from whoiswho_ray.pipelines import rnd
+
+        _, recs, part = _assign_partition(keep_members=4, vocab=60)
+        cells = rnd.knrm_kernel(part).to_pandas()
+        cells["prob"] = _StubModel().predict_proba(cells)
+        best = {rid: g.sort_values(["prob", "candidate_cluster"],
+                                   ascending=[False, True]).iloc[0]
+                for rid, g in cells.groupby("record_id")}
+        probs = sorted(b["prob"] for b in best.values())
+        monkeypatch.setattr(rnd, "TAU_PROB", probs[len(probs) // 2])
+        got = rnd.learned_kernel(part, _StubModel()).to_pandas().set_index("record_id")
+        assert sorted(got.index) == sorted(recs["record_id"].to_pylist())
+        n_nil = 0
+        for rid, row in got.iterrows():
+            if rid not in best:
+                assert (row["assigned_cluster"], row["prob"], row["n_candidates"]) == \
+                    (NIL, -1.0, 0)
+                continue
+            b = best[rid]
+            assert row["prob"] == b["prob"]
+            assert row["n_candidates"] == (cells["record_id"] == rid).sum()
+            nil = b["prob"] < rnd.TAU_PROB
+            assert row["assigned_cluster"] == (NIL if nil else b["candidate_cluster"])
+            n_nil += nil
+        assert 0 < n_nil < len(best)
+        assert {"new-x", "new-y"} <= set(got.index) - set(best)
+        assert "c00-twin" not in set(got["assigned_cluster"])
+
+    def test_empty_partitions_keep_the_typed_schema(self):
+        from whoiswho_ray.pipelines.rnd import knrm_kernel, learned_kernel
+
+        _, _, part = _assign_partition(keep_members=4, vocab=60)
+        empty = part.slice(0, 0)
+        for graph in (False, True):
+            assert knrm_kernel(empty, graph).schema == knrm_kernel(part, graph).schema
+        assert learned_kernel(empty, _StubModel()).schema == \
+            learned_kernel(part, _StubModel()).schema
+
+
+def test_learned_path_finishes_at_one_cpu(rnd_setup, tmp_path):
+    """``run_rnd_learned`` completes in a Ray session of one CPU."""
+    import signal
+
+    known, new, _, _ = rnd_setup
+    cols = ["repo", "path", "commit", "lang", "content"]
+    known[cols].to_parquet(tmp_path / "known.parquet")
+    new[cols].to_parquet(tmp_path / "new.parquet")
+    script = (
+        "import sys, ray\n"
+        "ray.init(address='local', num_cpus=1, include_dashboard=False,"
+        " logging_level='ERROR')\n"
+        "from whoiswho_ray.pipelines.rnd import run_rnd_learned\n"
+        "print(run_rnd_learned(sys.argv[1], sys.argv[2]).count())\n")
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, str(tmp_path / "known.parquet"),
+         str(tmp_path / "new.parquet")],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))), env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_rnd_learned did not finish in 120 s at num_cpus=1")
+    assert proc.returncode == 0, err[-3000:]
+    assert int(out.split()[-1]) == len(new)
 
 
 class TestRndOnTheEngine:

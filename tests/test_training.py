@@ -102,7 +102,7 @@ class TestEnsemble:
         assert np.array_equal(p1, p2)
 
     def test_apply_ensemble_distributed(self):
-        """Broadcast-model actor scoring adds a prob column matching the
+        """Broadcast-model task scoring adds a prob column matching the
         driver-side predict."""
         from whoiswho_ray.training import FEATURES, fit_ensemble, apply_ensemble
 

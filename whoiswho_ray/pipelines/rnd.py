@@ -3,7 +3,7 @@
 The Ray-Data re-expression of the reference's RND (real-time name
 disambiguation) task (``/root/reference/whoiswho/training/AutoTrainRND.py``,
 SURVEY.md §3.2): "real-time" is micro-batch scoring against a static
-profile database. Both steps are partition kernels on the SND blocking
+profile database. Every step is a partition kernel on the SND blocking
 pass (``snd._blocked``):
 
     profiles = the known records ⋈ their clusters (``joins.attach_claims``,
@@ -15,6 +15,14 @@ pass (``snd._blocked``):
                :func:`assign_kernel`: every record × every profile of its
                block scored with SND's pair scorer, argmax, NIL below
                ``tau_edge`` (``AutoTrainRND.py:52-71``, O3 top-1 + NIL)
+    learned  = the same union with the profiles' kept members →
+               :func:`knrm_kernel`: KNRM kernel-pooled cosines of each
+               record against each candidate's members (and the ego-graph
+               family), one row per (record, candidate); the GBDT/logistic
+               ensemble is fitted on the known records' rows
+               (:func:`fit_rnd_ensemble`) and :func:`learned_kernel`
+               scores, argmaxes and NILs the new ones in the same task
+               (``AutoTrainRND.py:35-71``)
 
 RND keeps the full encoding: its new records lie outside the idf corpus,
 so the compact encoding's df==1 pruning would not be exact for them.
@@ -39,19 +47,30 @@ NIL = "NIL"
 
 PROFILE_TOKEN_CAP = 256  # reference profile cap (adhoc_features.py:105)
 
-# the vectorized record columns profiles are built from and scored against
-_SIG_COLS = ["record_id", "block_key", "name", "tok_ids", "repo_ids", "ctx_ids",
-             "tfv_ids", "tfv_w"]
+# the learned path (rndFeature/model.py:103-135, graph_features.py:62-120)
+N_KERNELS = 21   # KNRM kernels: 20 Gaussians over [-1, 1) and one exact match
+KNRM_SIGMA = 0.1  # the Gaussians' width
+GRAPH_TAU = 0.5  # a record/member cosine at least this is an ego-graph edge
+TAU_PROB = 0.5   # the learned assignment's NIL threshold
+KNRM_FEATURES = tuple(f"k{i:02d}" for i in range(N_KERNELS))
+GRAPH_FEATURES = ("g_deg", "g_frac", "g_cn", "g_cnf")
+
+# the vectorized record columns profiles are built from and scored
+# against, with their types, and the profiles' kept member vectors
+_IDS = pa.list_(pa.int64())
 _ID_LISTS = ("tok_ids", "repo_ids", "ctx_ids", "tfv_ids")
+_SIG_TYPES = {"record_id": pa.string(), "block_key": pa.string(), "name": pa.string(),
+              **{c: _IDS for c in _ID_LISTS}, "tfv_w": pa.list_(pa.float32())}
+_SIG_COLS = list(_SIG_TYPES)
+_MEMBER_TYPES = {"member_tfv_ids": pa.list_(_IDS),
+                 "member_tfv_w": pa.list_(pa.list_(pa.float64()))}
 
 
 def _profile_schema(keep_members: int) -> pa.Schema:
-    ids, s = pa.list_(pa.int64()), pa.string()
-    members = [("member_tfv_ids", pa.list_(ids)),
-               ("member_tfv_w", pa.list_(pa.list_(pa.float64())))]
+    s = pa.string()
     return pa.schema([("cluster_id", s), ("block_key", s), ("name", s), ("n_members", pa.int64()),
-                      *[(c, ids) for c in _ID_LISTS], ("tfv_w", pa.list_(pa.float32())),
-                      *(members if keep_members else [])])
+                      *[(c, _IDS) for c in _ID_LISTS], ("tfv_w", pa.list_(pa.float32())),
+                      *(_MEMBER_TYPES.items() if keep_members else [])])
 
 
 def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -174,9 +193,86 @@ def build_profiles(
                     lambda g, _w: profile_kernel(g, keep_members))
 
 
-_ASSIGN_SCHEMA = pa.schema([("record_id", pa.string()), ("block_key", pa.string()),
-                            ("assigned_cluster", pa.string()), ("score", pa.float64()),
-                            ("n_candidates", pa.int64())])
+def _assign_schema(value: str) -> pa.Schema:
+    s = pa.string()
+    return pa.schema([("record_id", s), ("block_key", s), ("assigned_cluster", s),
+                      (value, pa.float64()), ("n_candidates", pa.int64())])
+
+
+_ASSIGN_SCHEMA = _assign_schema("score")
+
+
+def _tag(t: pa.Table, side: int, members: bool = False) -> pa.Table:
+    """One side of the new records ∪ profiles union, with a ``side``
+    column (1: a profile, whose ``cluster_id`` becomes its
+    ``record_id``). ``members`` adds the profiles' kept member vectors;
+    a record gets empty member lists. Every column is cast to the
+    profiles' type (``joins.as_plain``: a pandas-built record's arrays
+    arrive as tensors)."""
+    from whoiswho_ray.stages.joins import as_plain
+
+    if side:
+        t = t.rename_columns(["record_id" if c == "cluster_id" else c
+                              for c in t.column_names])
+    n = t.num_rows
+    types = {**_SIG_TYPES, **(_MEMBER_TYPES if members else {})}
+    cols = {c: (as_plain(t.column(c), typ) if side or c not in _MEMBER_TYPES
+                else _list_array(np.zeros(n, np.int64), pa.array([], typ.value_type)))
+            for c, typ in types.items()}
+    cols["side"] = pa.array(np.full(n, side, np.int8))
+    return pa.table(cols)
+
+
+def _candidates(new_vectorized: "rd.Dataset", profiles: "rd.Dataset",
+                members: bool = False) -> "rd.Dataset":
+    """The new records ∪ the profiles (:func:`_tag`), for the blocking pass."""
+    return new_vectorized.map_batches(
+        _tag, fn_kwargs={"side": 0, "members": members}, batch_format="pyarrow").union(
+        profiles.map_batches(_tag, fn_kwargs={"side": 1, "members": members},
+                             batch_format="pyarrow"))
+
+
+def _cells(part: pa.Table):
+    """The (record, profile) cells of a partition of new records and
+    profiles sorted by ``block_key``: every record × every profile of
+    its block, record-major, a record's profiles in cluster_id order.
+    Returns (the record rows, their candidate counts, the cells' record
+    rows, the cells' profile rows)."""
+    starts, _ = _block_bounds(part.column("block_key").combine_chunks())
+    blk = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    is_prof = part.column("side").to_numpy(zero_copy_only=False) == 1
+    rec, prof = np.flatnonzero(~is_prof), np.flatnonzero(is_prof)
+    prof = prof[pc.sort_indices(
+        pa.table({"b": blk[prof], "c": part.column("record_id").take(pa.array(prof))}),
+        sort_keys=[("b", "ascending"), ("c", "ascending")]).to_numpy()]
+    per_block = np.bincount(blk[prof], minlength=starts.size - 1)
+    first = np.cumsum(per_block) - per_block
+    cand = per_block[blk[rec]]
+    return rec, cand, np.repeat(rec, cand), prof[_ragged(first[blk[rec]], cand)]
+
+
+def _assigned(part: pa.Table, cells, s, tau: float, empty: float,
+              schema: pa.Schema) -> pa.Table:
+    """One row per record of ``cells`` (:func:`_cells`), given a value
+    ``s`` per cell: the best cell (the highest ``s``, ties to the first,
+    i.e. the smallest cluster_id) is assigned if its value reaches
+    ``tau``, else NIL. A record whose block has no profile gets NIL, the
+    value ``empty`` and ``n_candidates`` 0."""
+    rec, cand, _, jj = cells
+    has = cand > 0
+    best = np.zeros(rec.size, dtype=np.int64)
+    value = np.full(rec.size, empty)
+    if jj.size:
+        lo = (np.cumsum(cand) - cand)[has]
+        top = np.repeat(np.maximum.reduceat(s, lo), cand[has])
+        best[has] = np.minimum.reduceat(np.where(s == top, np.arange(s.size), s.size), lo)
+        value[has] = s[best[has]]
+    rids = part.column("record_id").to_numpy(zero_copy_only=False)
+    assigned = np.where(has & (value >= tau), rids[jj[best]] if jj.size else NIL, NIL)
+    return pa.table([pa.array(rids[rec], pa.string()),
+                     part.column("block_key").take(pa.array(rec)),
+                     pa.array(assigned, pa.string()), pa.array(value, pa.float64()),
+                     pa.array(cand, pa.int64())], schema=schema)
 
 
 def pair_scores(rows, ii: np.ndarray, jj: np.ndarray, cfg: SNDConfig) -> dict:
@@ -194,43 +290,16 @@ def pair_scores(rows, ii: np.ndarray, jj: np.ndarray, cfg: SNDConfig) -> dict:
 
 
 def assign_kernel(part: pa.Table, cfg: SNDConfig) -> pa.Table:
-    """One partition of new records and profiles (``side`` 1, the
-    ``cluster_id`` as ``record_id``), sorted by ``block_key`` → one row
-    per record: every record is paired with every profile of its block,
-    the pairs are scored at once (:func:`pair_scores`), and the best
-    (score descending, then cluster_id ascending) is assigned if its
-    score reaches ``cfg.tau_edge``, else NIL. A record whose block has no
-    profile gets NIL, score 0 and ``n_candidates`` 0."""
-    rows = _decode(part)
-    starts, _ = _block_bounds(part.column("block_key").combine_chunks())
-    blk = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-    is_prof = part.column("side").to_numpy(zero_copy_only=False) == 1
-    rec = np.flatnonzero(~is_prof)
-    prof = np.flatnonzero(is_prof)
-    prof = prof[pc.sort_indices(pa.table({"b": blk[prof], "c": rows.rids[prof].astype(str)}),
-                                sort_keys=[("b", "ascending"), ("c", "ascending")]
-                                ).to_numpy()]
-    per_block = np.bincount(blk[prof], minlength=starts.size - 1)
-    first = np.cumsum(per_block) - per_block
-    cand = per_block[blk[rec]]
-    ii = np.repeat(rec, cand)
-    jj = prof[_ragged(first[blk[rec]], cand)]
-    has = cand > 0
-    best = np.zeros(rec.size, dtype=np.int64)
-    score = np.zeros(rec.size)
-    if ii.size:
-        s = pair_scores(rows, ii, jj, cfg)["score"]
-        lo = (np.cumsum(cand) - cand)[has]
-        top = np.repeat(np.maximum.reduceat(s, lo), cand[has])
-        best[has] = np.minimum.reduceat(np.where(s == top, np.arange(s.size), s.size), lo)
-        score[has] = s[best[has]]
-    assigned = np.where(has & (score >= cfg.tau_edge), rows.rids[jj[best]] if jj.size
-                        else NIL, NIL)
-    return pa.table({"record_id": pa.array(rows.rids[rec], pa.string()),
-                     "block_key": part.column("block_key").take(pa.array(rec)),
-                     "assigned_cluster": pa.array(assigned, pa.string()),
-                     "score": pa.array(score, pa.float64()),
-                     "n_candidates": pa.array(cand, pa.int64())}, schema=_ASSIGN_SCHEMA)
+    """One partition of new records and profiles (:func:`_tag`), sorted
+    by ``block_key`` → one row per record: every record is paired with
+    every profile of its block (:func:`_cells`), the pairs are scored at
+    once (:func:`pair_scores`), and the best is assigned if its score
+    reaches ``cfg.tau_edge``, else NIL (:func:`_assigned`; a record whose
+    block has no profile scores 0)."""
+    cells = _cells(part)
+    ii, jj = cells[2:]
+    s = pair_scores(_decode(part), ii, jj, cfg)["score"] if ii.size else None
+    return _assigned(part, cells, s, cfg.tau_edge, 0.0, _ASSIGN_SCHEMA)
 
 
 def assign_records(
@@ -246,19 +315,8 @@ def assign_records(
     from whoiswho_ray.pipelines.snd import _blocked
 
     cfg = cfg or SNDConfig()
-
-    def side(s: int):
-        def tag(t: pa.Table) -> pa.Table:
-            if s:
-                t = t.rename_columns(["record_id" if c == "cluster_id" else c
-                                      for c in t.column_names])
-            return t.select(_SIG_COLS).append_column(
-                "side", pa.array(np.full(t.num_rows, s, np.int8)))
-        return tag
-
-    both = new_vectorized.map_batches(side(0), batch_format="pyarrow").union(
-        profiles.map_batches(side(1), batch_format="pyarrow"))
-    return _blocked(both, lambda g, _w: assign_kernel(g, cfg))
+    return _blocked(_candidates(new_vectorized, profiles),
+                    lambda g, _w: assign_kernel(g, cfg))
 
 
 def _encode(known_records: "rd.Dataset | str", new_records: "rd.Dataset | str",
@@ -292,208 +350,142 @@ def run_rnd(
     return assign_records(new_vec, build_profiles(known_vec, clusters), cfg)
 
 
+def _features(with_graph: bool) -> tuple:
+    return KNRM_FEATURES + (GRAPH_FEATURES if with_graph else ())
+
+
+def _nested(col) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A list<list<T>> column → (flat values, the inner lists' offsets,
+    each row's offsets into the inner lists)."""
+    col = col.combine_chunks()
+    outer = col.offsets.to_numpy().astype(np.int64)
+    values, inner = _flat_list(col.values.slice(outer[0], outer[-1] - outer[0]))
+    return values, inner, outer - outer[0]
+
+
+def knrm_kernel(part: pa.Table, with_graph: bool = False) -> pa.Table:
+    """One partition of new records and member-keeping profiles
+    (:func:`_tag` with ``members``), sorted by ``block_key`` → one row
+    per (record, candidate profile) cell (:func:`_cells`): ``record_id``,
+    ``block_key``, ``candidate_cluster`` and the KNRM features ``k00…``,
+    the record's cosines with the candidate's members pooled through
+    Gaussian kernels (``similarity.knrm_profile_features``; the
+    reference's KNRM role, ``featureGenerator/rndFeature/
+    model.py:202-241``: exact match vs diffuse similarity, which the
+    centroid cosine collapses). The partition's (record, member) pairs
+    are laid out cell by cell, members in their stored order; their
+    cosines come from one ``scoring._intersections`` call, the pooling
+    from one ``exp`` and one ``bincount`` per kernel.
+
+    ``with_graph`` adds the ego-graph family (:func:`_ego_graph`, the
+    reference's GAT-over-ego-graph features,
+    ``rndFeature/graph_features.py:62-120``)."""
+    return _knrm(part, _cells(part), with_graph)
+
+
+def _knrm(part: pa.Table, cells, with_graph: bool) -> pa.Table:
+    from whoiswho_ray.functions.similarity import knrm_mus_sigmas
+    from whoiswho_ray.stages.scoring import _intersections
+
+    _, _, ii, jj = cells
+    tv, to = _flat_list(part.column("tfv_ids"))
+    tw = _flat_list(part.column("tfv_w"))[0]
+    mv, mo, rm = _nested(part.column("member_tfv_ids"))
+    mw = _nested(part.column("member_tfv_w"))[0]
+    n_mem = np.diff(rm)
+    # every (record, member) pair, cell by cell
+    cell = np.repeat(np.arange(jj.size), n_mem[jj])
+    r, m = ii[cell], _ragged(rm[jj], n_mem[jj])
+    tl, ml = np.diff(to), np.diff(mo)
+    rt, mt = _ragged(to[r], tl[r]), _ragged(mo[m], ml[m])
+    _, sims = _intersections(r.size, tv[rt], tl[r], mv[mt], ml[m], tw[rt], mw[mt])
+    mus, sigmas = knrm_mus_sigmas(N_KERNELS, KNRM_SIGMA)
+    K = np.exp(-((sims[:, None] - mus[None, :]) ** 2) / (2.0 * sigmas[None, :] ** 2))
+    pooled = np.stack([np.bincount(cell, weights=K[:, k], minlength=jj.size)
+                       for k in range(mus.size)], axis=1)
+    phi = np.zeros_like(pooled)
+    full = n_mem[jj] > 0
+    phi[full] = np.log(np.maximum(pooled[full], 1e-10))
+    ids, keys = part.column("record_id"), part.column("block_key")
+    out = {"record_id": ids.take(pa.array(ii)), "block_key": keys.take(pa.array(ii)),
+           "candidate_cluster": ids.take(pa.array(jj)),
+           **{c: phi[:, k] for k, c in enumerate(KNRM_FEATURES)}}
+    if with_graph:
+        graph = _ego_graph(part, ii, jj, sims, (mv, mo, mw, rm))
+        out.update({c: graph[:, k] for k, c in enumerate(GRAPH_FEATURES)})
+    s = pa.string()
+    return pa.table(out, schema=pa.schema(
+        [("record_id", s), ("block_key", s), ("candidate_cluster", s),
+         *[(c, pa.float64()) for c in _features(with_graph)]]))
+
+
+def _ego_graph(part: pa.Table, ii: np.ndarray, jj: np.ndarray, sims: np.ndarray,
+               members) -> np.ndarray:
+    """The ego-graph features of every cell, one block at a time: the
+    nodes are the record and every member of the block's profiles, the
+    edges cosines of at least :data:`GRAPH_TAU` (record/member: ``sims``,
+    laid out as :func:`_knrm` does; member/member: one
+    ``allpairs_matrix``). ``g_deg``: the record's edges into the
+    candidate's members; ``g_frac``: that over the candidate's member
+    count; ``g_cn``: common neighbours, outside members linked to the
+    record and to some member of the candidate (the second hop direct
+    similarity misses); ``g_cnf``: that over the record's edges outside
+    the candidate."""
+    from whoiswho_ray.stages.scoring import allpairs_matrix
+
+    mv, mo, mw, rm = members
+    n_mem, ml = np.diff(rm), np.diff(mo)
+    first_pair = np.r_[0, np.cumsum(n_mem[jj])]
+    starts, _ = _block_bounds(part.column("block_key").combine_chunks())
+    cb = np.repeat(np.arange(starts.size - 1), np.diff(starts))[ii]
+    bounds = np.flatnonzero(np.r_[True, cb[1:] != cb[:-1], True]) if ii.size else [0]
+    graph = np.zeros((jj.size, len(GRAPH_FEATURES)))
+    for c0, c1 in zip(bounds[:-1], bounds[1:]):  # the cells of one block
+        profs = jj[c0: c0 + np.count_nonzero(ii[c0:c1] == ii[c0])]
+        npf, nr = profs.size, (c1 - c0) // profs.size
+        mem = _ragged(rm[profs], n_mem[profs])
+        M = mem.size
+        mem_prof = np.repeat(np.arange(npf), n_mem[profs])
+        strong_rm = sims[first_pair[c0]: first_pair[c1]].reshape(nr, M) >= GRAPH_TAU
+        mt = _ragged(mo[mem], ml[mem])
+        mm = allpairs_matrix(M, mv[mt], np.r_[0, np.cumsum(ml[mem])], mw[mt])
+        np.fill_diagonal(mm, 0.0)
+        strong_mm = mm >= GRAPH_TAU
+        ind = mem_prof[:, None] == np.arange(npf)[None, :]  # (M, npf)
+        g_deg = strong_rm.astype(np.float64) @ ind  # (nr, npf)
+        g_frac = g_deg / np.maximum(ind.sum(axis=0), 1)[None, :]
+        # an outside member is a 2-hop neighbour of a candidate if it
+        # links any of its members; common neighbours with the record
+        cand_nb = ((strong_mm.astype(np.float64) @ ind) > 0) & ~ind
+        g_cn = strong_rm.astype(np.float64) @ cand_nb
+        g_cnf = g_cn / np.maximum(strong_rm.sum(axis=1)[:, None] - g_deg, 1.0)
+        graph[c0:c1] = np.stack([g_deg.ravel(), g_frac.ravel(),
+                                 g_cn.ravel(), g_cnf.ravel()], axis=1)
+    return graph
+
+
 def rnd_knrm_features(
     new_vectorized: "rd.Dataset",
     profiles: "rd.Dataset",
-    n_kernels: int = 21,
-    sigma: float = 0.1,
     with_graph: bool = False,
-    graph_tau: float = 0.5,
 ) -> "rd.Dataset":
-    """KNRM kernel-pooled features per (new record × candidate profile).
+    """KNRM (and, ``with_graph``, ego-graph) features per (new record ×
+    candidate profile): the records ∪ the profiles through the one
+    blocking pass (``snd._blocked``) and :func:`knrm_kernel`. Requires
+    profiles built with ``build_profiles(..., keep_members>0)``. Returns
+    (record_id, block_key, candidate_cluster, k00…k20[, g_deg, g_frac,
+    g_cn, g_cnf]), executed — the columns ``training.fit_ensemble``
+    reads."""
+    from whoiswho_ray.pipelines.snd import _blocked
 
-    The reference's KNRM role (``featureGenerator/rndFeature/
-    model.py:202-241``): the record's embedding is compared against EACH
-    profile member, and the similarity distribution is pooled through
-    Gaussian kernels into a feature vector that feeds the GBDT ensemble —
-    a multi-resolution signal (exact-match vs diffuse similarity) that
-    the centroid cosine collapses. Requires profiles built with
-    ``build_profiles(..., keep_members>0)``. Returns
-    (record_id, block_key, candidate_cluster, knrm: list<double>[n_kernels]);
-    feed through ``training.fit_ensemble`` / ``apply_ensemble``.
-
-    ``with_graph=True`` additionally emits the EGO-GRAPH feature family —
-    the analog of the reference's GAT-over-ego-graph features
-    (``rndFeature/graph_features.py:62-120``, its third feature family):
-    nodes are the record plus every member of every candidate profile in
-    the block; edges are member/record cosine >= ``graph_tau``. Per
-    (record, candidate): ``g_deg`` (record→candidate-member strong
-    links), ``g_frac`` (that over the candidate's member count),
-    ``g_cn`` (common neighbors: outside members strong with BOTH the
-    record and some candidate member — second-hop structure the direct
-    similarity misses), ``g_cnf`` (g_cn over the record's outside strong
-    degree). All from the one dot pass plus one member×member
-    ``allpairs_matrix`` per block — no Python pair loop."""
-    from whoiswho_ray.stages.agg import group_apply
-
-    _E = np.empty(0, np.int64)
-
-    def tag_rec(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        df = df[["record_id", "block_key", "tfv_ids", "tfv_w"]].copy()
-        df["member_tfv_ids"] = [[]] * n
-        df["member_tfv_w"] = [[]] * n
-        df["__side"] = "rec"
-        return df
-
-    def tag_prof(df: pd.DataFrame) -> pd.DataFrame:
-        n = len(df)
-        out = pd.DataFrame({
-            "record_id": df["cluster_id"].to_numpy(),
-            "block_key": df["block_key"].to_numpy(),
-            "tfv_ids": [_E] * n,
-            "tfv_w": [_E] * n,
-            "member_tfv_ids": list(df["member_tfv_ids"]),
-            "member_tfv_w": list(df["member_tfv_w"]),
-            "__side": "prof",
-        })
-        return out
-
-    recs = new_vectorized.map_batches(tag_rec, batch_format="pandas")
-    profs = profiles.map_batches(tag_prof, batch_format="pandas")
-
-    def per_block(g: pd.DataFrame) -> pd.DataFrame:
-        """Fully vectorized: member/record streams are flattened ONCE into
-        (values, offsets) and every (record × member) pair is materialized
-        by numpy index-arithmetic gathers (the pairs.py gather pattern —
-        no per-pair np.concatenate); the cosines come from one lexsort
-        intersection pass (bit-identical to the per-pair
-        ``cosine_sparse``), then kernel pooling for every
-        (record, profile) cell via one exp + per-kernel bincount."""
-        from whoiswho_ray.functions.similarity import knrm_mus_sigmas
-        from whoiswho_ray.stages.scoring import _intersections
-
-        rec = g[g["__side"] == "rec"]
-        prof = g[g["__side"] == "prof"]
-        out_cols = {"record_id": [], "block_key": [], "candidate_cluster": [], "knrm": []}
-        if with_graph:
-            for c in ("g_deg", "g_frac", "g_cn", "g_cnf"):
-                out_cols[c] = []
-        if len(rec) == 0 or len(prof) == 0:
-            return pd.DataFrame(out_cols)
-        bk = g["block_key"].iloc[0]
-        nr, npf = len(rec), len(prof)
-
-        # flatten profile members ONCE: member j belongs to mem_prof[j]
-        mem_ids = [np.asarray(mi, np.int64)
-                   for mis in prof["member_tfv_ids"] for mi in mis]
-        mem_w = [np.asarray(mw, np.float64)
-                 for mws in prof["member_tfv_w"] for mw in mws]
-        mem_prof = np.repeat(np.arange(npf),
-                             [len(mis) for mis in prof["member_tfv_ids"]])
-        M = len(mem_ids)
-        mus, sigmas = knrm_mus_sigmas(n_kernels, sigma)
-        phi = np.zeros((nr * npf, mus.size))
-        graph = np.zeros((nr * npf, 4))
-        if M:
-            def flatten(arrays, n):
-                lens = np.fromiter((a.size for a in arrays), np.int64, n)
-                offs = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(lens, out=offs[1:])
-                vals = np.concatenate(arrays) if n else np.empty(0, np.int64)
-                return vals, offs, lens
-
-            def gather(vals, offs, lens, idx):
-                l = lens[idx]
-                out_off = np.zeros(idx.size + 1, dtype=np.int64)
-                np.cumsum(l, out=out_off[1:])
-                flat = np.repeat(offs[idx], l) + (
-                    np.arange(int(out_off[-1])) - np.repeat(out_off[:-1], l))
-                return vals[flat], l
-
-            rec_vals, rec_offs, rec_lens = flatten(
-                [np.asarray(x, np.int64) for x in rec["tfv_ids"]], nr)
-            recw_vals, _, _ = flatten(
-                [np.asarray(x, np.float64) for x in rec["tfv_w"]], nr)
-            mem_vals, mem_offs, mem_lens = flatten(mem_ids, M)
-            memw_vals, _, _ = flatten(mem_w, M)
-
-            ri = np.repeat(np.arange(nr), M)
-            mj = np.tile(np.arange(M), nr)
-            iv, il = gather(rec_vals, rec_offs, rec_lens, ri)
-            iw, _ = gather(recw_vals, rec_offs, rec_lens, ri)
-            jv, jl = gather(mem_vals, mem_offs, mem_lens, mj)
-            jw, _ = gather(memw_vals, mem_offs, mem_lens, mj)
-            _, dots = _intersections(ri.size, iv, il, jv, jl, iw, jw)
-            sims = dots if dots is not None else np.zeros(ri.size)
-            # pooled[cell, k] = sum over that cell's members of K_k(sim)
-            cell = ri * npf + mem_prof[mj]
-            K = np.exp(-((sims[:, None] - mus[None, :]) ** 2)
-                       / (2.0 * sigmas[None, :] ** 2))
-            pooled = np.zeros((nr * npf, mus.size))
-            for k in range(mus.size):
-                pooled[:, k] = np.bincount(cell, weights=K[:, k], minlength=nr * npf)
-            has_members = np.bincount(cell, minlength=nr * npf) > 0
-            phi[has_members] = np.log(np.maximum(pooled[has_members], 1e-10))
-
-            if with_graph:
-                from whoiswho_ray.stages.scoring import allpairs_matrix
-
-                # record↔member strong edges from the sims already computed
-                strong_rm = sims.reshape(nr, M) >= graph_tau
-                # member↔member strong edges: one block-bounded dot matrix
-                mm = allpairs_matrix(M, mem_vals, mem_offs, memw_vals)
-                np.fill_diagonal(mm, 0.0)
-                strong_mm = mm >= graph_tau
-                ind = (mem_prof[:, None] == np.arange(npf)[None, :])  # (M, npf)
-                n_mem = np.maximum(ind.sum(axis=0), 1)
-                g_deg = strong_rm.astype(np.float64) @ ind               # (nr, npf)
-                g_frac = g_deg / n_mem[None, :]
-                # outside member m' is a 2-hop neighbor of candidate c if
-                # it links any member of c; common neighbors with the record
-                cand_nb = ((strong_mm.astype(np.float64) @ ind) > 0) & ~ind
-                g_cn = strong_rm.astype(np.float64) @ cand_nb
-                out_deg = strong_rm.sum(axis=1)[:, None] - g_deg  # strong links outside c
-                g_cnf = g_cn / np.maximum(out_deg, 1.0)
-                graph = np.stack([g_deg.ravel(), g_frac.ravel(),
-                                  g_cn.ravel(), g_cnf.ravel()], axis=1)
-        rec_ids_col = rec["record_id"].to_numpy()
-        prof_ids_col = prof["record_id"].to_numpy()
-        rr = np.repeat(np.arange(nr), npf)
-        pp = np.tile(np.arange(npf), nr)
-        out = {
-            "record_id": rec_ids_col[rr],
-            "block_key": np.repeat(bk, nr * npf),
-            "candidate_cluster": prof_ids_col[pp],
-            "knrm": list(phi),
-        }
-        if with_graph:
-            for i, c in enumerate(("g_deg", "g_frac", "g_cn", "g_cnf")):
-                out[c] = graph[:, i]
-        return pd.DataFrame(out)
-
-    return group_apply(recs.union(profs), "block_key", per_block,
-                       batch_format="pandas")
-
-
-GRAPH_FEATURES = ("g_deg", "g_frac", "g_cn", "g_cnf")
-
-
-def expand_knrm(feats: "rd.Dataset", n_kernels: int = 21) -> "rd.Dataset":
-    """KNRM list column → named feature columns ``k00..k{n-1}`` (the shape
-    ``training.EnsembleModel`` consumes). Graph-feature columns
-    (``GRAPH_FEATURES``), when present, pass through unchanged."""
-    names = [f"k{i:02d}" for i in range(n_kernels)]
-
-    def f(df: pd.DataFrame) -> pd.DataFrame:
-        keep = ["record_id", "block_key", "candidate_cluster"] + [
-            c for c in GRAPH_FEATURES if c in df.columns]
-        out = df[keep].copy()
-        mat = (np.stack([np.asarray(x, np.float64) for x in df["knrm"]])
-               if len(df) else np.zeros((0, n_kernels)))
-        for i, nm in enumerate(names):
-            out[nm] = mat[:, i]
-        return out
-
-    return feats.map_batches(f, batch_format="pandas")
+    return _blocked(_candidates(new_vectorized, profiles, members=True),
+                    lambda g, _w: knrm_kernel(g, with_graph))
 
 
 def fit_rnd_ensemble(
     known_vectorized: "rd.Dataset",
     profiles: "rd.Dataset",
     clusters: "rd.Dataset",
-    n_kernels: int = 21,
-    sigma: float = 0.1,
     cells=None,
     seed: int = 42,
     max_train_records: int = 50_000,
@@ -506,7 +498,9 @@ def fit_rnd_ensemble(
     same-block profile.
 
     The feature generation is distributed; the fit itself is driver-side
-    on the collected pair frame (the model is a few KB). The collect is
+    on the collected pair frame (the model is a few KB), sorted by
+    (record_id, candidate_cluster) first: the fit's folds follow row
+    order, which the blocking pass does not fix. The collect is
     BOUNDED: when the known set exceeds ``max_train_records``, a
     deterministic order-invariant hash sample (smallest record-id hashes)
     picks the training records — exactly like the reference trains on a
@@ -550,19 +544,14 @@ def fit_rnd_ensemble(
 
         known_vectorized = known_vectorized.map_batches(
             filt, batch_format="pandas")
-    feats = expand_knrm(
-        rnd_knrm_features(known_vectorized, profiles, n_kernels, sigma,
-                          with_graph=with_graph), n_kernels)
-    X = feats.to_pandas()
+    X = rnd_knrm_features(known_vectorized, profiles, with_graph).to_pandas()
     truth = clusters.select_columns(["record_id", "cluster_id"]).to_pandas()
-    X = X.merge(truth, on="record_id", how="inner")
+    X = X.merge(truth, on="record_id", how="inner").sort_values(
+        ["record_id", "candidate_cluster"], kind="stable", ignore_index=True)
     X["same_entity"] = X["candidate_cluster"] == X["cluster_id"]
-    names = [f"k{i:02d}" for i in range(n_kernels)]
-    if with_graph:
-        names = names + list(GRAPH_FEATURES)
     cells = cells or tuple(
         type(c)(name=c.name, model=c.model, weight=c.weight,
-                features=tuple(names), params=c.params)
+                features=_features(with_graph), params=c.params)
         for c in DEFAULT_CELLS)
     model, diag = fit_ensemble(X, label_col="same_entity", cells=cells, seed=seed)
     diag = dict(diag)
@@ -570,64 +559,39 @@ def fit_rnd_ensemble(
     return model, diag
 
 
+def learned_kernel(part: pa.Table, model, with_graph: bool = False) -> pa.Table:
+    """:func:`knrm_kernel`'s partition → one row per record: the cells'
+    features scored by ``model.predict_proba`` and the best cell assigned
+    if its prob reaches :data:`TAU_PROB`, else NIL (:func:`_assigned`; a
+    record whose block has no profile gets prob -1.0)."""
+    cells = _cells(part)
+    p = (model.predict_proba(_knrm(part, cells, with_graph).select(
+        list(_features(with_graph))).to_pandas()) if cells[3].size else None)
+    return _assigned(part, cells, p, TAU_PROB, -1.0, _assign_schema("prob"))
+
+
 def assign_records_learned(
     new_vectorized: "rd.Dataset",
     profiles: "rd.Dataset",
     model,
-    n_kernels: int = 21,
-    sigma: float = 0.1,
-    tau_prob: float = 0.5,
     with_graph: bool = False,
 ) -> "rd.Dataset":
-    """LEARNED assignment: KNRM kernel features per (record × candidate)
-    → broadcast ensemble scoring (``training.apply_ensemble``) → per-record
-    argmax with NIL threshold. The learned analog of
-    :func:`assign_records` (which blends fixed weights over centroid
-    features); requires profiles built with ``keep_members > 0``.
+    """LEARNED assignment, the learned analog of :func:`assign_records`
+    (which blends fixed weights over centroid features): the records ∪
+    the member-keeping profiles (``keep_members > 0``) through the one
+    blocking pass (``snd._blocked``) and :func:`learned_kernel`, the
+    model broadcast once (``ray.put``) and read through the per-process
+    cache (``joins._cached_get``). Returns (record_id, block_key,
+    assigned_cluster, prob, n_candidates), one row per record,
+    executed."""
+    import ray
 
-    Every new record yields exactly one row: a NIL skeleton row per record
-    rides the same shuffle, so records whose block has no profiles (or no
-    scored candidates) come back NIL without any driver-side anti-join."""
-    from whoiswho_ray.stages.agg import group_apply
-    from whoiswho_ray.training import apply_ensemble
+    from whoiswho_ray.pipelines.snd import _blocked
+    from whoiswho_ray.stages.joins import _cached_get
 
-    feats = expand_knrm(
-        rnd_knrm_features(new_vectorized, profiles, n_kernels, sigma,
-                          with_graph=with_graph), n_kernels)
-    # pandas projection (not select_columns) so both union arms carry the
-    # same block type — heterogeneous unions break downstream batching
-    scored = apply_ensemble(feats, model, out_col="prob").map_batches(
-        lambda df: df[["record_id", "block_key", "candidate_cluster", "prob"]],
-        batch_format="pandas")
-
-    def skeleton(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "record_id": df["record_id"],
-            "block_key": df["block_key"],
-            "candidate_cluster": np.repeat(NIL, len(df)),
-            "prob": np.full(len(df), -1.0),
-        })
-
-    both = scored.union(new_vectorized.select_columns(
-        ["record_id", "block_key"]).map_batches(skeleton, batch_format="pandas"))
-
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.sort_values(["record_id", "prob", "candidate_cluster"],
-                           ascending=[True, False, True], kind="stable")
-        size = df.groupby("record_id", sort=False)["prob"].transform("size").to_numpy()
-        first = df.groupby("record_id", sort=False).head(1)
-        fsize = size[df.index.get_indexer(first.index)] if len(df) else size
-        prob = first["prob"].to_numpy()
-        cand = first["candidate_cluster"].to_numpy()
-        return pd.DataFrame({
-            "record_id": first["record_id"].to_numpy(),
-            "block_key": first["block_key"].to_numpy(),
-            "assigned_cluster": np.where((prob >= tau_prob) & (cand != NIL), cand, NIL),
-            "prob": prob,
-            "n_candidates": (fsize - 1).astype(np.int64),
-        })
-
-    return group_apply(both, "record_id", pick, batch_format="pandas")
+    model_ref = ray.put(model)
+    return _blocked(_candidates(new_vectorized, profiles, members=True),
+                    lambda g, _w: learned_kernel(g, _cached_get(model_ref), with_graph))
 
 
 def run_rnd_learned(
@@ -635,7 +599,6 @@ def run_rnd_learned(
     new_records: "rd.Dataset | str",
     cfg: SNDConfig | None = None,
     keep_members: int = 16,
-    tau_prob: float = 0.5,
     with_graph: bool = False,
     max_train_records: int = 50_000,
 ) -> "rd.Dataset":
@@ -648,5 +611,4 @@ def run_rnd_learned(
     model, _diag = fit_rnd_ensemble(known_vec, profiles, clusters,
                                     max_train_records=max_train_records,
                                     with_graph=with_graph)
-    return assign_records_learned(new_vec, profiles, model, tau_prob=tau_prob,
-                                  with_graph=with_graph)
+    return assign_records_learned(new_vec, profiles, model, with_graph=with_graph)

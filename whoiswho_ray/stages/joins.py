@@ -27,9 +27,12 @@ import ray.data
 def _arrow_type(t):
     """Best-effort pyarrow type for a Ray Dataset schema entry (Arrow
     DataType, numpy dtype, or the ``object`` class pandas-backed blocks
-    report for strings)."""
+    report for strings). A Ray tensor extension type (a pandas-built
+    column of 1-D arrays) becomes the plain list of its scalar type."""
     import pyarrow as pa
 
+    if hasattr(t, "scalar_type"):
+        return pa.list_(t.scalar_type)
     if isinstance(t, pa.DataType):
         return t
     try:
@@ -39,6 +42,24 @@ def _arrow_type(t):
     if dt == np.dtype("O"):
         return pa.string()
     return pa.from_numpy_dtype(dt)
+
+
+def as_plain(col, typ):
+    """``col`` as type ``typ``; a tensor-extension or all-null column
+    headed for a list type becomes that plain list (an all-null column
+    is how Ray stores a column of only empty arrays: each row becomes an
+    empty list)."""
+    import pyarrow as pa
+
+    from whoiswho_ray.stages.pairs import _flat_list
+
+    if not pa.types.is_list(typ) or not (isinstance(col.type, pa.ExtensionType)
+                                         or pa.types.is_null(col.type)):
+        return col.cast(typ)
+    values, offsets = ((np.empty(0), np.zeros(len(col) + 1, np.int64))
+                       if pa.types.is_null(col.type) else _flat_list(col))
+    return pa.ListArray.from_arrays(pa.array(offsets.astype(np.int32)),
+                                    pa.array(values, typ.value_type))
 
 
 #: Fixed hash assigned to NULL key values — keeps nulls co-located without
@@ -112,6 +133,12 @@ def arrow_tagged_union(
     the projection here rather than a lazy ``select_columns``: Ray 2.49
     runs a lazy map's plan under ``limit(1)`` to answer ``schema()``.
 
+    A column Ray declares as a tensor extension (pandas-built 1-D
+    arrays) rides as a plain Arrow list of its scalar type
+    (:func:`as_plain`): its blocks may store it as another tensor type,
+    or as nulls when every array is empty, which no cast to the declared
+    type accepts.
+
     This replaces the earlier pandas ``reindex`` + NaN padding: NaN
     promotes int64 columns to float64 across the shuffle and silently
     corrupts values above 2^53 (ADVICE r2). With typed nulls the Arrow
@@ -139,8 +166,8 @@ def arrow_tagged_union(
         def f(t: pa.Table) -> pa.Table:
             n = t.num_rows
             b = (_key_hash(t, keys) % np.uint64(num_buckets)).astype(np.int64)
-            cols = {c: (t.column(c) if c in own else pa.nulls(n, type=types[c]))
-                    for c in all_cols}
+            cols = {c: (as_plain(t.column(c), types[c]) if c in own
+                        else pa.nulls(n, type=types[c])) for c in all_cols}
             cols["__bucket"] = pa.array(b, pa.int64())
             cols["__side"] = pa.array(np.full(n, side, np.int8))
             return pa.table(cols).cast(target)
@@ -182,26 +209,6 @@ def attach_claims(
     import pyarrow as pa
 
     from whoiswho_ray.stages.cluster import _cc_num_buckets
-    from whoiswho_ray.stages.pairs import _flat_list
-
-    schema = records.schema()
-    tensors = {n: t.scalar_type for n, t in zip(schema.names, schema.types)
-               if hasattr(t, "scalar_type") and n in (columns or schema.names)}
-    if tensors:
-        # Ray stores pandas-built 1-D array columns as tensor extensions
-        # (an all-empty one as nulls) whose declared and block types can
-        # differ, which the typed padding cannot cast: make them plain lists
-        def plain(t: pa.Table) -> pa.Table:
-            t = t.select(columns or t.column_names)
-            for name, scalar in tensors.items():
-                col = t.column(name)
-                values, offsets = ((np.empty(0), np.zeros(len(col) + 1, np.int64))
-                                   if pa.types.is_null(col.type) else _flat_list(col))
-                t = t.set_column(t.schema.get_field_index(name), name, pa.ListArray.from_arrays(
-                    pa.array(offsets.astype(np.int32)), pa.array(values, scalar)))
-            return t
-
-        records = records.map_batches(plain, batch_format="pyarrow").materialize()
 
     u, lcols, rcols = arrow_tagged_union(records, claims, ["record_id"], ["record_id"],
                                          _cc_num_buckets(), columns, ["record_id", claim])

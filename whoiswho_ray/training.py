@@ -340,23 +340,19 @@ def apply_ensemble(
     edges: "rd.Dataset",
     model: EnsembleModel,
     out_col: str = "prob",
-    concurrency: int = 4,
 ) -> "rd.Dataset":
-    """Distributed scoring: the fitted ensemble is broadcast once
-    (``ray.put``) and applied per batch in an actor pool — the
-    ``map_batches(PredictActor)`` shape of SURVEY.md §2.3 T6."""
+    """Distributed scoring, the ``map_batches(predict)`` shape of
+    SURVEY.md §2.3 T6: the fitted ensemble is broadcast once
+    (``ray.put``) and each task-pool map task reads it through the
+    per-process cache (``joins._cached_get``). No actor pool: an actor
+    would hold a CPU the upstream tasks of the same execution wait for."""
     import ray
+
+    from whoiswho_ray.stages.joins import _cached_get
 
     model_ref = ray.put(model)
 
-    class Predict:
-        def __init__(self):
-            self.model: EnsembleModel = ray.get(model_ref)
+    def predict(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(**{out_col: _cached_get(model_ref).predict_proba(df)})
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            df[out_col] = self.model.predict_proba(df)
-            return df
-
-    return edges.map_batches(Predict, batch_format="pandas", batch_size=16384,
-                             concurrency=(1, concurrency))
+    return edges.map_batches(predict, batch_format="pandas", batch_size=16384)
