@@ -6,13 +6,19 @@ Every line also carries the first 16 hex digits of a sha256 over the
 query's canonical result (:func:`canon`), rows-only queries included, so
 two checkouts compare by diffing their runs.
 
-Usage: python tools/check_oracles.py [sf_dir] [query ...]
+A query that runs past ``--timeout`` seconds prints ``TIMEOUT <name>``,
+counts as failing, and restarts the Ray session so that whatever it left
+running cannot hold the next query's CPUs.
+
+Usage: python tools/check_oracles.py [--num-cpus N] [--timeout S] [sf_dir] [query ...]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import signal
 import sys
 import time
 
@@ -76,17 +82,41 @@ def compare(name: str, mine: pd.DataFrame, oracle: pd.DataFrame) -> list[str]:
     return problems
 
 
+class QueryTimeout(BaseException):
+    pass
+
+
+def _on_alarm(signum, frame):
+    raise QueryTimeout()
+
+
+def start_ray(num_cpus: int) -> None:
+    import ray
+    from ray.data import DataContext
+
+    ray.init(address="local", num_cpus=num_cpus, include_dashboard=False,
+             logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+
+
 def main():
+    ap = argparse.ArgumentParser(
+        description=__doc__.splitlines()[0],
+        usage="%(prog)s [--num-cpus N] [--timeout S] [sf_dir] [query ...]")
+    ap.add_argument("--num-cpus", type=int, default=8,
+                    help="CPUs of the Ray session (default 8)")
+    ap.add_argument("--timeout", type=float, default=None,
+                    help="seconds one query may run before it counts as failing")
+    # the options are taken out; sf_dir and the query names stay positional
+    args, sys.argv[1:] = ap.parse_known_args()
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     only = set(sys.argv[2:])
 
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
+        start_ray(args.num_cpus)
+    signal.signal(signal.SIGALRM, _on_alarm)
 
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     import __ray_entry__ as entrymod
@@ -102,12 +132,22 @@ def main():
         if only and name not in only:
             continue
         t0 = time.time()
+        if args.timeout:
+            signal.setitimer(signal.ITIMER_REAL, args.timeout)
         try:
             mine = to_pandas(fn(sf_dir))
+        except QueryTimeout:
+            print(f"TIMEOUT {name} (>{args.timeout:g}s)", flush=True)
+            n_bad += 1
+            ray.shutdown()
+            start_ray(args.num_cpus)
+            continue
         except Exception as e:
             print(f"FAIL {name}: query raised {type(e).__name__}: {e}")
             n_bad += 1
             continue
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
         wall = time.time() - t0
         sha = digest(mine)
         if name not in oracles:

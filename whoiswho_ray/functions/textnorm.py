@@ -10,9 +10,11 @@ source-code domain of ``input_hint``: the blocking key comes from the path
 basename instead of an author name, and content tokens play the role of
 title/keyword words.
 
-All functions are pure and designed to be applied vectorized inside
-``map_batches`` (they take/return plain Python values; the batch adapters
-live in ``whoiswho_ray.stages``).
+All functions are pure. The scalar ones take and return plain Python
+values and define each derived column; the ``*_column`` functions apply
+them to a whole Arrow string column inside ``map_batches``, with Arrow
+kernels for ASCII values and the scalar function for every other value,
+so they equal the scalar functions by construction.
 """
 
 from __future__ import annotations
@@ -121,6 +123,24 @@ def tokenize_identifiers(content: str, max_tokens: int = 256) -> list[str]:
     return list(seen)
 
 
+def split_path(path: str) -> tuple[str, str]:
+    """(directory, basename) of a file path: surrounding whitespace
+    stripped, backslashes read as separators."""
+    p = path.strip().replace("\\", "/")
+    return posixpath.dirname(p), posixpath.basename(p)
+
+
+def block_key_of_basename(base: str) -> str:
+    """Blocking key from an already-split basename (see
+    :func:`normalize_block_key`). It does not strip again: ``" .py"`` keys
+    to ``''`` here, as the basename of ``"a/ .py"``, while the path
+    ``" .py"`` keys to ``'py'``."""
+    root, ext = posixpath.splitext(base)
+    if ext and len(ext) <= 6:  # only strip things that look like extensions
+        base = root
+    return _NON_ALNUM_RE.sub("", ascii_fold(base).lower())
+
+
 def normalize_block_key(path: str) -> str:
     """Blocking key from a file path: lowercase basename, extension and all
     non-alphanumerics stripped.
@@ -130,18 +150,14 @@ def normalize_block_key(path: str) -> str:
     variants of "the same name" to one key. ``src/Foo_Bar.v2.PY`` and
     ``lib/foobar-v2.py`` both → ``foobarv2``.
     """
-    base = posixpath.basename(path.strip().replace("\\", "/"))
-    root, ext = posixpath.splitext(base)
-    if ext and len(ext) <= 6:  # only strip things that look like extensions
-        base = root
-    return _NON_ALNUM_RE.sub("", ascii_fold(base).lower())
+    return block_key_of_basename(basename_of(path))
 
 
 def basename_of(path: str) -> str:
     """Raw basename (extension kept) — feeds the Jaro-Winkler name feature
     (the ``feature_process.py:368`` analog: surface-form similarity of the
     name beyond the normalized key)."""
-    return posixpath.basename(path.strip().replace("\\", "/"))
+    return split_path(path)[1]
 
 
 def repo_tokens(repo: str) -> list[str]:
@@ -152,12 +168,84 @@ def repo_tokens(repo: str) -> list[str]:
 
 def ctx_tokens(path: str, lang: str) -> list[str]:
     """Context tokens: language + path directory components (venue analog)."""
-    p = path.strip().replace("\\", "/")
-    dirs = posixpath.dirname(p)
+    dirs = split_path(path)[0]
     toks = [t for t in _NON_ALNUM_RE.split(ascii_fold(dirs).lower()) if t]
     if lang:
         toks.append(ascii_fold(lang).lower())
     return toks
+
+
+# What ``str.strip()`` removes from an ASCII string. The column functions
+# below run Arrow kernels on ASCII values only and hand every value with a
+# non-ASCII code point to the scalar functions, so Arrow's own Unicode
+# whitespace and case tables never decide an output.
+_ASCII_WS = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+def _with_scalar(out, col, fn):
+    """``out`` with the value of every non-ASCII row of ``col`` replaced by
+    ``fn`` of that row's value, ``fn`` called once per distinct value."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    odd = pc.invert(pc.string_is_ascii(col))
+    if not pc.any(odd).as_py():
+        return out
+    enc = pc.dictionary_encode(col.filter(odd))
+    fixed = pa.array([fn(v) for v in enc.dictionary.to_pylist()], out.type)
+    return pc.replace_with_mask(out, odd, fixed.take(enc.indices))
+
+
+def _last_split(col, sep: str):
+    """(head, tail, has_sep) around the last ``sep`` of each value; a value
+    without ``sep`` gives head ``''`` and tail the whole value."""
+    import pyarrow.compute as pc
+
+    parts = pc.split_pattern(col, sep, max_splits=1, reverse=True)
+    off = parts.offsets.to_numpy(zero_copy_only=False)
+    has = np.diff(off) == 2
+    values = parts.values
+    tail = values.take(off[1:] - 1)
+    head = pc.if_else(has, values.take(off[:-1]), "")
+    return head, tail, has
+
+
+def split_path_column(path):
+    """:func:`split_path` over an Arrow string column without nulls:
+    (directories, basenames)."""
+    import pyarrow.compute as pc
+
+    p = pc.replace_substring(pc.utf8_trim(path, _ASCII_WS), "\\", "/")
+    head, base, has = _last_split(p, "/")
+    # posixpath.dirname: the head loses its trailing slashes unless it is
+    # nothing but slashes
+    dirs = pc.utf8_rtrim(head, "/")
+    dirs = pc.if_else(pc.and_(has, pc.equal(dirs, "")),
+                      pc.binary_join_element_wise(head, "/", ""), dirs)
+    return (_with_scalar(dirs, path, lambda v: split_path(v)[0]),
+            _with_scalar(base, path, lambda v: split_path(v)[1]))
+
+
+def block_key_column(base):
+    """:func:`block_key_of_basename` over an Arrow string column of
+    basenames without nulls."""
+    import pyarrow.compute as pc
+
+    root, tail, has = _last_split(base, ".")
+    # posixpath.splitext: an extension needs a non-dot before its dot
+    ext = pc.and_(pc.and_(has, pc.not_equal(pc.utf8_ltrim(root, "."), "")),
+                  pc.less_equal(pc.utf8_length(tail), 5))
+    key = pc.replace_substring_regex(
+        pc.utf8_lower(pc.if_else(ext, root, base)), "[^a-z0-9]+", "")
+    return _with_scalar(key, base, block_key_of_basename)
+
+
+def fold_lower_column(col):
+    """``ascii_fold(v).lower()`` over an Arrow string column without
+    nulls."""
+    import pyarrow.compute as pc
+
+    return _with_scalar(pc.utf8_lower(col), col, lambda v: ascii_fold(v).lower())
 
 
 def fingerprint_key_expr():

@@ -869,7 +869,8 @@ def line_dedup(
        broadcast once via ``ray.put`` (sorted uint64 array — bounded by
        the number of DISTINCT repeated lines, a tiny fraction of corpus
        bytes; at 100 TB keep ``min_docs`` ≥ the boilerplate floor so the
-       set stays in worker memory). Each batch re-splits, hashes its
+       set stays in worker memory) and read per worker process through
+       ``joins._cached_get``. Each batch re-splits, hashes its
        dictionary, masks via searchsorted, rebuilds the kept lines with a
        zero-copy list-filter and one ``binary_join``.
 
@@ -920,38 +921,36 @@ def line_dedup(
          for t in collect_blocks(common)] or [np.empty(0, np.int64)]))
     common_ref = ray.put(common_np)
 
-    class Strip:
-        def __init__(self):
-            self.common = ray.get(common_ref)
+    def strip(t: pa.Table) -> pa.Table:
+        from whoiswho_ray.stages.joins import _cached_get
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            _, values, offsets, idx, uhash = _split(t)
-            n = t.num_rows
-            lens = np.diff(offsets)
-            rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-            if uhash.size and self.common.size:
-                pos = np.searchsorted(self.common, uhash)
-                pos[pos == self.common.size] = 0
-                uniq_common = self.common[pos] == uhash
-                drop = uniq_common[idx]
-            else:
-                drop = np.zeros(idx.size, dtype=bool)
-            keep = ~drop
-            kept_per_row = np.bincount(rows[keep], minlength=n)
-            new_off = np.zeros(n + 1, dtype=np.int32)
-            np.cumsum(kept_per_row, out=new_off[1:])
-            kept_values = values.filter(pa.array(keep))
-            kept_lists = pa.ListArray.from_arrays(pa.array(new_off), kept_values)
-            joined = pc.binary_join(kept_lists, separator)
-            return pa.table({
-                key_col: t.column(key_col),
-                text_col: joined,
-                "n_lines": pa.array(lens, pa.int64()),
-                "n_removed": pa.array(lens - kept_per_row, pa.int64()),
-            })
+        common = _cached_get(common_ref)
+        _, values, offsets, idx, uhash = _split(t)
+        n = t.num_rows
+        lens = np.diff(offsets)
+        rows = np.repeat(np.arange(n, dtype=np.int64), lens)
+        if uhash.size and common.size:
+            pos = np.searchsorted(common, uhash)
+            pos[pos == common.size] = 0
+            uniq_common = common[pos] == uhash
+            drop = uniq_common[idx]
+        else:
+            drop = np.zeros(idx.size, dtype=bool)
+        keep = ~drop
+        kept_per_row = np.bincount(rows[keep], minlength=n)
+        new_off = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(kept_per_row, out=new_off[1:])
+        kept_values = values.filter(pa.array(keep))
+        kept_lists = pa.ListArray.from_arrays(pa.array(new_off), kept_values)
+        joined = pc.binary_join(kept_lists, separator)
+        return pa.table({
+            key_col: t.column(key_col),
+            text_col: joined,
+            "n_lines": pa.array(lens, pa.int64()),
+            "n_removed": pa.array(lens - kept_per_row, pa.int64()),
+        })
 
-    return ds.map_batches(Strip, batch_format="pyarrow", zero_copy_batch=True,
-                          concurrency=(1, 8))
+    return ds.map_batches(strip, batch_format="pyarrow", zero_copy_batch=True)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ block_key                 normalized path-basename (the "cleaned name")
 name                      raw basename (Jaro-Winkler feature input)
 content_sha256            the per-row invariant required by BASELINE.json
 tok_ids  list<int64>      sorted unique hashed identifier tokens (coauthor set)
-n_toks                    token count before hashing (for metrics)
+n_toks                    distinct valid tokens before the cap (metrics)
 repo_ids list<int64>      hashed repo-slug tokens (org analog)
 ctx_ids  list<int64>      hashed lang + path-dir tokens (venue analog)
 ========================  ===================================================
@@ -27,26 +27,130 @@ must not travel through the shuffle; only compact signatures do.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from whoiswho_ray.config import SNDConfig
-from whoiswho_ray.functions.hashing import (
-    hash_tokens64,
-    record_id_of,
-    sha256_hex,
-    stable_hash64,
-)
 from whoiswho_ray.functions.textnorm import (
     CODE_STOPWORDS,
-    basename_of,
-    ctx_tokens,
-    normalize_block_key,
-    repo_tokens,
-    tokenize_identifiers,
+    block_key_column,
+    fold_lower_column,
+    split_path_column,
 )
+
+_STOPWORDS = pa.array(sorted(CODE_STOPWORDS), pa.string())
+_BLAKE8 = hashlib.blake2b(digest_size=8)
+_HEX = np.frombuffer(bytes.hex(bytes(range(256))).encode(), dtype=np.uint8).reshape(256, 2)
+
+
+def _flat(col: "pa.ChunkedArray | pa.Array") -> pa.Array:
+    """One contiguous ``string`` array (a null-typed column reads as
+    all-null strings)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return col if col.type == pa.string() else col.cast(pa.string())
+
+
+def _slices(arr: pa.Array) -> tuple[memoryview, list[int]]:
+    """A string array's UTF-8 data buffer and its ``n + 1`` value offsets.
+    Arrow strings are valid UTF-8, so each slice is exactly the
+    ``encode("utf-8", "surrogatepass")`` of the value the scalar
+    functions hash. Null slots must be filled first."""
+    off = np.frombuffer(arr.buffers()[1], np.int32)[arr.offset:arr.offset + len(arr) + 1]
+    data = arr.buffers()[2]
+    return memoryview(data if data is not None else b""), off.tolist()
+
+
+def _hex_column(digests: bytes, width: int) -> pa.Array:
+    """Fixed-width digests (``width`` bytes each) spelled as lowercase hex
+    strings, straight into the string buffers."""
+    raw = np.frombuffer(digests, dtype=np.uint8)
+    n = raw.size // width
+    offsets = np.arange(0, 2 * width * (n + 1), 2 * width, dtype=np.int32)
+    return pa.StringArray.from_buffers(
+        n, pa.py_buffer(offsets), pa.py_buffer(_HEX[raw].tobytes()))
+
+
+def _sha256_hex(arr: pa.Array, chars: int = 64) -> pa.Array:
+    """Leading ``chars`` hex digits of each value's sha256 (even ``chars``)."""
+    mv, off = _slices(arr)
+    w = chars // 2
+    sha = hashlib.sha256
+    return _hex_column(
+        b"".join([sha(mv[a:b]).digest()[:w] for a, b in zip(off[:-1], off[1:])]), w)
+
+
+def _stable_hash64(arr: pa.Array, idx: np.ndarray) -> np.ndarray:
+    """``stable_hash64`` of ``arr[idx]``: one blake2b per value over its
+    buffer slice, the digests read back with one ``frombuffer``. Copying a
+    prepared state is cheaper than a new ``blake2b(digest_size=8)``."""
+    mv, off = _slices(arr)
+    new = _BLAKE8.copy
+    out = []
+    for i in idx.tolist():
+        h = new()
+        h.update(mv[off[i]:off[i + 1]])
+        out.append(h.digest())
+    return (np.frombuffer(b"".join(out), "<u8") >> 1).astype(np.int64)
+
+
+def _alnum_runs(x: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """The maximal ``[a-z0-9]`` runs of every value, in order, as one flat
+    string array, and the row of each run: the non-empty pieces of
+    ``split_pattern_regex(x, "[^a-z0-9]+")``, found on the bytes. Every
+    byte of a multi-byte UTF-8 code point is ≥ 0x80, so byte runs are code
+    point runs. ``x`` has no nulls."""
+    n = len(x)
+    off = np.frombuffer(x.buffers()[1], np.int32)[x.offset:x.offset + n + 1].astype(np.int64)
+    lo, hi = (int(off[0]), int(off[-1])) if n else (0, 0)
+    data = x.buffers()[2]
+    b = (np.frombuffer(data, np.uint8)[lo:hi] if data is not None
+         else np.empty(0, np.uint8))
+    m = ((b >= 0x61) & (b <= 0x7A)) | ((b >= 0x30) & (b <= 0x39))
+    # a run opens after a non-alnum byte or at a value's first byte, and
+    # closes before a non-alnum byte or at a value's last byte
+    edge = np.ones(b.size, dtype=bool)
+    edge[1:] = ~m[:-1]
+    edge[off[:-1][off[:-1] < hi] - lo] = True
+    starts = np.flatnonzero(edge & m)
+    edge[:] = True
+    edge[:-1] = ~m[1:]
+    edge[off[1:][off[1:] > lo] - lo - 1] = True
+    lens = np.flatnonzero(edge & m) - starts + 1
+    offsets = np.zeros(starts.size + 1, dtype=np.int32)
+    np.cumsum(lens, out=offsets[1:])
+    runs = pa.StringArray.from_buffers(
+        starts.size, pa.py_buffer(offsets), pa.py_buffer(b[m].tobytes()))
+    row = np.searchsorted(off[1:] - lo, starts, side="right").astype(np.int64)
+    return runs, row
+
+
+def _lists(values: np.ndarray, lens: np.ndarray) -> pa.ListArray:
+    """``list<int64>``: row ``i`` holds the next ``lens[i]`` values."""
+    off = np.zeros(lens.size + 1, dtype=np.int32)
+    np.cumsum(lens, out=off[1:])
+    return pa.ListArray.from_arrays(pa.array(off), pa.array(values, pa.int64()))
+
+
+def _codes(enc: pa.DictionaryArray) -> np.ndarray:
+    return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _hash_sets(toks: pa.Array, row: np.ndarray, n: int) -> pa.ListArray:
+    """Per row ``hash_tokens64`` of its tokens (``toks[i]`` belongs to row
+    ``row[i]``): the sorted ``stable_hash64`` of each distinct string,
+    each distinct string of the batch hashed once."""
+    enc = pc.dictionary_encode(toks)
+    u = max(len(enc.dictionary), 1)
+    hashes = _stable_hash64(enc.dictionary, np.arange(len(enc.dictionary)))
+    pair = np.unique(row * u + _codes(enc))
+    r, h = pair // u, hashes[pair % u]
+    return _lists(h[np.lexsort((h, r))], np.bincount(r, minlength=n))
 
 
 def tokenize_identifiers_column(
@@ -54,130 +158,119 @@ def tokenize_identifiers_column(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized identifier tokenization for a whole string column.
 
-    Same pipeline as :func:`tokenize_identifiers` (camel/snake split,
+    Same pipeline as ``textnorm.tokenize_identifiers`` (camel/snake split,
     lowercase, len≥2, keyword filter, first-appearance distinct capped at
-    ``max_tokens``) but expressed with Arrow kernels — only the per-batch
-    *unique* token strings are hashed in Python. One edge differs from the
-    scalar function: runs led by digits (``123abc``) keep their digits
-    (the scalar regex started tokens at a letter) — irrelevant for
-    identifier-shaped content, documented here for honesty.
+    ``max_tokens``) but expressed with Arrow kernels and numpy. One edge
+    differs from the scalar function: runs led by digits (``123abc``) keep
+    their digits (the scalar regex started tokens at a letter) —
+    irrelevant for identifier-shaped content, documented here for honesty.
+
+    Layout: camel split and lowercase are Arrow kernels; the split into
+    ``[a-z0-9]`` runs is :func:`_alnum_runs` over the bytes. The runs are
+    dictionary-encoded, validity is two Arrow kernels over the dictionary,
+    and only the valid dictionary values are hashed (:func:`_stable_hash64`
+    over the string buffer's slices). Each (row, token) pair becomes one
+    int64 key ``row · U + rank``, ``rank`` the dense rank of the token's
+    hash among the ``U`` distinct hashes, so ONE ``np.unique`` both dedupes
+    each row (colliding hashes count once) and leaves every row's hashes
+    sorted. Only a batch where some row has more than ``max_tokens``
+    distinct tokens pays the appearance-order sort for the cap.
 
     Returns (flat sorted-unique int64 hashes, row lengths, n_tokens per
     row before capping).
     """
-    import pyarrow.compute as pc
-
-    if isinstance(content, pa.ChunkedArray):
-        content = content.combine_chunks()
-    content = pc.fill_null(content, "")
+    content = pc.fill_null(_flat(content), "")
+    n = len(content)
     x = pc.replace_substring_regex(content, pattern="([a-z0-9])([A-Z])", replacement=r"\1 \2")
-    x = pc.utf8_lower(x)
-    toks = pc.split_pattern_regex(x, "[^a-z0-9]+")
-    flat = toks.values
-    offsets = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-    flat = flat.slice(offsets[0], offsets[-1] - offsets[0])
-    offsets = offsets - offsets[0]
-    n = len(toks)
-
-    enc = pc.dictionary_encode(flat)
-    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    uniq = enc.dictionary.to_pylist()
-    # validity + hash computed once per unique string
-    uniq_ok = np.fromiter(
-        ((len(u) >= 2) and (u not in CODE_STOPWORDS) for u in uniq), bool, len(uniq))
-    uniq_hash = np.fromiter(
-        (stable_hash64(u) if ok else 0 for u, ok in zip(uniq, uniq_ok)),
-        np.int64, len(uniq))
-
-    row_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-    valid = uniq_ok[codes] if codes.size else np.zeros(0, dtype=bool)
-    row_idx = row_idx[valid]
-    if row_idx.size == 0:
+    toks, row = _alnum_runs(pc.utf8_lower(x))
+    enc = pc.dictionary_encode(toks)
+    uniq = enc.dictionary
+    ok = pc.and_(pc.greater_equal(pc.utf8_length(uniq), 2),
+                 pc.invert(pc.is_in(uniq, value_set=_STOPWORDS)))
+    ok_idx = np.flatnonzero(ok.to_numpy(zero_copy_only=False))
+    if ok_idx.size == 0:
         return (np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64),
                 np.zeros(n, dtype=np.int32))
-    hashes = uniq_hash[codes[valid]]
-    position = np.arange(row_idx.size, dtype=np.int64)
-
-    # first-appearance distinct per row: sort (row, hash, position), keep
-    # group heads, then restore appearance order and cap per row
-    order = np.lexsort((position, hashes, row_idx))
-    r, h, p = row_idx[order], hashes[order], position[order]
-    head = np.r_[True, (r[1:] != r[:-1]) | (h[1:] != h[:-1])]
-    r, h, p = r[head], h[head], p[head]
+    hashes = _stable_hash64(uniq, ok_idx)
+    uh, rank = np.unique(hashes, return_inverse=True)
+    code_rank = np.full(len(uniq), -1, dtype=np.int64)
+    code_rank[ok_idx] = rank
+    tok_rank = code_rank[_codes(enc)]
+    valid = tok_rank >= 0
+    raw = row[valid] * uh.size + tok_rank[valid]
+    key = np.unique(raw)
+    r = key // uh.size
     n_toks = np.bincount(r, minlength=n).astype(np.int32)
-    # appearance order within row for the cap
-    order2 = np.lexsort((p, r))
-    r, h = r[order2], h[order2]
-    seq = np.arange(r.size) - np.repeat(
-        np.r_[0, np.cumsum(np.bincount(r, minlength=n))[:-1]], np.bincount(r, minlength=n))
-    keep = seq < max_tokens
-    r, h = r[keep], h[keep]
-    # final layout: sorted unique hashes per row
-    order3 = np.lexsort((h, r))
-    r, h = r[order3], h[order3]
-    lens = np.bincount(r, minlength=n).astype(np.int64)
-    return h, lens, n_toks
+    if int(n_toks.max()) > max_tokens:
+        # keep each row's first ``max_tokens`` distinct tokens in
+        # appearance order, then read the kept keys back in key order
+        first = np.unique(raw, return_index=True)[1]
+        by_pos = np.lexsort((first, r))
+        starts = np.repeat(np.cumsum(n_toks) - n_toks, n_toks)
+        keep = np.empty(key.size, dtype=bool)
+        keep[by_pos] = np.arange(key.size) - starts < max_tokens
+        key, r = key[keep], r[keep]
+    return uh[key % uh.size], np.bincount(r, minlength=n).astype(np.int64), n_toks
+
+
+def _identity(batch: pa.Table) -> list[pa.Array]:
+    """repo, path and commit as flat string arrays; a null in any of them
+    leaves the record without an identity, so it is refused."""
+    cols = []
+    for name in ("repo", "path", "commit"):
+        col = _flat(batch.column(name))
+        if col.null_count:
+            raise ValueError(
+                f"normalize: column {name!r} has {col.null_count} null value(s); "
+                "repo, path and commit identify a record and must be non-null")
+        cols.append(col)
+    return cols
 
 
 def normalize_batch(batch: pa.Table, cfg: SNDConfig) -> pa.Table:
-    """Pure per-batch transform (unit-testable without Ray). Content
-    tokenization is fully vectorized (Arrow kernels + unique-only
-    hashing); identity/path derivations are cheap per-row Python."""
-    repo = batch.column("repo").to_pylist()
-    path = batch.column("path").to_pylist()
-    commit = batch.column("commit").to_pylist()
-    lang = batch.column("lang").to_pylist()
-    content = batch.column("content")
+    """Pure per-batch transform (unit-testable without Ray).
 
-    n = len(repo)
-    rid = [record_id_of(repo[i], path[i], commit[i]) for i in range(n)]
-    bkey = [normalize_block_key(p) for p in path]
-    name = [basename_of(p) for p in path]
-    sha = [sha256_hex(c if c is not None else "")
-           for c in content.to_pylist()]
+    No per-row Python is left except each record id's and content's
+    sha256 over its Arrow buffer slice. Token, repo and context hashes are
+    computed once per distinct string of the batch; the path, block-key
+    and token columns are Arrow kernels and numpy over the string buffers,
+    with only values holding a non-ASCII code point handed to the scalar
+    functions of :mod:`whoiswho_ray.functions.textnorm`, which stay the
+    definition of every column."""
+    repo, path, commit = _identity(batch)
+    lang = pc.fill_null(_flat(batch.column("lang")), "")
+    content = pc.fill_null(_flat(batch.column("content")), "")
+    n = len(path)
 
+    rid = _sha256_hex(pc.binary_join_element_wise(repo, path, commit, "\x1f"), 40)
+    sha = _sha256_hex(content)
     tok_values, tok_lens, n_toks = tokenize_identifiers_column(
         content, cfg.max_tokens_per_record)
-    tok_off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(tok_lens, out=tok_off[1:])
-    tok_list = pa.ListArray.from_arrays(
-        pa.array(tok_off.astype(np.int32)), pa.array(tok_values, pa.int64()))
 
-    # repos repeat heavily within a batch (one repo spans many files):
-    # hash each distinct repo string once per batch
-    repo_cache: dict[str, np.ndarray] = {}
-    repo_arrays = []
-    for r in repo:
-        a = repo_cache.get(r)
-        if a is None:
-            a = hash_tokens64(repo_tokens(r))
-            repo_cache[r] = a
-        repo_arrays.append(a)
-    ctx_arrays = [hash_tokens64(ctx_tokens(path[i], lang[i] or "")) for i in range(n)]
-
-    def _list_array(arrays: list[np.ndarray]) -> pa.ListArray:
-        lens = np.fromiter((a.size for a in arrays), np.int64, len(arrays))
-        off = np.zeros(len(arrays) + 1, dtype=np.int64)
-        np.cumsum(lens, out=off[1:])
-        vals = (np.concatenate(arrays) if len(arrays)
-                else np.empty(0, dtype=np.int64))
-        return pa.ListArray.from_arrays(pa.array(off.astype(np.int32)),
-                                        pa.array(vals, pa.int64()))
+    dirs, name = split_path_column(path)
+    # context: the directory's alnum runs plus the whole folded lang, if any
+    dir_toks, dir_row = _alnum_runs(fold_lower_column(dirs))
+    has_lang = pc.not_equal(lang, "")
+    lang_row = np.flatnonzero(has_lang.to_numpy(zero_copy_only=False))
+    ctx_ids = _hash_sets(
+        pa.concat_arrays([dir_toks, fold_lower_column(lang.filter(has_lang))]),
+        np.concatenate([dir_row, lang_row]), n)
+    repo_ids = _hash_sets(*_alnum_runs(fold_lower_column(repo)), n)
 
     return pa.table(
         {
-            "record_id": pa.array(rid, pa.string()),
-            "block_key": pa.array(bkey, pa.string()),
-            "name": pa.array(name, pa.string()),
+            "record_id": rid,
+            "block_key": block_key_column(name),
+            "name": name,
             "repo": batch.column("repo"),
             "path": batch.column("path"),
             "commit": batch.column("commit"),
             "lang": batch.column("lang"),
-            "content_sha256": pa.array(sha, pa.string()),
+            "content_sha256": sha,
             "n_toks": pa.array(n_toks),
-            "tok_ids": tok_list,
-            "repo_ids": _list_array(repo_arrays),
-            "ctx_ids": _list_array(ctx_arrays),
+            "tok_ids": _lists(tok_values, tok_lens),
+            "repo_ids": repo_ids,
+            "ctx_ids": ctx_ids,
         }
     )
 
