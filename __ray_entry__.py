@@ -519,7 +519,7 @@ def q_events_hll_users(sf_dir: str):
 def q_doc_decontaminate(sf_dir: str):
     """Benchmark decontamination (GPT-3/PaLM hygiene step): corpus docs
     sharing any distinct word 3-gram with the benchmark split
-    (doc_id % 97 == 0) are flagged. Broadcast gram set + stateful actor
+    (doc_id % 97 == 0) are flagged. Broadcast gram set + task-pool
     membership test — zero shuffles."""
     from whoiswho_ray.sources.tables import read_table
     from whoiswho_ray.stages.decontaminate import decontaminate
@@ -749,9 +749,9 @@ def q_doc_fingerprints(sf_dir: str):
 
 
 def q_doc_embed(sf_dir: str):
-    """T4-shaped encoder stage (actor pool, model loaded once per actor;
-    fake deterministic backend — the real transformer is import-gated).
-    Rows-only check; determinism asserted in tests."""
+    """T4-shaped encoder stage (a task-pool map of the deterministic
+    hashed bag-of-words encoder). Rows-only check; determinism asserted
+    in tests."""
     from whoiswho_ray.sources.tables import read_table
     from whoiswho_ray.stages.encoder import encode_column
 
@@ -3924,9 +3924,11 @@ def q_doc_fs_linkage(sf_dir: str):
 
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "text", "source", "lang"])
+    # materialized: the second join's schema() fetch would otherwise
+    # rerun this plan's sorts under limit(1), which stalls at one CPU
     pairs = ngram_jaccard_pairs(
         docs.select_columns(["doc_id", "text", "source"]),
-        threshold=FS_TAU_CAND)
+        threshold=FS_TAU_CAND).materialize()
 
     def attrs(df: pd.DataFrame, side: str) -> pd.DataFrame:
         return pd.DataFrame({

@@ -57,6 +57,27 @@ def test_query_matches_oracle(name, con):
     assert not problems, problems
 
 
+# each once stalled at num_cpus=1: an actor pool held the one slot its
+# upstream read tasks needed, or (q_doc_fs_linkage) a schema() fetch
+# reran a sort-in-union plan under limit(1)
+ONE_CPU = [
+    "q_doc_edit_dedup", "q_doc_dedup_exact", "q_supplier_bloom_semi",
+    "q_doc_embed", "q_doc_embed_simjoin", "q_knn_cosine", "q_knn_ivf",
+    "q_doc_langid", "q_doc_decontaminate", "q_doc_search_pruned",
+    "q_doc_fs_linkage",
+]
+
+
+def test_queries_finish_at_one_cpu(run_at_one_cpu):
+    out = run_at_one_cpu(
+        "import __ray_entry__ as e\n"
+        "from tools.check_oracles import to_pandas\n"
+        "for name in sys.argv[2:]:\n"
+        "    print(name, len(to_pandas(e.queries()[name](sys.argv[1]))), flush=True)\n",
+        SF, *ONE_CPU, timeout=240)
+    assert [line.split()[0] for line in out.splitlines()[-len(ONE_CPU):]] == ONE_CPU
+
+
 def test_flagship_oracle_tracks_w_rel_default(con):
     """The flagship snd_clusters oracle binds to SNDConfig().w_rel — a
     flipped relational-blend default changes the SQL too, so engine and

@@ -104,39 +104,19 @@ class TestDedup:
         # only the 3-doc line crosses the threshold
         assert got[1] == "twice" and got[2] == "twice" and got[3] == ""
 
-    def test_line_dedup_finishes_at_one_cpu(self, tmp_path):
+    def test_line_dedup_finishes_at_one_cpu(self, tmp_path, run_at_one_cpu):
         """``line_dedup`` over a parquet read completes in a Ray session of
         one CPU: its strip pass shares the one slot with the read tasks."""
-        import os
-        import signal
-        import subprocess
-        import sys
-
         pd.DataFrame({
             "doc_id": list(range(40)),
             "text": [f"HEADER\nline {i % 7}\nFOOTER {i % 3}" for i in range(40)],
         }).to_parquet(tmp_path / "docs.parquet")
-        script = (
-            "import sys, ray\n"
-            "ray.init(address='local', num_cpus=1, include_dashboard=False,"
-            " logging_level='ERROR')\n"
+        out = run_at_one_cpu(
             "import ray.data as rd\n"
             "from whoiswho_ray.stages.dedup import line_dedup\n"
             "out = line_dedup(rd.read_parquet(sys.argv[1]), min_docs=2).to_pandas()\n"
-            "print(len(out), int(out['n_removed'].sum()))\n")
-        env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(tmp_path / "docs.parquet")],
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))), env=env,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True)
-        try:
-            out, err = proc.communicate(timeout=120)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-            pytest.fail("line_dedup did not finish in 120 s at num_cpus=1")
-        assert proc.returncode == 0, err[-3000:]
+            "print(len(out), int(out['n_removed'].sum()))\n",
+            tmp_path / "docs.parquet")
         # every doc keeps its row; HEADER, each "line k" and "FOOTER k"
         # repeat across documents, so all 3 lines of each doc go
         assert out.split()[-2:] == ["40", "120"]
@@ -523,18 +503,6 @@ class TestEncoder:
         assert np.allclose(np.linalg.norm(embs, axis=1), 1.0)
         assert np.allclose(embs[0], embs[1])          # deterministic
         assert not np.allclose(embs[0], embs[2])      # discriminative
-
-    def test_transformers_backend_gated(self):
-        from whoiswho_ray.stages.encoder import TextEncoder
-
-        with pytest.raises((NotImplementedError, ValueError)):
-            TextEncoder(backend="transformers")
-
-    def test_unknown_backend(self):
-        from whoiswho_ray.stages.encoder import TextEncoder
-
-        with pytest.raises(ValueError, match="unknown backend"):
-            TextEncoder(backend="nope")
 
 
 class TestWinnowMd5:

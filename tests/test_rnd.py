@@ -1,10 +1,7 @@
 """RND assignment pipeline: profiles, argmax-with-NIL, accuracy gate."""
 
 import dataclasses
-import os
 import pickle
-import subprocess
-import sys
 
 import numpy as np
 import pandas as pd
@@ -618,33 +615,16 @@ class TestKnrmKernel:
             learned_kernel(part, _StubModel()).schema
 
 
-def test_learned_path_finishes_at_one_cpu(rnd_setup, tmp_path):
+def test_learned_path_finishes_at_one_cpu(rnd_setup, tmp_path, run_at_one_cpu):
     """``run_rnd_learned`` completes in a Ray session of one CPU."""
-    import signal
-
     known, new, _, _ = rnd_setup
     cols = ["repo", "path", "commit", "lang", "content"]
     known[cols].to_parquet(tmp_path / "known.parquet")
     new[cols].to_parquet(tmp_path / "new.parquet")
-    script = (
-        "import sys, ray\n"
-        "ray.init(address='local', num_cpus=1, include_dashboard=False,"
-        " logging_level='ERROR')\n"
+    out = run_at_one_cpu(
         "from whoiswho_ray.pipelines.rnd import run_rnd_learned\n"
-        "print(run_rnd_learned(sys.argv[1], sys.argv[2]).count())\n")
-    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script, str(tmp_path / "known.parquet"),
-         str(tmp_path / "new.parquet")],
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))), env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True)
-    try:
-        out, err = proc.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("run_rnd_learned did not finish in 120 s at num_cpus=1")
-    assert proc.returncode == 0, err[-3000:]
+        "print(run_rnd_learned(sys.argv[1], sys.argv[2]).count())\n",
+        tmp_path / "known.parquet", tmp_path / "new.parquet")
     assert int(out.split()[-1]) == len(new)
 
 

@@ -180,6 +180,40 @@ def test_no_to_arrow_refs_outside_the_collector():
     assert not hits, hits
 
 
+def test_no_actor_pool_in_the_library():
+    """Every map in the library is a task-pool function that reads its
+    broadcast through ``joins._cached_get``. An actor pool
+    (``concurrency=``, ``fn_constructor_kwargs`` or a class handed to a
+    map) holds a CPU slot for its whole execution; at ``num_cpus=1`` that
+    is the slot its upstream read tasks need, and the plan never ends."""
+    import ast
+
+    import whoiswho_ray
+
+    root = pathlib.Path(whoiswho_ray.__file__).parent
+    trees = {str(p.relative_to(root)): ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(root.rglob("*.py"))}
+    classes = {n.name for t in trees.values() for n in ast.walk(t)
+               if isinstance(n, ast.ClassDef)}
+    pool_args = {"concurrency", "fn_constructor_kwargs"}
+    hits = []
+    for name, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.keyword) and n.arg in pool_args:
+                hits.append(f"{name}:{n.lineno} {n.arg}=")
+            elif isinstance(n, ast.Constant) and n.value in pool_args:
+                hits.append(f"{name}:{n.lineno} {n.value!r}")  # a **kwargs key
+            if not isinstance(n, ast.Call):
+                continue
+            fn = n.args[0] if n.args else next(
+                (k.value for k in n.keywords if k.arg == "fn"), None)
+            if (isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("map", "map_batches", "flat_map", "filter")
+                    and isinstance(fn, ast.Name) and fn.id in classes):
+                hits.append(f"{name}:{n.lineno} {n.func.attr}({fn.id})")
+    assert not hits, hits
+
+
 class TestPairConsumersRunOnce:
     """The ``__ray_entry__`` edge and relational queries and the trainer's pair
     features return (or consume) the blocking pass already executed."""

@@ -7,7 +7,7 @@ transitive clustering — expressed idiomatically on ``ray.data.Dataset``:
 * a ``sort`` shuffle on a normalized blocking key partitions candidates
   (analog of the per-name shards, ``/root/reference/whoiswho/dataset/
   data_process.py:60-84``),
-* ``map_batches`` over zero-copy Arrow batches with actor pools computes
+* task-pool ``map_batches`` over zero-copy Arrow batches computes
   batched pairwise similarity features (token-Jaccard / tanimoto / TF-IDF
   cosine / Jaro-Winkler — the feature set of
   ``/root/reference/whoiswho/training/AutoTrainSND.py:142-161``),

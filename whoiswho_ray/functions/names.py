@@ -26,7 +26,7 @@ matched to:
   forms simply don't match.
 
 All functions are pure Python over short strings — used inside
-``map_batches`` loops and per-actor memo caches, never on the hot
+``map_batches`` loops and per-process memo caches, never on the hot
 token-set path (which is hashed numpy).
 """
 

@@ -63,6 +63,7 @@ from ray.data.block import BlockAccessor
 
 from whoiswho_ray.config import SNDConfig
 from whoiswho_ray.stages.idf import IdfModel, _idf_from_partials, _partial_df, build_idf
+from whoiswho_ray.stages.joins import _cached_get
 from whoiswho_ray.stages.normalize import normalize_records
 from whoiswho_ray.stages.pairs import (BLOCK_STAGES, CLUSTER_SHUFFLE_COLUMNS,
                                        block_stage_schemas, make_block_clusters,
@@ -91,7 +92,7 @@ def _blocked(vectorized: "rd.Dataset", kernel, idf=None,
     idf_w_ref = ray.put(np.asarray(idf.idf)) if idf is not None else None
 
     def fused(part):
-        w = _idf_w_cached(idf_w_ref) if idf_w_ref is not None else None
+        w = _cached_get(idf_w_ref) if idf_w_ref is not None else None
         return kernel(part, w)
 
     if partitions:
@@ -200,21 +201,7 @@ def _block_stage_sink(dirs: dict[str, str], cfg: SNDConfig, idf_w_ref) -> _Stage
     partition of the blocking sort (``pairs.make_block_stages``), with
     the idf weights broadcast as :func:`_blocked` does."""
     return _StageSink(dirs, lambda b: (
-        make_block_stages(b, cfg, idf_w=_idf_w_cached(idf_w_ref)), None))
-
-
-_IDF_W_CACHE: dict = {}
-
-
-def _idf_w_cached(ref):
-    """Per-process cache of the broadcast idf array (one object-store get
-    per worker process, not one per group)."""
-    key = ref.hex()
-    w = _IDF_W_CACHE.get(key)
-    if w is None:
-        _IDF_W_CACHE.clear()
-        w = _IDF_W_CACHE[key] = ray.get(ref)
-    return w
+        make_block_stages(b, cfg, idf_w=_cached_get(idf_w_ref)), None))
 
 
 def run_snd_vote(

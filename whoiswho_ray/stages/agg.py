@@ -281,24 +281,7 @@ def exact_quantiles(
                              "value": np.nan})
     idx_of = {q: max(0, math.ceil(q * n) - 1) for q in qs}
     targets = np.unique(np.fromiter(idx_of.values(), np.int64, len(idx_of)))
-    targets_ref = ray.put(targets)
-
-    class Pick:
-        def __init__(self):
-            self.targets = ray.get(targets_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t.column("rank").to_numpy(zero_copy_only=False)
-            mask = np.isin(ids, self.targets)
-            return pa.table({
-                "rank": pa.array(ids[mask]),
-                "value": t.column(value_col).filter(pa.array(mask)),
-            })
-
-    hits = (with_global_rank(s, "rank")
-            .map_batches(Pick, batch_format="pyarrow", zero_copy_batch=True,
-                         concurrency=(1, 4))
-            .to_pandas().set_index("rank")["value"])
+    hits = _pick_ranks(s, value_col, targets)
     return pd.DataFrame({"q": pd.Series(qs, dtype=float),
                          "value": [hits[idx_of[q]] for q in qs]})
 
@@ -331,27 +314,7 @@ def exact_quantiles_cont(
                 for q, p in pos_of.items()}
     targets = np.unique(np.fromiter(
         (i for pair in brackets.values() for i in pair), np.int64))
-    targets_ref = ray.put(targets)
-
-    class Pick:
-        def __init__(self):
-            self.targets = ray.get(targets_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t.column("rank").to_numpy(zero_copy_only=False)
-            mask = np.isin(ids, self.targets)
-            import pyarrow.compute as pc
-            return pa.table({
-                "rank": pa.array(ids[mask]),
-                "value": pc.cast(
-                    t.column(value_col).filter(pa.array(mask)),
-                    pa.float64()),
-            })
-
-    hits = (with_global_rank(s, "rank")
-            .map_batches(Pick, batch_format="pyarrow", zero_copy_batch=True,
-                         concurrency=(1, 4))
-            .to_pandas().set_index("rank")["value"])
+    hits = _pick_ranks(s, value_col, targets, cast=pa.float64())
     vals = []
     for q in qs:
         lo_i, hi_i = brackets[q]
@@ -359,6 +322,28 @@ def exact_quantiles_cont(
         p = pos_of[q]
         vals.append(lo + (hi - lo) * (p - math.floor(p)))
     return pd.DataFrame({"q": pd.Series(qs, dtype=float), "value": vals})
+
+
+def _pick_ranks(s: "ray.data.Dataset", value_col: str, targets: np.ndarray,
+                cast: pa.DataType | None = None) -> pd.Series:
+    """``value_col`` at the global ranks ``targets`` of the materialized
+    sorted ``s``, indexed by rank: each task keeps only its target rows
+    (the broadcast is read through ``joins._cached_get``), so at most
+    ``len(targets)`` rows reach the driver."""
+    from whoiswho_ray.stages.joins import _cached_get
+
+    targets_ref = ray.put(targets)
+
+    def pick(t: pa.Table) -> pa.Table:
+        ids = t.column("rank").to_numpy(zero_copy_only=False)
+        mask = np.isin(ids, _cached_get(targets_ref))
+        v = t.column(value_col).filter(pa.array(mask))
+        return pa.table({"rank": pa.array(ids[mask]),
+                         "value": v if cast is None else v.cast(cast)})
+
+    return (with_global_rank(s, "rank")
+            .map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
+            .to_pandas().set_index("rank")["value"])
 
 
 def with_global_rank(

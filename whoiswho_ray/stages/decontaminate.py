@@ -5,7 +5,8 @@ overlapping n-grams is contaminated and excluded from training).
 
 Scale shape: the benchmark side is SMALL by definition (an eval set) —
 its distinct gram-hash set is collected once and broadcast via
-``ray.put``; the corpus side streams through a stateful actor pool that
+``ray.put``; the corpus side streams through a task-pool map that
+reads it through ``joins._cached_get`` (once per worker process) and
 membership-tests each batch's grams with one searchsorted against the
 sorted broadcast array. No shuffle at all: the corpus is never
 re-partitioned, so this composes with any upstream partitioning.
@@ -120,36 +121,32 @@ def decontaminate(
     key_col: str = "doc_id",
     n: int = 8,
     min_hits: int = 1,
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """Per corpus document: distinct n-gram count, distinct grams shared
     with the benchmark, and the contamination flag (``n_hits >= min_hits``).
 
     Returns ``(key, n_grams, n_hits, contaminated)``."""
+    from whoiswho_ray.stages.joins import _cached_get
+
     bench_ref = ray.put(benchmark_gram_set(benchmark, text_col, n))
 
-    class Decontaminator:
-        def __init__(self):
-            self.bench = ray.get(bench_ref)  # sorted int64, shared memory
+    def flag(t: pa.Table) -> pa.Table:
+        rows, grams = doc_gram_rows(t, text_col, n)
+        nrows = len(t)
+        bench = _cached_get(bench_ref)  # sorted int64, shared memory
+        if grams.size and bench.size:
+            idx = np.searchsorted(bench, grams)
+            hit = (idx < bench.size) & (bench[np.minimum(idx, bench.size - 1)] == grams)
+        else:
+            hit = np.zeros(grams.size, dtype=bool)
+        n_grams = np.bincount(rows, minlength=nrows).astype(np.int64)
+        n_hits = np.bincount(rows[hit], minlength=nrows).astype(np.int64)
+        return pa.table({
+            key_col: t.column(key_col),
+            "n_grams": pa.array(n_grams),
+            "n_hits": pa.array(n_hits),
+            "contaminated": pa.array(n_hits >= min_hits),
+        })
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            rows, grams = doc_gram_rows(t, text_col, n)
-            nrows = len(t)
-            bench = self.bench
-            if grams.size and bench.size:
-                idx = np.searchsorted(bench, grams)
-                hit = (idx < bench.size) & (bench[np.minimum(idx, bench.size - 1)] == grams)
-            else:
-                hit = np.zeros(grams.size, dtype=bool)
-            n_grams = np.bincount(rows, minlength=nrows).astype(np.int64)
-            n_hits = np.bincount(rows[hit], minlength=nrows).astype(np.int64)
-            return pa.table({
-                key_col: t.column(key_col),
-                "n_grams": pa.array(n_grams),
-                "n_hits": pa.array(n_hits),
-                "contaminated": pa.array(n_hits >= min_hits),
-            })
-
-    return corpus.map_batches(
-        Decontaminator, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=4096, concurrency=(1, concurrency))
+    return corpus.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True,
+                              batch_size=4096)

@@ -431,6 +431,7 @@ def _labels_with_isolates(
     corpus distributedly. Above the cap: bucketed star-contraction rounds.
     Nothing corpus-sized ever lands on the driver on either path."""
     from whoiswho_ray.stages.cluster import cc_labels, connected_components, min_by_key
+    from whoiswho_ray.stages.joins import _cached_get
 
     edges = edges.materialize()
     if edges.count() <= driver_cc_max:
@@ -449,23 +450,19 @@ def _labels_with_isolates(
         # is one vectorized searchsorted — no per-row dict .map
         map_ref = ray.put((arr, arr[labels]))
 
-        class Label:
-            def __init__(self):
-                self.nodes, self.groups = ray.get(map_ref)
-
-            def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-                keys = df[key_col].to_numpy()
-                if self.nodes.size:
-                    pos = np.searchsorted(self.nodes, keys)
-                    pos[pos == self.nodes.size] = 0
-                    ok = self.nodes[pos] == keys
-                    grp = np.where(ok, self.groups[pos], keys)
-                else:
-                    grp = keys
-                return pd.DataFrame({key_col: keys, "dup_group": grp})
+        def label(df: pd.DataFrame) -> pd.DataFrame:
+            nodes, groups = _cached_get(map_ref)
+            keys = df[key_col].to_numpy()
+            if nodes.size:
+                pos = np.searchsorted(nodes, keys)
+                pos[pos == nodes.size] = 0
+                grp = np.where(nodes[pos] == keys, groups[pos], keys)
+            else:
+                grp = keys
+            return pd.DataFrame({key_col: keys, "dup_group": grp})
 
         return ds.select_columns([key_col]).map_batches(
-            Label, batch_format="pandas", batch_size=262144, concurrency=(1, 8))
+            label, batch_format="pandas", batch_size=262144)
 
     cc_in = edges.map_batches(
         lambda df: pd.DataFrame({"u": df["key_a"], "v": df["key_b"]}),

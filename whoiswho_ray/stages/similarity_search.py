@@ -2,7 +2,8 @@
 
 Brute-force cosine top-k is the exact baseline (numpy matmul per batch
 against a broadcast query matrix — the query side is ``ray.put`` once and
-read per actor, never re-shipped per batch), with an IVF-bucketed variant
+read through ``joins._cached_get`` once per worker process, never
+re-shipped per batch), with an IVF-bucketed variant
 as the scale path (coarse centroids from a driver-side sample, batches
 searched only in probed cells).
 
@@ -20,6 +21,8 @@ import pandas as pd
 import ray
 import ray.data
 
+from whoiswho_ray.stages.joins import _cached_get, hash_sample_keys, semi_join
+
 
 def _as_matrix(col) -> np.ndarray:
     return np.stack([np.asarray(v, dtype=np.float64) for v in col])
@@ -29,35 +32,6 @@ def _unit(mat: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return mat / norms
-
-
-class _BruteScorer:
-    """Actor: per batch, cosine of every row against the broadcast query
-    matrix; emits each batch's per-query top-k candidates (partial top-k —
-    the global top-k reduction happens in a tiny groupby after)."""
-
-    def __init__(self, query_ref, k: int, vec_col: str, key_col: str):
-        q = ray.get(query_ref) if isinstance(query_ref, ray.ObjectRef) else query_ref
-        self.qids = q[0]
-        self.qmat = _unit(np.asarray(q[1], dtype=np.float64))
-        self.k = k
-        self.vec_col = vec_col
-        self.key_col = key_col
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        mat = _unit(_as_matrix(batch[self.vec_col]))
-        keys = batch[self.key_col].to_numpy()
-        sims = self.qmat @ mat.T  # (nq, nb)
-        k = min(self.k, sims.shape[1])
-        # partial top-k per query within this batch
-        idx = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        out = {"query_id": [], "neighbor_id": [], "cos": []}
-        for qi in range(sims.shape[0]):
-            cand = idx[qi]
-            out["query_id"].extend([self.qids[qi]] * cand.size)
-            out["neighbor_id"].extend(keys[cand].tolist())
-            out["cos"].extend(sims[qi, cand].tolist())
-        return pd.DataFrame(out)
 
 
 def _topk_reduce(k: int):
@@ -77,20 +51,31 @@ def knn_brute(
     vec_col: str = "embedding",
     key_col: str = "vec_id",
     exclude_self: bool = True,
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """Exact cosine top-k: returns (query_id, neighbor_id, cos, rank).
 
     Deterministic tie-break: (cos desc, neighbor_id asc)."""
-    query_ref = ray.put((np.asarray(query_ids), np.asarray(query_vecs)))
-    partial = ds.map_batches(
-        _BruteScorer,
-        fn_constructor_kwargs={"query_ref": query_ref, "k": k + (1 if exclude_self else 0),
-                               "vec_col": vec_col, "key_col": key_col},
-        batch_format="pandas",
-        batch_size=4096,
-        concurrency=(1, concurrency),
-    )
+    query_ref = ray.put((np.asarray(query_ids), _unit(np.asarray(query_vecs, dtype=np.float64))))
+    kk = k + (1 if exclude_self else 0)
+
+    def score(batch: pd.DataFrame) -> pd.DataFrame:
+        # per batch, each query's partial top-k (the global top-k
+        # reduction happens in a tiny groupby after)
+        qids, qmat = _cached_get(query_ref)
+        mat = _unit(_as_matrix(batch[vec_col]))
+        keys = batch[key_col].to_numpy()
+        sims = qmat @ mat.T  # (nq, nb)
+        kb = min(kk, sims.shape[1])
+        idx = np.argpartition(-sims, kb - 1, axis=1)[:, :kb]
+        out = {"query_id": [], "neighbor_id": [], "cos": []}
+        for qi in range(sims.shape[0]):
+            cand = idx[qi]
+            out["query_id"].extend([qids[qi]] * cand.size)
+            out["neighbor_id"].extend(keys[cand].tolist())
+            out["cos"].extend(sims[qi, cand].tolist())
+        return pd.DataFrame(out)
+
+    partial = ds.map_batches(score, batch_format="pandas", batch_size=4096)
     if exclude_self:
         partial = partial.map_batches(
             lambda df: df[df["query_id"] != df["neighbor_id"]], batch_format="pandas"
@@ -138,35 +123,10 @@ def train_centroids(sample: np.ndarray, n_cells: int, iters: int = 8, seed: int 
 
 
 def _hash_sample(ds: "ray.data.Dataset", key_col: str, sample_size: int) -> pd.DataFrame:
-    """Order-invariant deterministic sample: the sample_size rows with the
-    smallest key hash (ties by key).
-
-    Scale shape (VERDICT r3 #3): pass 1 runs a per-batch partial top-k
-    over bare ``(key, hash)`` rows and the driver merges the tiny
-    candidate set to pick the sample keys; pass 2 broadcast-filters the
-    dataset by key membership. No global sort — the old
-    ``sort('__h').limit(k)`` was an all-to-all shuffle of the full vector
-    payload just to pick k rows. Two cheap projected passes instead
-    (callers hand in a pruned-column read, so pass 1 touches keys only)."""
-
-    def keys_h(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({key_col: df[key_col].to_numpy()})
-        out["__h"] = pd.util.hash_pandas_object(
-            out[key_col], index=False).to_numpy().astype(np.int64)
-        if len(out) > sample_size:
-            out = out.sort_values(["__h", key_col], kind="stable").head(sample_size)
-        return out
-
-    cand = (ds.select_columns([key_col])
-              .map_batches(keys_h, batch_format="pandas").to_pandas())
-    chosen = frozenset(cand.sort_values(["__h", key_col], kind="stable")
-                       .head(sample_size)[key_col])
-    ref = ray.put(chosen)
-
-    def filt(df: pd.DataFrame, _ref=ref) -> pd.DataFrame:
-        return df[df[key_col].isin(ray.get(_ref))]
-
-    return ds.map_batches(filt, batch_format="pandas").to_pandas()
+    """The ``sample_size`` rows with the smallest key hash (ties by key):
+    an order-invariant sample in two cheap projected passes, the key pick
+    (``joins.hash_sample_keys``, keys only) and a broadcast semi-join."""
+    return semi_join(ds, hash_sample_keys(ds, key_col, sample_size), key_col).to_pandas()
 
 
 def ivf_build(
@@ -186,18 +146,12 @@ def ivf_build(
     cents = train_centroids(_as_matrix(sample[vec_col]), n_cells, seed=seed)
     cents_ref = ray.put(cents)
 
-    class Assign:
-        def __init__(self):
-            self.cents = ray.get(cents_ref)
-
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            mat = _unit(_as_matrix(df[vec_col]))
-            df = df.copy()
-            df["cell"] = np.argmax(mat @ self.cents.T, axis=1).astype(np.int64)
-            return df
+    def assign(df: pd.DataFrame) -> pd.DataFrame:
+        mat = _unit(_as_matrix(df[vec_col]))
+        return df.assign(cell=np.argmax(mat @ _cached_get(cents_ref).T, axis=1).astype(np.int64))
 
     data_dir = os.path.join(index_dir, "data")
-    ds.map_batches(Assign, batch_format="pandas", concurrency=(1, 4)).write_parquet(
+    ds.map_batches(assign, batch_format="pandas").write_parquet(
         data_dir, partition_cols=["cell"])
     np.savez(os.path.join(index_dir, "centroids.npz"), centroids=cents)
     cell_rows = {int(d.split("=")[1]): True for d in os.listdir(data_dir) if "=" in d}
@@ -214,7 +168,6 @@ def ivf_search(
     vec_col: str = "embedding",
     key_col: str = "vec_id",
     exclude_self: bool = True,
-    concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """Search the inverted file: only the union of the queries' probed
     cell partitions is read from storage. Output schema == knn_brute."""
@@ -239,40 +192,33 @@ def ivf_search(
             {"query_id": [], "neighbor_id": [], "cos": [], "rank": []}))
     subset = rd.read_parquet(paths, columns=[key_col, vec_col])
 
-    state_ref = ray.put((np.asarray(query_ids), qmat, cents, probes))
+    cell2q = {int(c): np.where((probes == c).any(axis=1))[0] for c in np.unique(probes)}
+    state_ref = ray.put((np.asarray(query_ids), qmat, cents, cell2q))
 
-    class CellScorer:
-        def __init__(self):
-            qids, qm, cen, prb = ray.get(state_ref)
-            self.qids, self.qmat, self.cents = qids, qm, cen
-            self.cell2q: dict[int, np.ndarray] = {}
-            for c in np.unique(prb):
-                self.cell2q[int(c)] = np.where((prb == c).any(axis=1))[0]
+    def score_cells(df: pd.DataFrame) -> pd.DataFrame:
+        qids, qm, cen, c2q = _cached_get(state_ref)
+        mat = _unit(_as_matrix(df[vec_col]))
+        keys = df[key_col].to_numpy()
+        # hive stripped the cell column from the data files; re-derive
+        # with the same deterministic quantizer (one small matmul)
+        cells = np.argmax(mat @ cen.T, axis=1).astype(np.int64)
+        out = {"query_id": [], "neighbor_id": [], "cos": []}
+        for c in np.unique(cells):
+            qs = c2q.get(int(c))
+            if qs is None or qs.size == 0:
+                continue
+            rows = np.where(cells == c)[0]
+            sims = qm[qs] @ mat[rows].T
+            kk = min(k + 1, rows.size)
+            idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+            for qi_local, qi in enumerate(qs):
+                cand = idx[qi_local]
+                out["query_id"].extend([qids[qi]] * cand.size)
+                out["neighbor_id"].extend(keys[rows[cand]].tolist())
+                out["cos"].extend(sims[qi_local, cand].tolist())
+        return pd.DataFrame(out)
 
-        def __call__(self, df: pd.DataFrame) -> pd.DataFrame:
-            mat = _unit(_as_matrix(df[vec_col]))
-            keys = df[key_col].to_numpy()
-            # hive stripped the cell column from the data files; re-derive
-            # with the same deterministic quantizer (one small matmul)
-            cells = np.argmax(mat @ self.cents.T, axis=1).astype(np.int64)
-            out = {"query_id": [], "neighbor_id": [], "cos": []}
-            for c in np.unique(cells):
-                qs = self.cell2q.get(int(c))
-                if qs is None or qs.size == 0:
-                    continue
-                rows = np.where(cells == c)[0]
-                sims = self.qmat[qs] @ mat[rows].T
-                kk = min(k + 1, rows.size)
-                idx = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-                for qi_local, qi in enumerate(qs):
-                    cand = idx[qi_local]
-                    out["query_id"].extend([self.qids[qi]] * cand.size)
-                    out["neighbor_id"].extend(keys[rows[cand]].tolist())
-                    out["cos"].extend(sims[qi_local, cand].tolist())
-            return pd.DataFrame(out)
-
-    partial = subset.map_batches(CellScorer, batch_format="pandas", batch_size=4096,
-                                 concurrency=(1, concurrency))
+    partial = subset.map_batches(score_cells, batch_format="pandas", batch_size=4096)
     if exclude_self:
         partial = partial.map_batches(
             lambda df: df[df["query_id"] != df["neighbor_id"]], batch_format="pandas")
@@ -312,7 +258,6 @@ def knn_ivf(
     vec_col: str = "embedding",
     key_col: str = "vec_id",
     seed: int = 42,
-    concurrency: int = 4,
     index_dir: str | None = None,
 ) -> "ray.data.Dataset":
     """Convenience wrapper: build the inverted file (under ``index_dir`` or
@@ -324,4 +269,4 @@ def knn_ivf(
     ivf_build(ds, idx, n_cells=n_cells, sample_size=sample_size,
               vec_col=vec_col, key_col=key_col, seed=seed)
     return ivf_search(idx, query_ids, query_vecs, k=k, n_probe=n_probe,
-                      vec_col=vec_col, key_col=key_col, concurrency=concurrency)
+                      vec_col=vec_col, key_col=key_col)

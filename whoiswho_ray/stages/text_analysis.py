@@ -16,6 +16,7 @@ per-row numpy winnowing.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -89,55 +90,53 @@ def quality_score_batch(t: pa.Table, text_col: str = "text", key_col: str = "doc
     return pa.table(out)
 
 
-class LangId:
-    """Actor: heuristic language id by stopword-profile hit rate.
+_LANG_WORD_SPLIT = r"[^a-zàâäéèêëîïôöùûüçáíóúñß]+"
 
-    Per batch: one Arrow split to a flat word stream, dictionary-encode so
+
+@functools.cache
+def _lang_profiles() -> dict:
+    """Hashed stopword profile per language, built once per process."""
+    return {lang: pd.util.hash_pandas_object(pd.Series(sorted(stops)), index=False).to_numpy()
+            for lang, stops in _LANG_STOPWORDS.items()}
+
+
+def lang_id_batch(batch: pd.DataFrame) -> pd.DataFrame:
+    """Heuristic language id by stopword-profile hit rate.
+
+    One Arrow split to a flat word stream, dictionary-encode so
     membership is resolved once per batch-UNIQUE word (one vectorized
     siphash + one ``isin`` per profile over the vocabulary, typically
-    100–1000× smaller than the word stream), then per-row ``bincount``.
-    Profile hash sets are built once per actor."""
+    100–1000× smaller than the word stream), then per-row ``bincount``."""
+    profiles = _lang_profiles()
+    langs = list(profiles)
+    n = len(batch)
+    col = pa.array(batch["text"].fillna("").astype(str), pa.string())
+    toks = pc.split_pattern_regex(pc.utf8_lower(col), _LANG_WORD_SPLIT)
+    offsets = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
+    flat = toks.values.slice(offsets[0], offsets[-1] - offsets[0])
+    offsets = offsets - offsets[0]
+    row_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
 
-    _WORD_SPLIT = r"[^a-zàâäéèêëîïôöùûüçáíóúñß]+"
-
-    def __init__(self):
-        self.langs = list(_LANG_STOPWORDS)
-        self.profiles = {
-            lang: pd.util.hash_pandas_object(
-                pd.Series(sorted(stops)), index=False).to_numpy()
-            for lang, stops in _LANG_STOPWORDS.items()
-        }
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        n = len(batch)
-        col = pa.array(batch["text"].fillna("").astype(str), pa.string())
-        toks = pc.split_pattern_regex(pc.utf8_lower(col), self._WORD_SPLIT)
-        offsets = toks.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
-        flat = toks.values.slice(offsets[0], offsets[-1] - offsets[0])
-        offsets = offsets - offsets[0]
-        row_idx = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-
-        scores = np.zeros((n, len(self.langs)), dtype=np.float64)
-        if len(flat):
-            enc = pc.dictionary_encode(flat)
-            codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-            uniq = enc.dictionary
-            word_ok = (pc.utf8_length(uniq).to_numpy(zero_copy_only=False) > 0)
-            uh = pd.util.hash_pandas_object(
-                pd.Series(uniq.to_numpy(zero_copy_only=False)), index=False).to_numpy()
-            n_words = np.bincount(row_idx[word_ok[codes]], minlength=n).astype(np.float64)
-            denom = np.maximum(n_words, 1.0)
-            for j, lang in enumerate(self.langs):
-                uniq_hit = np.isin(uh, self.profiles[lang]) & word_ok
-                hits = np.bincount(row_idx[uniq_hit[codes]], minlength=n)
-                scores[:, j] = hits / denom
-        best = np.argmax(scores, axis=1)
-        best_score = scores[np.arange(n), best]
-        langs = np.where(best_score > 0, np.asarray(self.langs, dtype=object)[best], "und")
-        out = batch[["doc_id"]].copy()
-        out["pred_lang"] = langs
-        out["lang_score"] = best_score
-        return out
+    scores = np.zeros((n, len(langs)), dtype=np.float64)
+    if len(flat):
+        enc = pc.dictionary_encode(flat)
+        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        uniq = enc.dictionary
+        word_ok = (pc.utf8_length(uniq).to_numpy(zero_copy_only=False) > 0)
+        uh = pd.util.hash_pandas_object(
+            pd.Series(uniq.to_numpy(zero_copy_only=False)), index=False).to_numpy()
+        n_words = np.bincount(row_idx[word_ok[codes]], minlength=n).astype(np.float64)
+        denom = np.maximum(n_words, 1.0)
+        for j, lang in enumerate(langs):
+            uniq_hit = np.isin(uh, profiles[lang]) & word_ok
+            hits = np.bincount(row_idx[uniq_hit[codes]], minlength=n)
+            scores[:, j] = hits / denom
+    best = np.argmax(scores, axis=1)
+    best_score = scores[np.arange(n), best]
+    out = batch[["doc_id"]].copy()
+    out["pred_lang"] = np.where(best_score > 0, np.asarray(langs, dtype=object)[best], "und")
+    out["lang_score"] = best_score
+    return out
 
 
 def fingerprint_batch(t: pa.Table, text_col: str = "text", key_col: str = "doc_id",
@@ -255,9 +254,8 @@ def quality_scores(ds: "ray.data.Dataset", **kw) -> "ray.data.Dataset":
                           batch_format="pyarrow", zero_copy_batch=True)
 
 
-def lang_id(ds: "ray.data.Dataset", concurrency: int = 4) -> "ray.data.Dataset":
-    return ds.map_batches(LangId, batch_format="pandas", batch_size=8192,
-                          concurrency=(1, concurrency))
+def lang_id(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    return ds.map_batches(lang_id_batch, batch_format="pandas", batch_size=8192)
 
 
 def fingerprints(ds: "ray.data.Dataset", **kw) -> "ray.data.Dataset":
@@ -644,6 +642,7 @@ def _drop_hot_tokens(exploded: "ray.data.Dataset", max_df: int):
     import ray
 
     from whoiswho_ray.stages.agg import grouped_agg
+    from whoiswho_ray.stages.joins import _cached_get
 
     dfc = grouped_agg(exploded, "token", {"df": (None, "count")},
                       final="shuffle")
@@ -651,21 +650,14 @@ def _drop_hot_tokens(exploded: "ray.data.Dataset", max_df: int):
                           batch_format="pandas").to_pandas()
     if not len(hot):
         return exploded, hot
-    hot_ref = ray.put(frozenset(hot["token"]))
+    # the Arrow value_set is built once here, not per batch (ADVICE r3)
+    hot_ref = ray.put(pa.array(sorted(hot["token"])))
 
-    class Filt:
-        def __init__(self):
-            # build the Arrow value_set ONCE per actor — rebuilding it per
-            # batch was an O(|hot| log |hot|) sort on the hot path of
-            # every max_df index build (ADVICE r3)
-            self.hot = pa.array(sorted(ray.get(hot_ref)))
+    def drop_hot(t: pa.Table) -> pa.Table:
+        return t.filter(pc.invert(pc.is_in(t.column("token"),
+                                           value_set=_cached_get(hot_ref))))
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            mask = pc.invert(pc.is_in(t.column("token"), value_set=self.hot))
-            return t.filter(mask)
-
-    return (exploded.map_batches(Filt, batch_format="pyarrow",
-                                 zero_copy_batch=True, concurrency=(1, 4)),
+    return (exploded.map_batches(drop_hot, batch_format="pyarrow", zero_copy_batch=True),
             hot)
 
 
