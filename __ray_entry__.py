@@ -3924,8 +3924,9 @@ def q_doc_fs_linkage(sf_dir: str):
 
     docs = read_table(sf_dir, "documents",
                       columns=["doc_id", "text", "source", "lang"])
-    # materialized: the second join's schema() fetch would otherwise
-    # rerun this plan's sorts under limit(1), which stalls at one CPU
+    # materialized: without it the joins' plan holds this plan's sorts
+    # inside a union, and at one CPU that execution never finishes
+    # (NOTES fact 17; it still stalls with no schema read)
     pairs = ngram_jaccard_pairs(
         docs.select_columns(["doc_id", "text", "source"]),
         threshold=FS_TAU_CAND).materialize()

@@ -186,3 +186,27 @@ class TestProfileColumns:
         assert out.loc["x", "nulls"] == 2
         assert out.loc["x", "n_distinct"] == 0
         assert out.loc["x", "min_s"] is None
+
+
+def test_null_in_an_int_key_keeps_one_bucket_per_key():
+    """An int64 key with one NULL in a later block: pandas reads that batch
+    as float64, whose hash differs from the int's. Key 2 must still come
+    back once, from ``group_apply`` and from ``grouped_agg(final='shuffle')``."""
+    import pyarrow as pa
+
+    from whoiswho_ray.stages.agg import group_apply
+
+    n = 140_000
+    k1 = pa.array(np.arange(n) % 5, pa.int64())
+    k2 = pa.array([None if i == n - 1 else i % 5 for i in range(n)], pa.int64())
+    ds = rd.from_arrow([pa.table({"k": k1}), pa.table({"k": k2})])
+
+    agg = grouped_agg(ds, "k", {"n": (None, "count")}, final="shuffle").to_pandas()
+    twos = agg[agg["k"] == 2]
+    assert len(twos) == 1 and int(twos["n"].iloc[0]) == 2 * (n // 5)
+    assert int(agg["n"].sum()) == 2 * n
+
+    per_key = group_apply(ds, "k", lambda t: pa.table({"k": t.column("k").slice(0, 1),
+                                                        "n": [t.num_rows]})).to_pandas()
+    twos = per_key[per_key["k"] == 2]
+    assert len(twos) == 1 and int(twos["n"].iloc[0]) == 2 * (n // 5)

@@ -214,6 +214,22 @@ def test_no_actor_pool_in_the_library():
     assert not hits, hits
 
 
+def test_every_hash_bucket_cogroup_is_joins_cogroup():
+    """Every hash-bucket shuffle goes through ``joins.cogroup``: the only
+    other ``map_groups`` calls left are the five per-key groupbys."""
+    import whoiswho_ray
+
+    root = pathlib.Path(whoiswho_ray.__file__).parent
+    hits = sorted(f"{p.relative_to(root)}:{i}"
+                  for p in root.rglob("*.py")
+                  for i, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+                  if "map_groups(" in line and not line.lstrip().startswith(("#", "``")))
+    per_key = {"evaluation.py", "stages/dedup.py", "stages/similarity_search.py"}
+    assert [h for h in hits if h.split(":")[0] not in per_key | {"stages/joins.py"}] == [], hits
+    assert len([h for h in hits if h.startswith("stages/joins.py")]) == 1, hits
+    assert len([h for h in hits if h.split(":")[0] in per_key]) == 5, hits
+
+
 class TestPairConsumersRunOnce:
     """The ``__ray_entry__`` edge and relational queries and the trainer's pair
     features return (or consume) the blocking pass already executed."""

@@ -13,7 +13,10 @@ transitive clustering — expressed idiomatically on ``ray.data.Dataset``:
   ``/root/reference/whoiswho/training/AutoTrainSND.py:142-161``),
 * union-find merges above-threshold edges into entity clusters, once per
   sorted partition of whole blocks and globally via alternating-star contraction
-  (iterative groupby rounds) when a component spans salted sub-blocks.
+  (iterative co-group rounds) when a component spans salted sub-blocks,
+* every other hash-bucket shuffle — the joins, as-of joins, diffs, grouped
+  aggregates, dedup and graph rounds — is one co-group,
+  ``stages.joins.cogroup``, which reads no schema of a lazy input.
 
 The input domain is the ``input_hint`` table from BASELINE.json:
 ``(repo, path, commit, lang, content)`` — one row per source-file version.

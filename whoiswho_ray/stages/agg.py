@@ -20,6 +20,8 @@ import pyarrow as pa
 
 import ray.data
 
+from whoiswho_ray.stages.joins import cogroup
+
 _PARTIAL = {"sum": "sum", "count": "count", "min": "min", "max": "max"}
 _FINAL = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
 
@@ -79,7 +81,8 @@ def grouped_agg(
                 cols[out] = g[src].agg(_PARTIAL[op])
         return pd.DataFrame(cols).reset_index()
 
-    partials = ds.map_batches(partial, batch_format="pandas", batch_size=131072)
+    partials = ds.map_batches(_keyed_pandas(partial, keys), batch_format="pyarrow",
+                              batch_size=131072)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         for out, (sum_col, n_col) in means.items():
@@ -97,27 +100,27 @@ def grouped_agg(
         ).reset_index()
         return finish(combined)
 
-    nb = _num_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = np.zeros(len(df), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for k in keys:
-                h = h * np.uint64(1099511628211) ^ pd.util.hash_pandas_object(
-                    df[k], index=False).to_numpy().astype(np.uint64)
-        df = df.copy()
-        df["__bucket"] = (h % np.uint64(nb)).astype(np.int64)
-        return df
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns=["__bucket"])
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
         out = df.groupby(keys, sort=False, dropna=False).agg(
             {o: _FINAL[op] for o, (src, op) in plan.items()}
         ).reset_index()
         return finish(out)
 
-    return partials.map_batches(add_bucket, batch_format="pandas").groupby(
-        "__bucket").map_groups(combine, batch_format="pandas")
+    return cogroup([(partials, keys)], _keyed_pandas(combine, keys), _num_buckets())
+
+
+def _keyed_pandas(fn, keys: list[str]):
+    """``fn`` (pandas → pandas) as an Arrow → Arrow function whose output
+    keeps the input's Arrow types on the ``keys`` columns: pandas turns an
+    int key column holding a NULL into float64, whose hash and type would
+    then differ from the same key's in a batch without NULLs."""
+    def f(t: pa.Table) -> pa.Table:
+        out = pa.Table.from_pandas(fn(t.to_pandas()), preserve_index=False)
+        for k in keys:
+            i = out.schema.get_field_index(k)
+            out = out.set_column(i, k, out.column(i).cast(t.schema.field(k).type))
+        return out
+    return f
 
 
 def _num_buckets() -> int:
@@ -149,48 +152,24 @@ def group_apply(
     lexsort + boundary pluck), so the multi-key machinery runs once per
     bucket, not once per key.
     """
-    nb = num_buckets or _num_buckets()
+    def outer(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(key, "ascending")])  # arrow C++ sort
+        if whole_bucket:
+            return fn(t)
+        keys_sorted = np.asarray(t.column(key).to_pylist(), dtype=object)
+        bounds = np.flatnonzero(
+            np.r_[True, keys_sorted[1:] != keys_sorted[:-1], True])
+        parts = []
+        for s, e in zip(bounds[:-1], bounds[1:]):
+            out = fn(t.slice(int(s), int(e - s)))
+            if out.num_rows:
+                parts.append(out)
+        if not parts:
+            return fn(t.slice(0, 0))
+        return pa.concat_tables(parts, promote_options="default")
 
-    if batch_format == "pyarrow":
-        def add_bucket_arrow(t: pa.Table) -> pa.Table:
-            # hash only the key column — the payload never converts
-            keys = t.column(key).to_pandas()
-            h = pd.util.hash_pandas_object(keys, index=False).to_numpy()
-            return t.append_column(
-                "__bucket", pa.array((h % np.uint64(nb)).astype(np.int64)))
-
-        bucketed = ds.map_batches(add_bucket_arrow, batch_format="pyarrow",
-                                  zero_copy_batch=True, batch_size=131072)
-
-        def outer(t: pa.Table) -> pa.Table:
-            t = t.drop_columns(["__bucket"])
-            t = t.sort_by([(key, "ascending")])  # arrow C++ sort
-            if whole_bucket:
-                return fn(t)
-            keys_sorted = np.asarray(t.column(key).to_pylist(), dtype=object)
-            bounds = np.flatnonzero(
-                np.r_[True, keys_sorted[1:] != keys_sorted[:-1], True])
-            parts = []
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                out = fn(t.slice(int(s), int(e - s)))
-                if out.num_rows:
-                    parts.append(out)
-            if not parts:
-                return fn(t.slice(0, 0))
-            return pa.concat_tables(parts, promote_options="default")
-
-        return bucketed.groupby("__bucket").map_groups(outer, batch_format="pyarrow")
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[key], index=False).to_numpy()
-        df = df.copy()
-        df["__bucket"] = (h % np.uint64(nb)).astype(np.int64)
-        return df
-
-    bucketed = ds.map_batches(add_bucket, batch_format="pandas", batch_size=131072)
-
-    def outer_pd(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns=["__bucket"])
+    def outer_pd(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas()
         if whole_bucket:
             return fn(df.sort_values(key, kind="stable"))
         parts = []
@@ -202,38 +181,24 @@ def group_apply(
             return fn(df.iloc[0:0])
         return pd.concat(parts, ignore_index=True)
 
-    return bucketed.groupby("__bucket").map_groups(outer_pd, batch_format="pandas")
+    return cogroup([(ds, key)], outer if batch_format == "pyarrow" else outer_pd,
+                   num_buckets or _num_buckets())
 
 
 def distinct(ds: "ray.data.Dataset", cols: list[str], final: str = "driver"):
     """Distinct rows over cols: local drop_duplicates per batch, then a
     final combine over the (small) survivors — driver-side by default,
     ``final='shuffle'`` for unbounded distinct-value counts."""
-    local = ds.map_batches(
-        lambda df: df[cols].drop_duplicates(), batch_format="pandas", batch_size=262144
-    )
+    local = ds.map_batches(_keyed_pandas(lambda df: df[cols].drop_duplicates(), cols),
+                           batch_format="pyarrow", batch_size=262144)
     if final == "driver":
         return pa.concat_tables(collect_blocks(local), promote_options="default").to_pandas(
         ).drop_duplicates().reset_index(drop=True)
 
     # distributed final: one Ray group per hash bucket, vectorized
     # drop_duplicates inside (never one Ray group per distinct value)
-    nb = _num_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = np.zeros(len(df), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for k in cols:
-                h = h * np.uint64(1099511628211) ^ pd.util.hash_pandas_object(
-                    df[k], index=False).to_numpy().astype(np.uint64)
-        df = df.copy()
-        df["__bucket"] = (h % np.uint64(nb)).astype(np.int64)
-        return df
-
-    return local.map_batches(add_bucket, batch_format="pandas").groupby(
-        "__bucket").map_groups(
-        lambda g: g.drop(columns=["__bucket"]).drop_duplicates(),
-        batch_format="pandas")
+    return cogroup([(local, cols)], _keyed_pandas(lambda df: df.drop_duplicates(), cols),
+                   _num_buckets())
 
 
 def _drop_null_values(ds: "ray.data.Dataset", value_col: str) -> "ray.data.Dataset":
@@ -1240,17 +1205,9 @@ def mode_per_group(
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(keys + [col], sort=False, dropna=False).size()
-        p = g.rename("__cnt").reset_index()
-        h = np.zeros(len(p), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            for k in keys:
-                h = h * np.uint64(1099511628211) ^ pd.util.hash_pandas_object(
-                    p[k], index=False).to_numpy().astype(np.uint64)
-        p["__bucket"] = (h % np.uint64(nb)).astype(np.int64)
-        return p
+        return g.rename("__cnt").reset_index()
 
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns=["__bucket"])
+    def combine(df: pd.DataFrame) -> pd.DataFrame:
         tot = df.groupby(keys + [col], sort=False, dropna=False)["__cnt"].sum(
         ).reset_index()
         tot = tot.sort_values(
@@ -1259,10 +1216,9 @@ def mode_per_group(
         best = tot.drop_duplicates(subset=keys, keep="first")
         return best.drop(columns=["__cnt"]).rename(columns={col: out})
 
-    partials = ds.map_batches(partial, batch_format="pandas",
+    partials = ds.map_batches(_keyed_pandas(partial, keys), batch_format="pyarrow",
                               batch_size=131072)
-    return partials.groupby("__bucket").map_groups(combine,
-                                                   batch_format="pandas")
+    return cogroup([(partials, keys)], _keyed_pandas(combine, keys), nb)
 
 
 def arg_extreme_grouped(

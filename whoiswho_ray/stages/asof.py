@@ -20,9 +20,9 @@ Dataset API lacks natively:
   ``searchsorted`` calls for the interval bounds, and a prefix-sum for
   the windowed sums — no per-row or per-key Python loop.
 
-Integer exactness (ADVICE r2): the shuffle union pads missing columns
-with Arrow TYPED nulls (`joins.arrow_tagged_union`), never pandas NaN, so
-int64 columns are not promoted to float64 across the shuffle; and the
+Integer exactness (ADVICE r2): the shuffle is a `joins.cogroup`, whose
+bucket tables hold each side's own columns only (no padding, never pandas
+NaN), so int64 columns are not promoted to float64 across it; and the
 as-of merge itself carries only a small positional index through
 ``pd.merge_asof`` — right payload columns are gathered afterwards by
 position — so values above 2^53 survive bit-exact even when some left
@@ -41,7 +41,7 @@ import pandas as pd
 
 import ray.data
 
-from whoiswho_ray.stages.joins import arrow_tagged_union, split_sides
+from whoiswho_ray.stages.joins import cogroup
 
 
 def _validate_disjoint(lcols, out_right_cols, op: str):
@@ -50,6 +50,15 @@ def _validate_disjoint(lcols, out_right_cols, op: str):
         raise ValueError(
             f"{op}: output right columns {sorted(overlap)} collide with left "
             "column names; rename or project one side first")
+
+
+def _known_columns(ds) -> list[str] | None:
+    """The column names of ``ds`` if Ray knows them without running its
+    plan (a materialized or read-only input), else None: the column
+    checks run at the call when they can, and in each bucket task
+    always."""
+    schema = ds.schema(fetch_if_missing=False)
+    return None if schema is None else list(schema.names)
 
 
 def asof_join(
@@ -80,23 +89,26 @@ def asof_join(
 
     lkey, rkey = (by, by) if isinstance(by, str) else by
 
-    lcols_pre = list(left.schema().names)
-    rcols_pre = list(right.schema().names)
-    payload = [c for c in (right_cols if right_cols is not None else rcols_pre)
-               if c not in (rkey, right_on)]
-    for c in payload + ([tie_break] if tie_break else []):
-        if c not in rcols_pre:
-            raise ValueError(f"asof_join: column {c!r} not on the right side")
-    out_right = [right_on] + payload
-    _validate_disjoint(lcols_pre, out_right, "asof_join")
+    def out_right(lcols: list[str], rcols: list[str]) -> list[str]:
+        payload = [c for c in (right_cols if right_cols is not None else rcols)
+                   if c not in (rkey, right_on)]
+        for c in payload + ([tie_break] if tie_break else []):
+            if c not in rcols:
+                raise ValueError(f"asof_join: column {c!r} not on the right side")
+        _validate_disjoint(lcols, [right_on] + payload, "asof_join")
+        return [right_on] + payload
 
-    u, lcols, rcols = arrow_tagged_union(left, right, [lkey], [rkey],
-                                         num_buckets)
+    known = _known_columns(left), _known_columns(right)
+    if None not in known:
+        out_right(*known)
 
-    def merge_bucket(g: pa.Table) -> pd.DataFrame:
-        lt, rt = split_sides(g, lcols, rcols)
+    def merge_bucket(lt: pa.Table, rt: pa.Table):
+        if not lt.num_rows or not rt.num_rows:
+            return lt.slice(0, 0)
+        lcols = lt.column_names
+        right_out = out_right(lcols, rt.column_names)
         l, r = lt.to_pandas(), rt.to_pandas()
-        if len(r) and tie_break is not None:
+        if tie_break is not None:
             r = (r.sort_values([rkey, right_on, tie_break], kind="stable")
                   .drop_duplicates([rkey, right_on], keep="last"))
         l = l.sort_values(left_on, kind="stable").reset_index(drop=True)
@@ -114,13 +126,11 @@ def asof_join(
         ri = out["__ri"].to_numpy().astype(np.int64)
         res = out[lcols].reset_index(drop=True)
         gathered = r.iloc[ri].reset_index(drop=True)
-        for c in out_right:
+        for c in right_out:
             res[c] = gathered[c]
         return res
 
-    return (u.groupby("__bucket")
-             .map_groups(lambda g: merge_bucket(g.drop_columns(["__bucket"])),
-                         batch_format="pyarrow"))
+    return cogroup([(left, lkey), (right, rkey)], merge_bucket, num_buckets)
 
 
 def range_agg_join(
@@ -147,18 +157,16 @@ def range_agg_join(
     lkey, rkey = (by, by) if isinstance(by, str) else by
     win_ns = np.int64(pd.Timedelta(window).value)
 
-    _validate_disjoint(list(left.schema().names), ["n_right", "sum_cents"],
-                       "range_agg_join")
+    out_cols = ["n_right", "sum_cents"]
+    _validate_disjoint(_known_columns(left) or [], out_cols, "range_agg_join")
 
-    u, lcols, rcols = arrow_tagged_union(left, right, [lkey], [rkey],
-                                         num_buckets)
-
-    def agg_bucket(g: pa.Table) -> pd.DataFrame:
-        lt, rt_ = split_sides(g, lcols, rcols)
+    def agg_bucket(lt: pa.Table, rt_: pa.Table) -> pd.DataFrame:
+        _validate_disjoint(lt.column_names, out_cols, "range_agg_join")
         l = lt.to_pandas()
         out = l.copy()
-        if not len(l):
-            return out.assign(n_right=np.int64(0), sum_cents=np.int64(0)).iloc[:0]
+        if not len(l) or not rt_.num_rows:
+            out = out.assign(n_right=np.int64(0), sum_cents=np.int64(0))
+            return out if len(l) else out.iloc[:0]
         r = rt_.to_pandas()
         r = r.sort_values([rkey, right_on], kind="stable")
         rk = r[rkey].to_numpy()
@@ -187,6 +195,4 @@ def range_agg_join(
         out["sum_cents"] = csum[hi_idx] - csum[lo_idx]
         return out
 
-    return (u.groupby("__bucket")
-             .map_groups(lambda g: agg_bucket(g.drop_columns(["__bucket"])),
-                         batch_format="pyarrow"))
+    return cogroup([(left, lkey), (right, rkey)], agg_bucket, num_buckets)

@@ -17,7 +17,7 @@ Ray-Data-first layout:
 3. rows fall into rank buckets of ``bucket_rows`` each; the first ``w``
    rows of every bucket are *replicated* into the previous bucket so a
    window never straddles an exchange boundary;
-4. one hash-grouped pass per bucket emits pairs ``(rank, rank+d)`` for
+4. one co-group pass over the buckets emits pairs ``(rank, rank+d)`` for
    ``d = 1..w`` with pure slice arithmetic (ranks inside a bucket are
    contiguous by construction — no search, no per-row loop), keeping a
    pair iff its LEFT rank is owned by the bucket (exactly-once).
@@ -77,19 +77,23 @@ def sorted_neighborhood_pairs(
         # neighbors; they are tagged by a bucket id only — no payload dup
         # beyond the (id, rank) projection.
         head = (rn % B < w) & (own > 0)
-        t = t.append_column("__bucket", pa.array(own.astype(np.int64)))
+        t = t.append_column("__blk", pa.array(own.astype(np.int64)))
         if not head.any():
             return t
-        extra = t.filter(pa.array(head)).drop_columns(["__bucket"])
+        extra = t.filter(pa.array(head)).drop_columns(["__blk"])
         extra = extra.append_column(
-            "__bucket", pa.array((own[head] - 1).astype(np.int64)))
+            "__blk", pa.array((own[head] - 1).astype(np.int64)))
         return pa.concat_tables([t, extra])
 
     bucketed = ranked.map_batches(assign, batch_format="pyarrow",
                                   zero_copy_batch=True, batch_size=131072)
 
     def pairs(t: pa.Table) -> pa.Table:
-        b = int(t.column("__bucket")[0].as_py())
+        blk = t.column("__blk").to_numpy(zero_copy_only=False)
+        return pa.concat_tables([blk_pairs(t.filter(pa.array(blk == b)), int(b))
+                                 for b in np.unique(blk)])
+
+    def blk_pairs(t: pa.Table, b: int) -> pa.Table:
         t = t.sort_by([("__rn", "ascending")])
         rn = t.column("__rn").to_numpy(zero_copy_only=False)
         ids = t.column(id_col)
@@ -118,8 +122,9 @@ def sorted_neighborhood_pairs(
             return pa.table({"id_a": ids.slice(0, 0), "id_b": ids.slice(0, 0)})
         return pa.concat_tables(parts)
 
-    return bucketed.groupby("__bucket").map_groups(
-        pairs, batch_format="pyarrow")
+    from whoiswho_ray.stages.joins import cogroup
+
+    return cogroup([(bucketed, "__blk")], pairs, s.count() // B + 1)
 
 
 def multipass_sorted_neighborhood(

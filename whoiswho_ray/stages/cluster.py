@@ -164,21 +164,11 @@ def _cc_num_buckets() -> int:
     return max(16, cpus * 2)
 
 
-def _bucket_by(ds: "ray.data.Dataset", col: str, nb: int) -> "ray.data.Dataset":
-    def add(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[col], index=False).to_numpy()
-        df = df.copy()
-        df["__bucket"] = (h % np.uint64(nb)).astype(np.int64)
-        return df
-
-    return ds.map_batches(add, batch_format="pandas", batch_size=262144)
-
-
-def _large_star_bucket(g: pd.DataFrame) -> pd.DataFrame:
+def _large_star_bucket(g) -> pd.DataFrame:
     """All u-groups of one hash bucket at once (input: both-direction
     edges): for each node u, attach every neighbor v > u to
     m = min(u, min(N(u))). Vectorized via groupby-transform."""
-    df = g.drop(columns=["__bucket"])
+    df = g.to_pandas()
     if not len(df):
         return df
     m = df.groupby("u", sort=False)["v"].transform("min")
@@ -188,10 +178,10 @@ def _large_star_bucket(g: pd.DataFrame) -> pd.DataFrame:
     return out[out["u"] != out["v"]].drop_duplicates()
 
 
-def _small_star_bucket(g: pd.DataFrame) -> pd.DataFrame:
+def _small_star_bucket(g) -> pd.DataFrame:
     """All u-groups of one bucket (input oriented big→small, u > v): link
     every neighbor and u itself to the minimum neighbor m."""
-    df = g.drop(columns=["__bucket"])
+    df = g.to_pandas()
     if not len(df):
         return df
     m = df.groupby("u", sort=False)["v"].transform("min")
@@ -207,15 +197,13 @@ def min_by_key(ds: "ray.data.Dataset", key: str, val: str,
     """Distributed min(val) per key: one Ray group per hash bucket, pandas
     groupby-min inside. Works for any comparable dtype (incl. strings,
     which Ray's native Min aggregate does not support everywhere)."""
-    nb = num_buckets or _cc_num_buckets()
+    from whoiswho_ray.stages.joins import cogroup
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns=["__bucket"])
-        out = df.groupby(key, sort=False)[val].min().reset_index()
+    def kernel(t) -> pd.DataFrame:
+        out = t.to_pandas().groupby(key, sort=False)[val].min().reset_index()
         return out.rename(columns={key: out_key, val: out_val})
 
-    return _bucket_by(ds.select_columns([key, val]), key, nb).groupby(
-        "__bucket").map_groups(kernel, batch_format="pandas")
+    return cogroup([(ds, key, [key, val])], kernel, num_buckets or _cc_num_buckets())
 
 
 def connected_components(
@@ -244,6 +232,8 @@ def connected_components(
     the end with two bucketed joins. ``True``/``False`` force/disable.
     """
     import pyarrow as pa
+
+    from whoiswho_ray.stages.joins import cogroup
 
     nb = num_buckets or _cc_num_buckets()
 
@@ -281,12 +271,10 @@ def connected_components(
     for _ in range(max_rounds):
         # large-star: needs all orientations of each node's neighborhood
         ls_in = cur.map_batches(both_dirs, batch_format="pyarrow")
-        cur = _bucket_by(ls_in, "u", nb).groupby("__bucket").map_groups(
-            _large_star_bucket, batch_format="pandas")
+        cur = cogroup([(ls_in, "u")], _large_star_bucket, nb)
         # small-star: orient big→small
         ss_in = cur.map_batches(orient, batch_format="pyarrow")
-        cur = _bucket_by(ss_in, "u", nb).groupby("__bucket").map_groups(
-            _small_star_bucket, batch_format="pandas").materialize()
+        cur = cogroup([(ss_in, "u")], _small_star_bucket, nb).materialize()
         # convergence: stable (count, order-invariant checksum) of the edges
         def sig_batch(df: pd.DataFrame) -> pd.DataFrame:
             h = pd.util.hash_pandas_object(

@@ -14,8 +14,8 @@ Corpora up to ``driver_max`` docs run a driver-side numpy fast path (it
 doubles as the oracle-speed path for the small-SF correctness queries);
 above it everything is distributed: candidate generation is one Ray group
 per HASH BUCKET (vectorized segment loop inside), verification is ONE
-fused tagged half-row join (``_verify_candidates_fused`` — attach shuffle
-on key, regroup on pair id with in-task verification; the side-table is
+fused half-row join (``_verify_candidates_fused`` — attach co-group on
+key, regroup co-group on pair id with in-task verification; the side-table is
 never collected on the driver, never broadcast whole, and ships through
 exactly one shuffle), and the duplicate groups come from
 ``cluster.connected_components`` (bucketed star contraction). Oversized
@@ -33,6 +33,7 @@ import ray
 import ray.data
 
 from whoiswho_ray.functions.hashing import MinHasher, band_keys_matrix, sha256_hex
+from whoiswho_ray.stages.agg import distinct
 from whoiswho_ray.stages.cluster import UnionFind
 from whoiswho_ray.stages.scoring import _flat, _intersections
 
@@ -130,16 +131,15 @@ def exact_dedup(
     # one Ray group per HASH BUCKET of shas (never per distinct text —
     # that cardinality grows with the corpus), min-key row per sha via one
     # vectorized pandas pass inside the bucket task
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
+    from whoiswho_ray.stages.cluster import _cc_num_buckets
+    from whoiswho_ray.stages.joins import cogroup
 
-    def keep_min_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns=["__bucket"]).sort_values(
-            ["_sha", key_col], kind="stable")
+    def keep_min_bucket(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(["_sha", key_col], kind="stable")
         first = df.groupby("_sha", sort=False).head(1)
         return first.drop(columns=["_sha"])
 
-    return _bucket_by(with_sha, "_sha", _cc_num_buckets()).groupby(
-        "__bucket").map_groups(keep_min_bucket, batch_format="pandas")
+    return cogroup([(with_sha, "_sha")], keep_min_bucket, _cc_num_buckets())
 
 
 # ---------------------------------------------------------------------------
@@ -208,33 +208,12 @@ def _tokenize_table(ds: "ray.data.Dataset", text_col: str, key_col: str) -> "ray
     return ds.map_batches(f, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def _local_dedup(cand: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Per-batch duplicate-pair pruning (cheap volume cut before any
-    shuffle; cross-batch duplicates survive this pass)."""
-    return cand.map_batches(lambda df: df.drop_duplicates(), batch_format="pandas",
-                            batch_size=262144)
-
-
-def _global_dedup_pairs(cand: "ray.data.Dataset", num_buckets: int) -> "ray.data.Dataset":
-    """GLOBAL candidate-pair dedup: one bucketed groupby over the bare
-    (key_a, key_b) rows (~20 B each). LSH emits the same true pair from
-    several bands (measured ~3× duplication at 500k docs), and every
-    duplicate that survives to the verify join ships two payload-carrying
-    half-rows through BOTH of its shuffles — deduping the cheap rows first
-    cuts the expensive shuffles by the duplication factor."""
-    def add(df: pd.DataFrame) -> pd.DataFrame:
-        ha = pd.util.hash_pandas_object(df["key_a"], index=False).to_numpy()
-        hb = pd.util.hash_pandas_object(df["key_b"], index=False).to_numpy()
-        with np.errstate(over="ignore"):
-            h = ha ^ (hb * np.uint64(0x9E3779B97F4A7C15))
-        df = df.copy()
-        df["__bucket"] = (h % np.uint64(num_buckets)).astype(np.int64)
-        return df
-
-    return cand.map_batches(add, batch_format="pandas", batch_size=262144).groupby(
-        "__bucket").map_groups(
-            lambda g: g.drop(columns="__bucket").drop_duplicates(),
-            batch_format="pandas")
+#: Candidate pairs are deduped globally (``agg.distinct`` over the bare
+#: (key_a, key_b) rows, ~20 B each) before the verify: LSH emits the same
+#: true pair from several bands (measured ~3× duplication at 500k docs),
+#: and every duplicate that survives ships two payload-carrying half-rows
+#: through BOTH verify shuffles.
+PAIR_COLS = ["key_a", "key_b"]
 
 
 def _candidates_distributed(
@@ -244,10 +223,11 @@ def _candidates_distributed(
     """(bucket, key) rows → candidate (key_a, key_b) pairs, one Ray group
     per HASH BUCKET of LSH-bucket ids (never per LSH bucket): each task
     sorts its partition once and walks bucket segments vectorized."""
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
+    from whoiswho_ray.stages.cluster import _cc_num_buckets
+    from whoiswho_ray.stages.joins import cogroup
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop_duplicates(["bucket", "key"]).sort_values(
+    def kernel(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().drop_duplicates(["bucket", "key"]).sort_values(
             ["bucket", "key"], kind="stable")
         bk = df["bucket"].to_numpy()
         keys = df["key"].to_numpy()
@@ -287,8 +267,7 @@ def _candidates_distributed(
         return pd.DataFrame({"key_a": np.concatenate(out_a),
                              "key_b": np.concatenate(out_b)}).drop_duplicates()
 
-    return _bucket_by(exploded, "bucket", _cc_num_buckets()).groupby(
-        "__bucket").map_groups(kernel, batch_format="pandas")
+    return cogroup([(exploded, "bucket")], kernel, _cc_num_buckets())
 
 
 def _verify_candidates_fused(
@@ -302,10 +281,10 @@ def _verify_candidates_fused(
     """Candidate (key_a, key_b) pairs + a (key → val) side table → verified
     edge rows in ONE attach shuffle + ONE regroup shuffle.
 
-    Each pair splits into two half-rows ``(pid, key, slot)``; the side
-    table is tagged (``slot = -1``) and unioned in, one bucketed groupby on
-    ``key`` attaches ``val`` to every half (sorted side keys + searchsorted
-    — no per-row Python), and a second bucketed groupby on ``pid`` realigns
+    Each pair splits into two half-rows ``(pid, key, slot)``; one
+    co-group with the side table on ``key`` attaches ``val`` to every half
+    (sorted side keys + searchsorted — no per-row Python), and a second
+    co-group on ``pid`` realigns
     the two halves and runs the vectorized verifier INSIDE the same task.
     Versus two sequential attach joins (the round-2 shape) this ships the
     side table through one shuffle instead of two and never drags one
@@ -320,56 +299,29 @@ def _verify_candidates_fused(
     """
     import pyarrow.compute as pc
 
-    sside = side_table.schema()
-    key_type = dict(zip(sside.names, sside.types))[key_col]
-    val_type = dict(zip(sside.names, sside.types))[val_col]
-
-    def _buckets_of(keys_pd) -> np.ndarray:
-        h = pd.util.hash_pandas_object(keys_pd, index=False).to_numpy()
-        return (h % np.uint64(num_buckets)).astype(np.int64)
+    from whoiswho_ray.stages.joins import cogroup
 
     def halves(t: pa.Table) -> pa.Table:
-        ka = t.column("key_a").combine_chunks() if isinstance(t.column("key_a"), pa.ChunkedArray) else t.column("key_a")
-        kb = t.column("key_b").combine_chunks() if isinstance(t.column("key_b"), pa.ChunkedArray) else t.column("key_b")
-        n = t.num_rows
+        ka = t.column("key_a").combine_chunks()
+        kb = t.column("key_b").combine_chunks()
         pid = pc.binary_join_element_wise(
             pc.cast(ka, pa.string()), pc.cast(kb, pa.string()), "\x1f")
-        key = pa.concat_arrays([pc.cast(ka, key_type), pc.cast(kb, key_type)])
-        out = pa.table({
-            "pid": pa.concat_arrays([pid, pid]),
-            "key": key,
-            "slot": pa.array(np.r_[np.zeros(n, np.int8), np.ones(n, np.int8)]),
-            "val": pa.nulls(2 * n, val_type),
-        })
-        return out.append_column(
-            "__bucket", pa.array(_buckets_of(out.column("key").to_pandas())))
-
-    def tag_side(t: pa.Table) -> pa.Table:
         n = t.num_rows
         return pa.table({
-            "pid": pa.nulls(n, pa.string()),
-            "key": pc.cast(t.column(key_col), key_type),
-            "slot": pa.array(np.full(n, -1, dtype=np.int8)),
-            "val": t.column(val_col),
-            "__bucket": pa.array(_buckets_of(t.column(key_col).to_pandas())),
+            "pid": pa.concat_arrays([pid, pid]),
+            "key": pa.concat_arrays([ka, kb.cast(ka.type)]),
+            "slot": pa.array(np.r_[np.zeros(n, np.int8), np.ones(n, np.int8)]),
         })
 
-    tagged = cand.map_batches(halves, batch_format="pyarrow", zero_copy_batch=True).union(
-        side_table.map_batches(tag_side, batch_format="pyarrow", zero_copy_batch=True))
-
-    key_is_numeric = pa.types.is_integer(key_type) or pa.types.is_floating(key_type)
-
-    def attach(t: pa.Table) -> pa.Table:
-        slot = t.column("slot").to_numpy(zero_copy_only=False)
-        side_mask = pa.array(slot == -1)
-        s = t.filter(side_mask)
-        c = t.filter(pc.invert(side_mask))
-        if key_is_numeric:  # native-dtype searchsorted, no object boxing
-            skeys = s.column("key").to_numpy(zero_copy_only=False)
-            ckeys = c.column("key").to_numpy(zero_copy_only=False)
+    def attach(c: pa.Table, s: pa.Table) -> pa.Table:
+        skeys, ckeys = s.column(key_col), c.column("key")
+        if pa.types.is_integer(ckeys.type) or pa.types.is_floating(ckeys.type):
+            # native-dtype searchsorted, no object boxing
+            skeys = skeys.to_numpy(zero_copy_only=False)
+            ckeys = ckeys.to_numpy(zero_copy_only=False)
         else:
-            skeys = np.asarray(s.column("key").to_pylist(), dtype=object)
-            ckeys = np.asarray(c.column("key").to_pylist(), dtype=object)
+            skeys = np.asarray(skeys.to_pylist(), dtype=object)
+            ckeys = np.asarray(ckeys.to_pylist(), dtype=object)
         order = np.argsort(skeys, kind="stable")
         ssorted = skeys[order]
         if ssorted.size:
@@ -379,19 +331,14 @@ def _verify_candidates_fused(
         else:
             pos = np.zeros(ckeys.size, dtype=np.int64)
             ok = np.zeros(ckeys.size, dtype=bool)
-        c_ok = c.filter(pa.array(ok))
-        attached = s.column("val").combine_chunks().take(
-            pa.array(order[pos[ok]], pa.int64()))
-        out = pa.table({
-            "pid": c_ok.column("pid"),
-            "key": c_ok.column("key"),
-            "slot": c_ok.column("slot"),
-            "val": attached,
-        })
-        return out.append_column(
-            "__bucket", pa.array(_buckets_of(out.column("pid").to_pandas())))
+        return c.filter(pa.array(ok)).append_column(
+            "val", s.column(val_col).combine_chunks().take(
+                pa.array(order[pos[ok]], pa.int64())))
 
-    attached = tagged.groupby("__bucket").map_groups(attach, batch_format="pyarrow")
+    attached = cogroup([(cand.map_batches(halves, batch_format="pyarrow",
+                                          zero_copy_batch=True), "key", ["pid", "key", "slot"]),
+                        (side_table, key_col, [key_col, val_col])],
+                       attach, num_buckets)
 
     def regroup(t: pa.Table) -> pa.Table:
         pid = np.asarray(t.column("pid").to_pylist(), dtype=object)
@@ -412,7 +359,7 @@ def _verify_candidates_fused(
         return verify(keys.take(a_idx), keys.take(b_idx),
                       vals.take(a_idx), vals.take(b_idx))
 
-    return attached.groupby("__bucket").map_groups(regroup, batch_format="pyarrow")
+    return cogroup([(attached, "pid")], regroup, num_buckets)
 
 
 def _labels_with_isolates(
@@ -598,7 +545,7 @@ def minhash_lsh_dedup(
     from whoiswho_ray.stages.cluster import _cc_num_buckets
 
     nb = _cc_num_buckets()
-    cand = _global_dedup_pairs(_local_dedup(_candidates_distributed(exploded)), nb)
+    cand = distinct(_candidates_distributed(exploded), PAIR_COLS, final="shuffle")
 
     def verify_jacc(ka: pa.Array, kb: pa.Array, va: pa.Array, vb: pa.Array) -> pa.Table:
         n = len(ka)
@@ -721,7 +668,7 @@ def simhash_dedup(
     from whoiswho_ray.stages.cluster import _cc_num_buckets
 
     nb = _cc_num_buckets()
-    cand = _global_dedup_pairs(_local_dedup(_candidates_distributed(exploded)), nb)
+    cand = distinct(_candidates_distributed(exploded), PAIR_COLS, final="shuffle")
 
     def verify_ham(ka: pa.Array, kb: pa.Array, va: pa.Array, vb: pa.Array) -> pa.Table:
         if len(ka) == 0:
@@ -1030,7 +977,7 @@ def embedding_simjoin(
     from whoiswho_ray.stages.cluster import _cc_num_buckets
 
     nb = _cc_num_buckets()
-    cand = _global_dedup_pairs(_local_dedup(_candidates_distributed(exploded)), nb)
+    cand = distinct(_candidates_distributed(exploded), PAIR_COLS, final="shuffle")
 
     def verify_cos(ka: pa.Array, kb: pa.Array, va: pa.Array, vb: pa.Array) -> pa.Table:
         n = len(ka)
@@ -1073,7 +1020,7 @@ def text_similarity_join(
     side-tagged strings, decoded back to their native types on output);
     candidates come from one token-bucketed shuffle with a vectorized
     cross-side enumeration per token segment; pairs dedup globally
-    BEFORE the payload-carrying verify (:func:`_global_dedup_pairs`),
+    BEFORE the payload-carrying verify (:data:`PAIR_COLS`),
     and verification is the same one-attach + one-regroup fused join the
     near-dup family uses — nothing corpus-sized touches the driver.
 
@@ -1086,11 +1033,10 @@ def text_similarity_join(
     """
     import pyarrow.compute as pc
 
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
+    from whoiswho_ray.stages.cluster import _cc_num_buckets
+    from whoiswho_ray.stages.joins import cogroup
 
     nb = num_buckets or _cc_num_buckets()
-    ltype = dict(zip(left.schema().names, left.schema().types))[key_col]
-    rtype = dict(zip(right.schema().names, right.schema().types))[key_col]
 
     def tok_side(tag: str):
         def f(t: pa.Table) -> pa.Table:
@@ -1099,16 +1045,22 @@ def text_similarity_join(
                 pa.array([tag] * nrows, pa.string()),
                 pc.cast(t.column(key_col), pa.string()), "")
             return pa.table({"key": key,
-                             "tok_ids": _tok_list_array(row_of, ids, nrows)})
+                             "tok_ids": _tok_list_array(row_of, ids, nrows),
+                             "orig": t.column(key_col)})
         return f
 
     # materialize each side's token table ONCE — both the posting pass
     # and the verify side table re-consume it (unmaterialized lineage
-    # would re-run the read + tokenization per consumer)
+    # would re-run the read + tokenization per consumer); the original
+    # key rides along only so its type is read from the materialized
+    # table, never from a caller's plan
     toks_l = left.map_batches(tok_side("L"), batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
     toks_r = right.map_batches(tok_side("R"), batch_format="pyarrow",
                                zero_copy_batch=True).materialize()
+    ltype, rtype = (dict(zip(sc.names, sc.types)).get("orig", pa.string()) if sc else pa.string()
+                    for sc in (toks_l.schema(), toks_r.schema()))
+    toks_l, toks_r = (t.select_columns(["key", "tok_ids"]) for t in (toks_l, toks_r))
     toks = toks_l.union(toks_r)
 
     # Prefix filtering (Chaudhuri, Ganti & Kaushik, ICDE'06; Bayardo, Ma
@@ -1177,8 +1129,8 @@ def text_similarity_join(
         toks_r.map_batches(explode(1), batch_format="pyarrow",
                            zero_copy_batch=True))
 
-    def cand_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.sort_values(["tok", "side", "key"], kind="stable")
+    def cand_kernel(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(["tok", "side", "key"], kind="stable")
         tok = df["tok"].to_numpy()
         side = df["side"].to_numpy().astype(np.int64)
         keys = df["key"].to_numpy()
@@ -1209,9 +1161,8 @@ def text_similarity_join(
             "key_b": keys[sl[gi] + nl[gi] + j],
         }).drop_duplicates()
 
-    cand = _bucket_by(postings, "tok", nb).groupby("__bucket").map_groups(
-        cand_kernel, batch_format="pandas")
-    cand = _global_dedup_pairs(_local_dedup(cand), nb)
+    cand = cogroup([(postings, "tok")], cand_kernel, nb)
+    cand = distinct(cand, PAIR_COLS, final="shuffle")
 
     def verify_jacc(ka: pa.Array, kb: pa.Array,
                     va: pa.Array, vb: pa.Array) -> pa.Table:

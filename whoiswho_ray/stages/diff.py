@@ -7,9 +7,10 @@ any payload column differs under IS DISTINCT FROM semantics — NULLs
 compare equal to NULLs). Unchanged keys are dropped, so the output is
 delta-sized, not snapshot-sized.
 
-One key-hash bucketed exchange of BOTH snapshots (typed-null tagged
-union — int64 payloads survive the shuffle exactly), then a vectorized
-full-outer merge + column compare inside each bucket task. At 100 TB the
+One key-hash co-group of BOTH snapshots (``joins.cogroup``: each bucket
+holds each side's own columns, so int64 payloads survive the shuffle
+exactly), then a vectorized full-outer merge + column compare inside
+each bucket task. At 100 TB the
 shuffle is the floor for an exact diff of unsorted inputs; if both
 snapshots are stored bucketed by the same key hash this becomes a
 co-partitioned zip with no exchange at all.
@@ -35,20 +36,12 @@ def snapshot_diff(
     (snapshots, not logs — compact a changelog first via
     :func:`whoiswho_ray.stages.cdc.apply_changelog`).
     """
-    from whoiswho_ray.stages.joins import arrow_tagged_union, split_sides
+    from whoiswho_ray.stages.joins import cogroup
 
     cols = [key, *payload_cols]
-    u, lcols, rcols = arrow_tagged_union(
-        a.select_columns(cols),
-        b.select_columns(cols).map_batches(
-            lambda df: df.rename(columns={c: f"__r_{c}" for c in cols}),
-            batch_format="pandas"),
-        [key], [f"__r_{key}"], num_buckets)
 
-    def diff_bucket(g):
-        l, r = split_sides(g, lcols, rcols)
+    def diff_bucket(l, r):
         ld, rd = l.to_pandas(), r.to_pandas()
-        rd = rd.rename(columns={f"__r_{c}": c for c in cols})
         m = ld.merge(rd, on=key, how="outer", indicator=True,
                      suffixes=("_old", "_new"))
         miss_a = (m["_merge"] == "right_only").to_numpy()
@@ -70,5 +63,4 @@ def snapshot_diff(
             out[f"new_{c}"] = m[f"{c}_new"]
         return pd.DataFrame(out)
 
-    return u.groupby("__bucket").map_groups(diff_bucket,
-                                            batch_format="pyarrow")
+    return cogroup([(a, key, cols), (b, key, cols)], diff_bucket, num_buckets)

@@ -19,7 +19,7 @@ PAPERS.md):
   start shift ``d = q - p_i`` restricted to the exact alignment window
   ``|d| + |(m-l) - d| <= k`` (the prefix needs ≥ |d| edits and the suffix
   ≥ |(m-l)-d|);
-* signature buckets (hash-bucketed groupby, many signatures per Ray task)
+* signature buckets (one hash-bucket co-group, many signatures per Ray task)
   cross index × probe members into candidate pairs, duplicates collapse
   in the global pair dedup, and the fused attach/verify shuffle
   (`dedup._verify_candidates_fused`) runs a **vectorized banded DP**
@@ -223,8 +223,10 @@ def edit_distance_join(
     quadratic on degenerate near-identical corpora — as with the
     similarity joins, that is the answer's size, not the algorithm's
     overhead."""
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
-    from whoiswho_ray.stages.dedup import _global_dedup_pairs, _verify_candidates_fused
+    from whoiswho_ray.stages.cluster import _cc_num_buckets
+    from whoiswho_ray.stages.agg import distinct
+    from whoiswho_ray.stages.dedup import PAIR_COLS, _verify_candidates_fused
+    from whoiswho_ray.stages.joins import cogroup
 
     nb = num_buckets or _cc_num_buckets()
     side = ds.map_batches(
@@ -236,8 +238,8 @@ def edit_distance_join(
         lambda t: _signatures(t, key_col, text_col, k, group_col),
         batch_format="pyarrow", zero_copy_batch=True)
 
-    def pair_kernel(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop_duplicates(["sig", "key", "side"]).sort_values(
+    def pair_kernel(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().drop_duplicates(["sig", "key", "side"]).sort_values(
             ["sig", "side", "key"], kind="stable")
         sg = df["sig"].to_numpy()
         sd = df["side"].to_numpy()
@@ -272,9 +274,7 @@ def edit_distance_join(
         hi = np.maximum(a, b)
         return pd.DataFrame({"key_a": lo, "key_b": hi}).drop_duplicates()
 
-    cand = _bucket_by(sigs, "sig", nb).groupby("__bucket").map_groups(
-        pair_kernel, batch_format="pandas")
-    cand = _global_dedup_pairs(cand, nb)
+    cand = distinct(cogroup([(sigs, "sig")], pair_kernel, nb), PAIR_COLS, final="shuffle")
 
     def verify(ka: pa.Array, kb: pa.Array, va: pa.Array, vb: pa.Array) -> pa.Table:
         A, la = _byte_matrix(va)

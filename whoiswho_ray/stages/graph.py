@@ -37,10 +37,11 @@ import pandas as pd
 import ray.data as rd
 
 
-def _bucketed(ds: "rd.Dataset", col: str):
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
+def _cogroup(sides, fn) -> "rd.Dataset":
+    from whoiswho_ray.stages.cluster import _cc_num_buckets
+    from whoiswho_ray.stages.joins import cogroup
 
-    return _bucket_by(ds, col, _cc_num_buckets())
+    return cogroup(sides, fn, _cc_num_buckets())
 
 
 def _attach_nid(ds: "rd.Dataset", key_col: str, node_map: "rd.Dataset",
@@ -94,47 +95,20 @@ def encode_edges(
     return eidx, node_map
 
 
-def attach_out_weights(edges: "rd.Dataset", src_col: str, dst_col: str,
-                       empty_dst="") -> "rd.Dataset":
+def attach_out_weights(edges: "rd.Dataset", src_col: str, dst_col: str) -> "rd.Dataset":
     """edges → (src, dst, inv) with inv = 1/outdeg(src): one grouped
-    count over src (bucketed final) + one bucketed co-group attach.
-    ``empty_dst`` is the padding value for the degree rows' dst column —
-    pass a sentinel of the dst dtype (e.g. ``-1`` for int-encoded
-    edges)."""
+    count over src (bucketed final) + one co-group attach."""
     from whoiswho_ray.stages.agg import grouped_agg
 
     deg = grouped_agg(edges, src_col, {"m": (None, "count")}, final="shuffle")
-    dst_dtype = np.int64 if isinstance(empty_dst, (int, np.integer)) else object
 
-    def tag_e(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": df[src_col], "dst": df[dst_col],
-                             "m": np.zeros(len(df), np.int64),
-                             "__side": np.zeros(len(df), np.int8)})
-
-    def tag_d(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": df[src_col],
-                             "dst": pd.Series([empty_dst] * len(df),
-                                              dtype=dst_dtype),
-                             "m": df["m"].astype(np.int64),
-                             "__side": np.ones(len(df), np.int8)})
-
-    both = edges.map_batches(tag_e, batch_format="pandas").union(
-        deg.map_batches(tag_d, batch_format="pandas"))
-
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns="__bucket")
-        e = df[df["__side"] == 0]
-        d = df[df["__side"] == 1][["node", "m"]]
-        if not len(e):
-            return pd.DataFrame({"src": pd.Series([], dtype=e["node"].dtype),
-                                 "dst": pd.Series([], dtype=dst_dtype),
-                                 "inv": pd.Series([], dtype=np.float64)})
-        out = e[["node", "dst"]].merge(d, on="node")
-        return pd.DataFrame({"src": out["node"], "dst": out["dst"],
+    def attach(e, d) -> pd.DataFrame:
+        out = e.to_pandas().merge(d.to_pandas(), on=src_col)
+        return pd.DataFrame({"src": out[src_col], "dst": out[dst_col],
                              "inv": 1.0 / out["m"].to_numpy(np.float64)})
 
-    return _bucketed(both, "node").groupby("__bucket").map_groups(
-        attach, batch_format="pandas")
+    return _cogroup([(edges, src_col, [src_col, dst_col]), (deg, src_col, [src_col, "m"])],
+                    attach)
 
 
 #: The largest node set the graph operators collect to the driver (the
@@ -200,7 +174,7 @@ def pagerank(
 
     # ---- co-group scale path: int-encode once, iterate on int64 ----
     eidx, node_map = encode_edges(edges, src_col, dst_col, nodes=nodes)
-    ew = attach_out_weights(eidx, "si", "di", empty_dst=-1).materialize()
+    ew = attach_out_weights(eidx, "si", "di").materialize()
 
     # has_out is static: stamp it once via a bucketed co-group of the
     # node-id table with the distinct source set (both stay distributed)
@@ -208,28 +182,16 @@ def pagerank(
         lambda df: pd.DataFrame({"node": df["src"]}), batch_format="pandas"),
         ["node"], final="shuffle")
 
-    def tag_n(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": df["nid"].astype(np.int64),
-                             "__side": np.zeros(len(df), np.int8)})
-
-    def tag_s(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"node": df["node"].astype(np.int64),
-                             "__side": np.ones(len(df), np.int8)})
-
-    def init_state(g: pd.DataFrame, _r0=r0) -> pd.DataFrame:
-        df = g.drop(columns="__bucket")
-        is_src = set(df.loc[df["__side"] == 1, "node"])
-        nn = df[df["__side"] == 0]
+    def init_state(nm, src, _r0=r0) -> pd.DataFrame:
+        node = nm.column("nid").to_pandas().astype(np.int64)
         return pd.DataFrame({
-            "node": nn["node"],
-            "r": np.full(len(nn), _r0),
-            "has_out": nn["node"].isin(is_src).to_numpy(),
+            "node": node,
+            "r": np.full(len(node), _r0),
+            "has_out": node.isin(set(src.column("node").to_pylist())).to_numpy(),
         })
 
-    tagged_init = node_map.map_batches(tag_n, batch_format="pandas").union(
-        srcs.map_batches(tag_s, batch_format="pandas"))
-    state = _bucketed(tagged_init, "node").groupby("__bucket").map_groups(
-        init_state, batch_format="pandas").materialize()
+    state = _cogroup([(node_map, "nid", ["nid"]), (srcs, "node", ["node"])],
+                     init_state).materialize()
 
     # dangling-node existence is static; when there are none (e.g. any
     # symmetrized edge set) the per-iteration mass pass is skipped —
@@ -243,58 +205,33 @@ def pagerank(
             batch_format="pandas").sum("s") or 0.0) if any_dangling else 0.0
         base = (1.0 - d) / n + d * float(dang) / n
 
-        def tag_state(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": df["node"].astype(np.int64),
-                                 "dst": np.full(len(df), -1, np.int64),
-                                 "val": df["r"].to_numpy(np.float64),
-                                 "__side": np.zeros(len(df), np.int8)})
-
-        def tag_edges(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": df["src"].astype(np.int64),
-                                 "dst": df["dst"].astype(np.int64),
-                                 "val": df["inv"].to_numpy(np.float64),
-                                 "__side": np.ones(len(df), np.int8)})
-
-        both = state.map_batches(tag_state, batch_format="pandas").union(
-            ew.map_batches(tag_edges, batch_format="pandas"))
-
-        def contribute(g: pd.DataFrame, _d=d) -> pd.DataFrame:
-            df = g.drop(columns="__bucket")
-            r = df[df["__side"] == 0][["node", "val"]].rename(columns={"val": "r"})
-            e = df[df["__side"] == 1]
-            if not len(e) or not len(r):
+        def contribute(st, e, _d=d) -> pd.DataFrame:
+            if not e.num_rows or not st.num_rows:
                 return pd.DataFrame({"node": pd.Series([], dtype=np.int64),
                                      "c": pd.Series([], dtype=np.float64)})
-            m = e.merge(r, on="node")
-            m["c"] = _d * m["r"].to_numpy() * m["val"].to_numpy()
+            m = e.to_pandas().merge(st.to_pandas(), left_on="src", right_on="node")
+            m["c"] = _d * m["r"].to_numpy() * m["inv"].to_numpy()
             out = m.groupby("dst", sort=False)["c"].sum().reset_index()
             return out.rename(columns={"dst": "node"})
 
-        contrib = _bucketed(both, "node").groupby("__bucket").map_groups(
-            contribute, batch_format="pandas")
+        contrib = _cogroup([(state, "node", ["node", "r"]),
+                            (ew, "src", ["src", "dst", "inv"])], contribute)
 
-        def skeleton(df: pd.DataFrame, _base=base) -> pd.DataFrame:
-            return pd.DataFrame({"node": df["node"].astype(np.int64),
-                                 "c": np.full(len(df), _base),
-                                 "flag": df["has_out"].astype(np.int64) + 1})
-
-        def tag_c(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.copy()
-            out["flag"] = np.zeros(len(df), np.int64)
-            return out
-
-        merged = contrib.map_batches(tag_c, batch_format="pandas").union(
-            state.map_batches(skeleton, batch_format="pandas"))
-
-        def reduce_node(g: pd.DataFrame) -> pd.DataFrame:
-            df = g.drop(columns="__bucket")
+        def reduce_node(c, st, _base=base) -> pd.DataFrame:
+            sd = st.to_pandas()
+            df = pd.DataFrame({"node": sd["node"], "c": np.full(len(sd), _base),
+                               "flag": sd["has_out"].astype(np.int64) + 1})
+            if c.num_rows:
+                df = pd.concat([c.to_pandas().assign(flag=np.int64(0)), df],
+                               ignore_index=True)
             agg = df.groupby("node", sort=True).agg(
                 r=("c", "sum"), flag=("flag", "max")).reset_index()
             return pd.DataFrame({"node": agg["node"], "r": agg["r"],
                                  "has_out": agg["flag"].to_numpy() == 2})
 
-        state = _bucketed(merged, "node").groupby("__bucket").map_groups(
-            reduce_node, batch_format="pandas").materialize()
+        state = _cogroup([(contrib, "node", ["node", "c"]),
+                          (state, "node", ["node", "has_out"])],
+                         reduce_node).materialize()
 
     # decode nid → node string: one bucketed co-group join
     from whoiswho_ray.stages.cluster import _cc_num_buckets
@@ -350,39 +287,16 @@ def triangle_count(
     deg = grouped_agg(ends, "node", {"deg": (None, "count")}, final="shuffle")
     n_nodes = deg.count()
 
-    # attach deg(a) and deg(b) with one tagged co-group each
-    def attach_deg(es: "rd.Dataset", key: str, out: str) -> "rd.Dataset":
-        def tag_e(df: pd.DataFrame) -> pd.DataFrame:
-            d = df.copy()
-            d["node"] = d[key]
-            d["deg"] = np.int64(-1)
-            d["__side"] = "e"
-            return d
+    # attach deg(a) and deg(b) with one co-group each
+    def attach_deg(es: "rd.Dataset", key: str, cols: list[str], out: str) -> "rd.Dataset":
+        def attach(e, d) -> pd.DataFrame:
+            return e.to_pandas().merge(d.to_pandas().rename(
+                columns={"node": key, "deg": out}), on=key)
 
-        def tag_d(df: pd.DataFrame) -> pd.DataFrame:
-            d = pd.DataFrame({"node": df["node"],
-                              "deg": df["deg"].astype(np.int64)})
-            d["__side"] = "d"
-            return d
+        return _cogroup([(es, key, cols), (deg, "node", ["node", "deg"])], attach)
 
-        both = es.map_batches(tag_e, batch_format="pandas").union(
-            deg.map_batches(tag_d, batch_format="pandas"))
-
-        def attach(g: pd.DataFrame) -> pd.DataFrame:
-            df = g.drop(columns="__bucket")
-            e = df[df["__side"] == "e"].drop(columns=["deg", "__side"])
-            d = df[df["__side"] == "d"][["node", "deg"]]
-            if not len(e):
-                cols = {c: pd.Series([], dtype=object) for c in e.columns}
-                cols[out] = pd.Series([], dtype=np.int64)
-                return pd.DataFrame(cols)
-            m = e.merge(d, on="node").drop(columns="node")
-            return m.rename(columns={"deg": out})
-
-        return _bucketed(both, "node").groupby("__bucket").map_groups(
-            attach, batch_format="pandas")
-
-    ew = attach_deg(attach_deg(ce, "a", "deg_a"), "b", "deg_b")
+    ew = attach_deg(attach_deg(ce, "a", ["a", "b"], "deg_a"), "b",
+                    ["a", "b", "deg_a"], "deg_b")
 
     # orient lower-(deg, id) → higher; carry the target's (deg, id) so
     # wedge pairs can be ordered without another join
@@ -399,8 +313,8 @@ def triangle_count(
 
     # wedges at each vertex over its out-neighbors, pair ordered by the
     # SAME (deg, id) rule so the closing edge is oriented v→w
-    def wedges(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns="__bucket")
+    def wedges(t) -> pd.DataFrame:
+        df = t.to_pandas()
         outs = []
         for _, grp in df.groupby("u", sort=False):
             nb = grp.sort_values(["wdeg", "w"], kind="stable")
@@ -420,32 +334,26 @@ def triangle_count(
         agg["__n"] = agg["__n"].astype(np.int64)
         return agg
 
-    wds = _bucketed(oe, "u").groupby("__bucket").map_groups(
-        wedges, batch_format="pandas")
+    wds = _cogroup([(oe, "u")], wedges)
 
     # close wedges against oriented edges: co-group on the (v, w) pair key
-    def tag_w(df: pd.DataFrame) -> pd.DataFrame:
+    def pair_w(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({"pair": df["v"].astype(str) + "\x1f" + df["w"].astype(str),
-                             "n": df["__n"].astype(np.int64),
-                             "__side": ["w"] * len(df)})
+                             "n": df["__n"].astype(np.int64)})
 
-    def tag_oe(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"pair": df["u"].astype(str) + "\x1f" + df["w"].astype(str),
-                             "n": np.zeros(len(df), np.int64),
-                             "__side": ["e"] * len(df)})
+    def pair_oe(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"pair": df["u"].astype(str) + "\x1f" + df["w"].astype(str)})
 
-    both = wds.map_batches(tag_w, batch_format="pandas").union(
-        oe.map_batches(tag_oe, batch_format="pandas"))
+    def close(w, e) -> pd.DataFrame:
+        if not w.num_rows:
+            return pd.DataFrame({"t": [0]})
+        wd = w.to_pandas()
+        have = set(e.column("pair").to_pylist())
+        return pd.DataFrame({"t": [int(wd.loc[wd["pair"].isin(have), "n"].sum())]})
 
-    def close(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns="__bucket")
-        have = set(df.loc[df["__side"] == "e", "pair"])
-        w = df[df["__side"] == "w"]
-        t = int(w.loc[w["pair"].isin(have), "n"].sum())
-        return pd.DataFrame({"t": [t]})
-
-    total = _bucketed(both, "pair").groupby("__bucket").map_groups(
-        close, batch_format="pandas").sum("t") or 0
+    total = _cogroup([(wds.map_batches(pair_w, batch_format="pandas"), "pair", ["pair", "n"]),
+                      (oe.map_batches(pair_oe, batch_format="pandas"), "pair")],
+                     close).sum("t") or 0
     return {"n_triangles": int(total), "n_edges": int(n_edges),
             "n_nodes": int(n_nodes)}
 
@@ -565,56 +473,24 @@ def label_propagation(
                                  "lab": df["nid"].astype(np.int64)}),
         batch_format="pandas").materialize()
     for _ in range(iters):
-        def tag_l(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": df["node"].astype(np.int64),
-                                 "dst": np.full(len(df), -1, np.int64),
-                                 "lab": df["lab"].astype(np.int64),
-                                 "__side": np.zeros(len(df), np.int8)})
-
-        def tag_e(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": df["si"].astype(np.int64),
-                                 "dst": df["di"].astype(np.int64),
-                                 "lab": np.full(len(df), -1, np.int64),
-                                 "__side": np.ones(len(df), np.int8)})
-
-        both = state.map_batches(tag_l, batch_format="pandas").union(
-            eidx.map_batches(tag_e, batch_format="pandas"))
-
-        def attach(g: pd.DataFrame) -> pd.DataFrame:
-            df = g.drop(columns="__bucket")
-            l = df[df["__side"] == 0][["node", "lab"]]
-            e = df[df["__side"] == 1][["node", "dst"]]
-            if not len(e) or not len(l):
+        def attach(lt, et) -> pd.DataFrame:
+            if not et.num_rows or not lt.num_rows:
                 return pd.DataFrame({"node": pd.Series([], dtype=np.int64),
                                      "lab": pd.Series([], dtype=np.int64),
                                      "c": pd.Series([], dtype=np.int64)})
-            m = e.merge(l, on="node")
+            e = et.to_pandas().rename(columns={"si": "node", "di": "dst"})
+            m = e.merge(lt.to_pandas(), on="node")
             # pre-aggregate (dst, lab) counts inside the task
             c = m.groupby(["dst", "lab"], sort=False).size().reset_index(name="c")
             c["c"] = c["c"].astype(np.int64)
             return c.rename(columns={"dst": "node"})
 
-        votes = _bucketed(both, "node").groupby("__bucket").map_groups(
-            attach, batch_format="pandas")
+        votes = _cogroup([(state, "node", ["node", "lab"]), (eidx, "si", ["si", "di"])],
+                         attach)
 
-        def tag_v(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.copy()
-            out["own"] = np.full(len(df), -1, np.int64)
-            return out
-
-        def tag_own(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame({"node": df["node"].astype(np.int64),
-                                 "lab": np.full(len(df), -1, np.int64),
-                                 "c": np.zeros(len(df), np.int64),
-                                 "own": df["lab"].astype(np.int64)})
-
-        merged = votes.map_batches(tag_v, batch_format="pandas").union(
-            state.map_batches(tag_own, batch_format="pandas"))
-
-        def pick(g: pd.DataFrame) -> pd.DataFrame:
-            df = g.drop(columns="__bucket")
-            own = df[df["own"] != -1][["node", "own"]]
-            v = df[df["own"] == -1]
+        def pick(vt, st) -> pd.DataFrame:
+            own = st.to_pandas().rename(columns={"lab": "own"})
+            v = vt.to_pandas()
             agg = (v.groupby(["node", "lab"], sort=False)["c"].sum().reset_index()
                    .sort_values(["node", "c", "lab"],
                                 ascending=[True, False, True], kind="stable")
@@ -623,8 +499,8 @@ def label_propagation(
             out["lab"] = out["lab"].fillna(out["own"]).astype(np.int64)
             return out[["node", "lab"]]
 
-        state = _bucketed(merged, "node").groupby("__bucket").map_groups(
-            pick, batch_format="pandas").materialize()
+        state = _cogroup([(votes, "node", ["node", "lab", "c"]),
+                          (state, "node", ["node", "lab"])], pick).materialize()
 
     # decode both the node and its community label back to id strings
     from whoiswho_ray.stages.cluster import _cc_num_buckets
@@ -942,8 +818,8 @@ def sssp(
       bucket (the combiner — the shuffle moves O(distinct dst per
       bucket), not O(frontier-adjacent edges));
     * a global per-dst min (grouped partial-combine shuffle);
-    * candidates merge with the running dist table in one bucketed
-      tagged-union co-group — a node improves iff its candidate is
+    * candidates merge with the running dist table in one grouped apply
+      over their union — a node improves iff its candidate is
       strictly below its current dist (or it was unseen); improved nodes
       form the next frontier.
 

@@ -13,35 +13,22 @@ data_process.py:74-84``):
   The portable pattern recommended by the Ray Data docs when
   ``Dataset.join`` isn't suitable; B is the caller-visible partitioning
   knob, skewed keys can be pre-salted by the caller.
+
+Every hash-bucket shuffle of the library is :func:`cogroup`: the joins
+here, the as-of joins, ``diff``, the grouped aggregates, dedup, the
+graph rounds and connected components. It reads no schema, so a lazy
+input runs once, inside the shuffle (NOTES facts 10, 17 and 18).
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pandas as pd
 
 import ray
 import ray.data
-
-
-def _arrow_type(t):
-    """Best-effort pyarrow type for a Ray Dataset schema entry (Arrow
-    DataType, numpy dtype, or the ``object`` class pandas-backed blocks
-    report for strings). A Ray tensor extension type (a pandas-built
-    column of 1-D arrays) becomes the plain list of its scalar type."""
-    import pyarrow as pa
-
-    if hasattr(t, "scalar_type"):
-        return pa.list_(t.scalar_type)
-    if isinstance(t, pa.DataType):
-        return t
-    try:
-        dt = np.dtype(t)
-    except TypeError:
-        return pa.string()
-    if dt == np.dtype("O"):
-        return pa.string()
-    return pa.from_numpy_dtype(dt)
 
 
 def as_plain(col, typ):
@@ -80,6 +67,10 @@ def _col_hash(col) -> np.ndarray:
     import pyarrow as pa
 
     t = col.type
+    if pa.types.is_date(t) or pa.types.is_time(t):
+        # no direct cast to int64: go through the storage integer
+        col = col.cast(pa.int32() if t.bit_width == 32 else pa.int64())
+        t = col.type
     if (pa.types.is_integer(t) or pa.types.is_boolean(t)
             or pa.types.is_temporal(t)):
         c = col.cast(pa.int64())
@@ -115,81 +106,110 @@ def _key_hash(t, keys: list[str]) -> np.ndarray:
     return h
 
 
-def arrow_tagged_union(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
-    lkeys: list[str],
-    rkeys: list[str],
-    num_buckets: int,
-    lcols: list[str] | None = None,
-    rcols: list[str] | None = None,
-):
-    """Schema-aligned union of two datasets with a side tag (``__side``:
-    0=left, 1=right) and a key-hash bucket column, padding each side's
-    missing columns with Arrow TYPED NULLS (``pa.nulls(n, type)``).
+def _plain(t):
+    """``t`` with every column a shuffle can carry: a tensor-extension
+    column (a pandas-built column of 1-D arrays) becomes the plain list of
+    its scalar type, and a null column that the block's pandas metadata
+    records as arrays (how Ray stores a column of only empty arrays)
+    becomes empty lists of that dtype (:func:`as_plain`)."""
+    import json
 
-    ``lcols``/``rcols`` project a side to those columns inside its pad
-    map. Each side's schema is read from the dataset as given, so pass
-    the projection here rather than a lazy ``select_columns``: Ray 2.49
-    runs a lazy map's plan under ``limit(1)`` to answer ``schema()``.
-
-    A column Ray declares as a tensor extension (pandas-built 1-D
-    arrays) rides as a plain Arrow list of its scalar type
-    (:func:`as_plain`): its blocks may store it as another tensor type,
-    or as nulls when every array is empty, which no cast to the declared
-    type accepts.
-
-    This replaces the earlier pandas ``reindex`` + NaN padding: NaN
-    promotes int64 columns to float64 across the shuffle and silently
-    corrupts values above 2^53 (ADVICE r2). With typed nulls the Arrow
-    schema is preserved end-to-end; bucket tasks should filter their side
-    and select that side's own columns BEFORE any pandas conversion so no
-    padding null ever meets an integer column.
-
-    Returns ``(unioned_ds, lcols, rcols)``.
-    """
     import pyarrow as pa
 
-    lschema, rschema = left.schema(), right.schema()
-    lcols, rcols = list(lcols or lschema.names), list(rcols or rschema.names)
-    types: dict = {}
-    for n, t in zip(lschema.names, lschema.types):
-        types[n] = _arrow_type(t)
-    for n, t in zip(rschema.names, rschema.types):
-        types.setdefault(n, _arrow_type(t))
-    all_cols = lcols + [c for c in rcols if c not in lcols]
-    target = pa.schema(
-        [pa.field(c, types[c]) for c in all_cols]
-        + [pa.field("__bucket", pa.int64()), pa.field("__side", pa.int8())])
-
-    def pad(side: int, keys: list[str], own: list[str]):
-        def f(t: pa.Table) -> pa.Table:
-            n = t.num_rows
-            b = (_key_hash(t, keys) % np.uint64(num_buckets)).astype(np.int64)
-            cols = {c: (as_plain(t.column(c), types[c]) if c in own
-                        else pa.nulls(n, type=types[c])) for c in all_cols}
-            cols["__bucket"] = pa.array(b, pa.int64())
-            cols["__side"] = pa.array(np.full(n, side, np.int8))
-            return pa.table(cols).cast(target)
-        return f
-
-    lb = left.map_batches(pad(0, lkeys, lcols), batch_format="pyarrow",
-                          zero_copy_batch=True)
-    rb = right.map_batches(pad(1, rkeys, rcols), batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return lb.union(rb), lcols, rcols
+    meta = (t.schema.metadata or {}).get(b"pandas")
+    arrays = {}
+    if meta and any(pa.types.is_null(f.type) for f in t.schema):
+        for c in json.loads(meta)["columns"]:
+            m = re.match(r"numpy\.ndarray\(.*dtype=(\w+)\)$", str(c.get("numpy_type")))
+            if m:
+                arrays[c["name"]] = pa.list_(pa.from_numpy_dtype(np.dtype(m.group(1))))
+    for i, f in enumerate(t.schema):
+        typ = (pa.list_(f.type.scalar_type) if isinstance(f.type, pa.ExtensionType)
+               and hasattr(f.type, "scalar_type")
+               else arrays.get(f.name) if pa.types.is_null(f.type) else None)
+        if typ is not None:
+            t = t.set_column(i, f.name, as_plain(t.column(i), typ))
+    return t
 
 
-def split_sides(t, lcols: list[str], rcols: list[str]):
-    """Split a tagged-union bucket table back into its (left, right) Arrow
-    tables, each with only its own columns — padding nulls never survive,
-    so a later ``to_pandas`` restores exact dtypes (int64 stays int64)."""
+def _ipc_blobs(tables) -> "pa.Array":
+    """One Arrow IPC stream per table, as a ``large_binary`` array over
+    a single buffer."""
     import pyarrow as pa
 
-    side = t.column("__side").to_numpy(zero_copy_only=False)
-    l = t.filter(pa.array(side == 0)).select(lcols)
-    r = t.filter(pa.array(side == 1)).select(rcols)
-    return l, r
+    sink, offsets = pa.BufferOutputStream(), [0]
+    for t in tables:
+        with pa.ipc.new_stream(sink, t.schema) as w:
+            w.write_table(t)
+        offsets.append(sink.tell())
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), len(tables),
+        [None, pa.py_buffer(np.asarray(offsets, np.int64)), sink.getvalue()])
+
+
+def cogroup(sides, fn, num_buckets: int) -> "ray.data.Dataset":
+    """Hash co-group of one or more datasets: every row lands in bucket
+    ``_key_hash(its keys) % num_buckets``, and ``fn`` runs once per
+    bucket with one Arrow table per side, in ``sides`` order. With two
+    or more sides it runs on every bucket, so all its tables may be
+    empty. ``fn`` returns an Arrow table or a pandas frame.
+
+    ``sides`` holds ``(dataset, keys)`` or ``(dataset, keys, columns)``;
+    ``columns`` projects that side inside its tag map. A side with no
+    rows in a bucket arrives as an empty table with its own columns and
+    types; a side with no rows at all arrives with its ``columns`` (else
+    its keys), typed as that name is on another side, else null.
+
+    Each side's tag map splits its batch by bucket and ships each slice
+    as one Arrow IPC stream: a row of (``__bucket``, ``__side``,
+    ``__data``). So every block the shuffle concatenates has the same
+    three columns, whichever side it comes from: no side is padded with
+    the other's columns, no schema is read (a lazy input runs once,
+    inside the shuffle), and every type comes back exactly, whether the
+    sort reduce concatenates in Arrow or in pandas. With two or more
+    sides a batch also ships its empty slices, which carry its columns
+    into every bucket. Tensor columns ride as plain lists
+    (:func:`_plain`)."""
+    import pyarrow as pa
+
+    specs = [(ds, [keys] if isinstance(keys, str) else list(keys), *rest)
+             for ds, keys, *rest in sides]
+    every = len(specs) > 1
+
+    def tag(t: pa.Table, s: int, keys: list[str], cols) -> pa.Table:
+        t = _plain(t if cols is None else t.select(cols)).replace_schema_metadata(None)
+        b = (_key_hash(t, keys) % np.uint64(num_buckets)).astype(np.int64)
+        order = np.argsort(b, kind="stable")
+        t, b = t.take(order), b[order]
+        ids = np.arange(num_buckets) if every else np.unique(b)
+        lo = np.searchsorted(b, ids)
+        hi = np.searchsorted(b, ids, side="right")
+        return pa.table({"__bucket": pa.array(ids.astype(np.int64)),
+                         "__side": pa.array(np.full(ids.size, s, np.int8)),
+                         "__data": _ipc_blobs([t.slice(a, z - a) for a, z in zip(lo, hi)])})
+
+    tagged = [ds.map_batches(tag, fn_args=(s, keys, rest[0] if rest else None),
+                             batch_format="pyarrow", zero_copy_batch=True, batch_size=131072)
+              for s, (ds, keys, *rest) in enumerate(specs)]
+
+    def bucket(g: pa.Table):
+        side = g.column("__side").to_numpy(zero_copy_only=False)
+        data = g.column("__data")
+        got = [[pa.ipc.open_stream(data[i].as_buffer()).read_all()
+                for i in np.flatnonzero(side == s)] for s in range(len(specs))]
+        types = {f.name: f.type for ts in got for t in ts for f in t.schema}
+        parts = []
+        for ts, (_, keys, *rest) in zip(got, specs):
+            full = [t for t in ts if t.num_rows]
+            if full or ts:
+                parts.append(pa.concat_tables(full or ts[:1], promote_options="permissive"))
+            else:
+                parts.append(pa.table({c: pa.array([], types.get(c, pa.null()))
+                                       for c in (rest[0] if rest else keys)}))
+        return fn(*parts)
+
+    u = tagged[0].union(*tagged[1:]) if every else tagged[0]
+    return u.groupby("__bucket").map_groups(bucket, batch_format="pyarrow")
 
 
 def attach_claims(
@@ -202,19 +222,16 @@ def attach_claims(
     record row (``columns`` of it) once per claim, with the claim as its
     ``block_key`` and its own key as ``member_key``, ready for the SND
     blocking pass (``snd._blocked``). A co-group on record_id
-    (:func:`arrow_tagged_union`, which projects both sides) with one
-    Arrow join per bucket of (record_id, claim) against (record_id, row
-    index) — pyarrow joins carry no list payload — then a ``take``. Pass
-    ``records`` materialized: its schema is read."""
+    (:func:`cogroup`, which projects both sides) with one Arrow join per
+    bucket of (record_id, claim) against (record_id, row index) —
+    pyarrow joins carry no list payload — then a ``take``."""
     import pyarrow as pa
 
     from whoiswho_ray.stages.cluster import _cc_num_buckets
 
-    u, lcols, rcols = arrow_tagged_union(records, claims, ["record_id"], ["record_id"],
-                                         _cc_num_buckets(), columns, ["record_id", claim])
-
-    def attach_bucket(g: pa.Table) -> pa.Table:
-        recs, claimed = split_sides(g, lcols, rcols)
+    def attach_bucket(recs: pa.Table, claimed: pa.Table) -> pa.Table:
+        if not recs.num_rows:
+            return recs
         rows = pa.table({"record_id": recs.column("record_id"),
                          "__row": pa.array(np.arange(recs.num_rows, dtype=np.int64))})
         hit = claimed.join(rows, "record_id", join_type="inner", use_threads=False)
@@ -223,22 +240,32 @@ def attach_claims(
                               hit.column(claim)).append_column("member_key",
                                                                out.column("block_key"))
 
-    return u.groupby("__bucket").map_groups(attach_bucket, batch_format="pyarrow")
+    return cogroup([(records, "record_id", columns),
+                    (claims, "record_id", ["record_id", claim])],
+                   attach_bucket, _cc_num_buckets())
 
 
 _BROADCAST_CACHE: dict = {}
 
 
-def _cached_get(ref, cap: int = 4):
+def _np(t, col: str) -> np.ndarray:
+    return t.column(col).to_numpy(zero_copy_only=False)
+
+
+def _cached_get(ref, build=None, cap: int = 4):
     """Per-worker-process cache for broadcast objects: Ray reuses worker
     processes across tasks, so a task-pool map deserializes each
     broadcast ONCE per worker (the actor-pool benefit) without paying
-    actor-pool startup or its concurrency cap. Bounded to ``cap``
-    entries so long sessions don't accumulate dead broadcasts."""
+    actor-pool startup or its concurrency cap. ``build``, if given, turns
+    the fetched object into the value cached under ``ref`` (so one ref
+    serves one builder). Bounded to ``cap`` entries so long sessions
+    don't accumulate dead broadcasts."""
     key = ref.hex()
     v = _BROADCAST_CACHE.pop(key, None)
     if v is None:
         v = ray.get(ref)
+        if build is not None:
+            v = build(v)
     _BROADCAST_CACHE[key] = v
     while len(_BROADCAST_CACHE) > cap:
         _BROADCAST_CACHE.pop(next(iter(_BROADCAST_CACHE)))
@@ -301,9 +328,8 @@ def shuffle_hash_join(
     salt: int = 0,
     hot_keys=None,
 ) -> "ray.data.Dataset":
-    """Partitioned hash join: bucket both sides on the key hash, union with
-    a side tag (typed-null Arrow padding — see :func:`arrow_tagged_union`),
-    co-group by bucket, pandas-merge inside each group.
+    """Partitioned hash join: a :func:`cogroup` of both sides on the key
+    hash, pandas-merged inside each bucket.
 
     ``project``, if given, runs on each bucket's merged frame INSIDE the
     join task (e.g. ``lambda m: m[cols].drop_duplicates()``) — fusing a
@@ -320,20 +346,10 @@ def shuffle_hash_join(
     side that is large, broadcast-join if the right side is tiny anyway.
     Output is identical to the unsalted join.
 
-    Non-key column names must be disjoint between the sides: a shared
-    payload name would silently occupy ONE physical column in the union
-    (mixing both sides' values); raise instead and let the caller rename."""
-    import pyarrow as pa
-
+    Non-key column names must be disjoint between the sides (a shared
+    payload name would be suffixed by the merge): a bucket task that
+    sees both sides raises ``ValueError`` on an overlap."""
     keys = [on] if isinstance(on, str) else list(on)
-
-    lcols_pre = list(left.schema().names)
-    rcols_pre = list(right.schema().names)
-    overlap = (set(lcols_pre) & set(rcols_pre)) - set(keys)
-    if overlap:
-        raise ValueError(
-            f"shuffle_hash_join: non-key columns {sorted(overlap)} exist on "
-            "both sides; rename one side before joining")
 
     salted = False
     if salt and salt > 1:
@@ -376,16 +392,17 @@ def shuffle_hash_join(
             right = right.map_batches(explode_right, batch_format="pandas")
             keys = keys + ["__salt"]
 
-    u, lcols, rcols = arrow_tagged_union(left, right, keys, keys, num_buckets)
-
-    def merge_bucket(g: pa.Table) -> pd.DataFrame:
-        l, r = split_sides(g, lcols, rcols)
+    def merge_bucket(l, r) -> pd.DataFrame:
+        overlap = (set(l.column_names) & set(r.column_names)) - set(keys)
+        if overlap:
+            raise ValueError(f"shuffle_hash_join: non-key columns {sorted(overlap)} exist "
+                             "on both sides; rename one side before joining")
         m = l.to_pandas().merge(r.to_pandas(), on=keys, how=how)
         if salted:
             m = m.drop(columns=["__salt"])
         return project(m) if project is not None else m
 
-    return u.groupby("__bucket").map_groups(merge_bucket, batch_format="pyarrow")
+    return cogroup([(left, keys), (right, keys)], merge_bucket, num_buckets)
 
 
 def semi_join(
@@ -433,27 +450,21 @@ def shuffle_semi_join(
     anti: bool = False,
 ) -> "ray.data.Dataset":
     """Partitioned semi/anti join for a right side too large to broadcast:
-    both sides bucket on the key hash, each co-grouped bucket keeps the
+    a :func:`cogroup` of both sides on the key hash; each bucket keeps the
     left rows whose key does (not, for ``anti``) appear among the bucket's
     right keys. Left columns only; right-side duplicates cannot multiply
-    rows (set membership, not a merge). Left payload columns ride the
-    shuffle as typed-null-padded Arrow columns (never NaN-promoted)."""
+    rows (set membership, not a merge)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    u, lcols, _ = arrow_tagged_union(
-        left, right.select_columns([on]), [on], [on], num_buckets)
-
-    def filter_bucket(g: pa.Table) -> pa.Table:
-        l, r = split_sides(g, lcols, [on])
+    def filter_bucket(l: pa.Table, r: pa.Table) -> pa.Table:
         # null keys never match: dropped by semi, kept by anti (pandas
         # isin behavior, matching SQL ANTI JOIN)
         hit = pc.fill_null(
             pc.is_in(l.column(on), value_set=pc.unique(r.column(on))), False)
         return l.filter(pc.invert(hit) if anti else hit)
 
-    return u.groupby("__bucket").map_groups(filter_bucket,
-                                            batch_format="pyarrow")
+    return cogroup([(left, on), (right, on, [on])], filter_bucket, num_buckets)
 
 
 def set_op(
@@ -473,11 +484,6 @@ def set_op(
     answer. Null key tuples compare equal (pandas merge matches NaN keys),
     matching SQL set-operation semantics where ``NULL INTERSECT NULL``
     yields a row. Output: the distinct ``cols`` rows of the result.
-
-    Both sides are projected to the SAME column tuple, so the tag/bucket
-    columns are attached in the dedup pass itself — no schema
-    introspection (``Dataset.schema()`` returns None when a side's
-    filters leave every block empty) and no null padding needed.
     """
     import pyarrow as pa
 
@@ -485,34 +491,24 @@ def set_op(
         raise ValueError(f"set_op: op must be intersect|except, got {op!r}")
     cols = [cols] if isinstance(cols, str) else list(cols)
 
-    def side_prep(tag: int):
-        def f(t: pa.Table) -> pa.Table:
-            # local distinct in Arrow C++ (group_by with no aggregates),
-            # no pandas round-trip on the pre-shuffle hot path
-            d = t.select(cols).group_by(cols).aggregate([])
-            b = (_key_hash(d, cols) % np.uint64(num_buckets)).astype(np.int64)
-            d = d.append_column("__bucket", pa.array(b, pa.int64()))
-            return d.append_column(
-                "__side", pa.array(np.full(d.num_rows, tag, np.int8)))
-        return f
+    def local_distinct(t: pa.Table) -> pa.Table:
+        # group_by with no aggregates: a distinct in Arrow C++, no pandas
+        # round-trip on the pre-shuffle hot path
+        return t.select(cols).group_by(cols).aggregate([])
 
-    lp = left.select_columns(cols).map_batches(
-        side_prep(0), batch_format="pyarrow", batch_size=131072)
-    rp = right.select_columns(cols).map_batches(
-        side_prep(1), batch_format="pyarrow", batch_size=131072)
-    u = lp.union(rp)
+    def side(ds):
+        return ds.select_columns(cols).map_batches(
+            local_distinct, batch_format="pyarrow", batch_size=131072)
 
-    def bucket(g: pa.Table) -> pd.DataFrame:
-        side = g.column("__side").to_numpy(zero_copy_only=False)
-        base = g.drop_columns(["__bucket", "__side"])
-        ldf = base.filter(pa.array(side == 0)).to_pandas().drop_duplicates()
-        rdf = base.filter(pa.array(side == 1)).to_pandas().drop_duplicates()
+    def bucket(l: pa.Table, r: pa.Table) -> pd.DataFrame:
+        ldf = l.to_pandas().drop_duplicates()
+        rdf = r.to_pandas().drop_duplicates()
         if op == "intersect":
             return ldf.merge(rdf, on=cols, how="inner")
         m = ldf.merge(rdf, on=cols, how="left", indicator=True)
         return m[m["_merge"] == "left_only"].drop(columns=["_merge"])
 
-    return u.groupby("__bucket").map_groups(bucket, batch_format="pyarrow")
+    return cogroup([(side(left), cols), (side(right), cols)], bucket, num_buckets)
 
 
 def band_join(
@@ -552,7 +548,7 @@ def band_join(
                                                       f"{key_r}_r")
     oxl, oxr = (x_l, x_r) if x_l != x_r else (f"{x_l}_l", f"{x_r}_r")
 
-    def side_prep(side: int, key: str, x: str, replicate: bool):
+    def side_prep(key: str, x: str, replicate: bool):
         def f(t: pa.Table) -> pa.Table:
             k = t.column(key).to_numpy(zero_copy_only=False)
             xv = t.column(x).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -561,40 +557,28 @@ def band_join(
                 k = np.tile(k, 3)
                 xv = np.tile(xv, 3)
                 cell = np.concatenate([cell - 1, cell, cell + 1])
-            b = (cell.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                 % np.uint64(num_buckets)).astype(np.int64)
-            return pa.table({
-                "key": pa.array(k), "x": pa.array(xv, pa.int64()),
-                "cell": pa.array(cell, pa.int64()),
-                "__bucket": pa.array(b, pa.int64()),
-                "__side": pa.array(np.full(xv.size, side, np.int8)),
-            })
+            return pa.table({"key": pa.array(k), "x": pa.array(xv, pa.int64()),
+                             "cell": pa.array(cell, pa.int64())})
         return f
 
     lp = left.select_columns([key_l, x_l]).map_batches(
-        side_prep(0, key_l, x_l, True), batch_format="pyarrow",
+        side_prep(key_l, x_l, True), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=131072)
     rp = right.select_columns([key_r, x_r]).map_batches(
-        side_prep(1, key_r, x_r, False), batch_format="pyarrow",
+        side_prep(key_r, x_r, False), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=131072)
-    u = lp.union(rp)
 
-    def bucket(g: pa.Table) -> pd.DataFrame:
+    def bucket(l: pa.Table, r: pa.Table) -> pd.DataFrame:
         # cell = x // step is MONOTONE in x, so the bucket's rights
         # sorted by x are also grouped by cell with contiguous value
         # ranges [c*step, (c+1)*step). Each left replica's per-cell
         # match window is therefore its [x-delta, x+delta] band clamped
         # to the target cell's value range — ONE vectorized searchsorted
         # over the whole bucket, no per-cell Python loop.
-        side = g.column("__side").to_numpy(zero_copy_only=False)
-        xs = g.column("x").to_numpy(zero_copy_only=False)
-        cell = g.column("cell").to_numpy(zero_copy_only=False)
-        keys = g.column("key").to_numpy(zero_copy_only=False)
-        lm = side == 0
-        lx, lk, lcell = xs[lm], keys[lm], cell[lm]
-        rx, rk = xs[~lm], keys[~lm]
-        empty = pd.DataFrame({okl: np.empty(0, keys.dtype),
-                              okr: np.empty(0, keys.dtype),
+        lx, lk, lcell = (_np(l, c) for c in ("x", "key", "cell"))
+        rx, rk = _np(r, "x"), _np(r, "key")
+        empty = pd.DataFrame({okl: np.empty(0, lk.dtype),
+                              okr: np.empty(0, rk.dtype),
                               oxl: np.empty(0, np.int64),
                               oxr: np.empty(0, np.int64)})
         if lx.size == 0 or rx.size == 0:
@@ -620,7 +604,8 @@ def band_join(
         return pd.DataFrame({okl: lk[li], okr: rk[j],
                              oxl: lx[li], oxr: rx[j]})
 
-    return u.groupby("__bucket").map_groups(bucket, batch_format="pyarrow")
+    cols = ["key", "x", "cell"]
+    return cogroup([(lp, "cell", cols), (rp, "cell", cols)], bucket, num_buckets)
 
 
 def interval_join(
@@ -669,30 +654,21 @@ def interval_join(
         np.cumsum(reps, out=starts[1:])
         cell = (np.arange(int(starts[-1]), dtype=np.int64)
                 - np.repeat(starts[:-1], reps) + np.repeat(c0, reps))
-        b = (cell.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             % np.uint64(num_buckets)).astype(np.int64)
         return pa.table({
             "key": pa.array(k[idx]),
             "lo": pa.array(l[idx], pa.int64()),
             "hi": pa.array(h[idx], pa.int64()),
             "cell": pa.array(cell, pa.int64()),
-            "__bucket": pa.array(b, pa.int64()),
-            "__side": pa.array(np.zeros(cell.size, np.int8)),
         })
 
     def pt_prep(t: pa.Table) -> pa.Table:
         k = t.column(key_p).to_numpy(zero_copy_only=False)
         xv = t.column(x).to_numpy(zero_copy_only=False).astype(np.int64)
-        cell = xv // st
-        b = (cell.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-             % np.uint64(num_buckets)).astype(np.int64)
         return pa.table({
             "key": pa.array(k),
             "lo": pa.array(xv, pa.int64()),   # point value rides in lo
             "hi": pa.array(xv, pa.int64()),
-            "cell": pa.array(cell, pa.int64()),
-            "__bucket": pa.array(b, pa.int64()),
-            "__side": pa.array(np.ones(cell.size, np.int8)),
+            "cell": pa.array(xv // st, pa.int64()),
         })
 
     ip = intervals.select_columns([key_i, lo, hi]).map_batches(
@@ -701,21 +677,14 @@ def interval_join(
     pp = points.select_columns([key_p, x]).map_batches(
         pt_prep, batch_format="pyarrow", zero_copy_batch=True,
         batch_size=131072)
-    u = ip.union(pp)
     okp = key_p if key_p != key_i else f"{key_p}_p"
     oxp = x
 
-    def bucket(g: pa.Table) -> pd.DataFrame:
-        side = g.column("__side").to_numpy(zero_copy_only=False)
-        keys = g.column("key").to_numpy(zero_copy_only=False)
-        lo_a = g.column("lo").to_numpy(zero_copy_only=False)
-        hi_a = g.column("hi").to_numpy(zero_copy_only=False)
-        cell = g.column("cell").to_numpy(zero_copy_only=False)
-        im = side == 0
-        ik, il, ih, ic = keys[im], lo_a[im], hi_a[im], cell[im]
-        pk, px = keys[~im], lo_a[~im]
-        empty = pd.DataFrame({key_i: np.empty(0, keys.dtype),
-                              okp: np.empty(0, keys.dtype),
+    def bucket(iv: pa.Table, pt: pa.Table) -> pd.DataFrame:
+        ik, il, ih, ic = (_np(iv, c) for c in ("key", "lo", "hi", "cell"))
+        pk, px = _np(pt, "key"), _np(pt, "lo")
+        empty = pd.DataFrame({key_i: np.empty(0, ik.dtype),
+                              okp: np.empty(0, pk.dtype),
                               oxp: np.empty(0, np.int64)})
         if ik.size == 0 or pk.size == 0:
             return empty
@@ -738,7 +707,8 @@ def interval_join(
         ii = np.flatnonzero(keep)[gi]
         return pd.DataFrame({key_i: ik[ii], okp: pk[j], oxp: px[j]})
 
-    return u.groupby("__bucket").map_groups(bucket, batch_format="pyarrow")
+    cols = ["key", "lo", "hi", "cell"]
+    return cogroup([(ip, "cell", cols), (pp, "cell", cols)], bucket, num_buckets)
 
 
 def interval_overlap_join(
@@ -789,7 +759,7 @@ def interval_overlap_join(
     oll, ohl = (lo_l, hi_l) if lo_l != lo_r else (f"{lo_l}_l", f"{hi_l}_l")
     olr, ohr = (lo_r, hi_r) if lo_l != lo_r else (f"{lo_r}_r", f"{hi_r}_r")
 
-    def side_prep(side: int, key: str, lo: str, hi: str):
+    def side_prep(key: str, lo: str, hi: str):
         def f(t: pa.Table) -> pa.Table:
             k = t.column(key).to_numpy(zero_copy_only=False)
             l = t.column(lo).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -803,25 +773,20 @@ def interval_overlap_join(
             np.cumsum(reps, out=starts[1:])
             cell = (np.arange(int(starts[-1]), dtype=np.int64)
                     - np.repeat(starts[:-1], reps) + np.repeat(c0, reps))
-            b = (cell.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-                 % np.uint64(num_buckets)).astype(np.int64)
             return pa.table({
                 "key": pa.array(k[idx]),
                 "lo": pa.array(l[idx], pa.int64()),
                 "hi": pa.array(h[idx], pa.int64()),
                 "cell": pa.array(cell, pa.int64()),
-                "__bucket": pa.array(b, pa.int64()),
-                "__side": pa.array(np.full(cell.size, side, np.int8)),
             })
         return f
 
     lp = left.select_columns([key_l, lo_l, hi_l]).map_batches(
-        side_prep(0, key_l, lo_l, hi_l), batch_format="pyarrow",
+        side_prep(key_l, lo_l, hi_l), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=131072)
     rp = right.select_columns([key_r, lo_r, hi_r]).map_batches(
-        side_prep(1, key_r, lo_r, hi_r), batch_format="pyarrow",
+        side_prep(key_r, lo_r, hi_r), batch_format="pyarrow",
         zero_copy_batch=True, batch_size=131072)
-    u = lp.union(rp)
 
     def _pass(qk, ql, qh, qc, tk, tl, th, strict: bool):
         """Query replicas × native target STARTS: one clamped
@@ -849,17 +814,12 @@ def interval_overlap_join(
         qi = np.flatnonzero(keep)[gi]
         return qi, j
 
-    def bucket(g: pa.Table) -> pd.DataFrame:
-        side = g.column("__side").to_numpy(zero_copy_only=False)
-        keys = g.column("key").to_numpy(zero_copy_only=False)
-        lo_a = g.column("lo").to_numpy(zero_copy_only=False)
-        hi_a = g.column("hi").to_numpy(zero_copy_only=False)
-        cell = g.column("cell").to_numpy(zero_copy_only=False)
-        lm = side == 0
-        native = (lo_a // st) == cell
-        lk, ll, lh, lc = keys[lm], lo_a[lm], hi_a[lm], cell[lm]
-        rk, rl, rh, rc = keys[~lm], lo_a[~lm], hi_a[~lm], cell[~lm]
-        ln, rn = native[lm], native[~lm]
+    cols = ["key", "lo", "hi", "cell"]
+
+    def bucket(l: pa.Table, r: pa.Table) -> pd.DataFrame:
+        lk, ll, lh, lc = (_np(l, c) for c in cols)
+        rk, rl, rh, rc = (_np(r, c) for c in cols)
+        ln, rn = (ll // st) == lc, (rl // st) == rc
         # pass 1: right starts inside left (ties included)
         qi1, ti1 = _pass(lk, ll, lh, lc,
                          rk[rn], rl[rn], rh[rn], strict=False)
@@ -876,7 +836,7 @@ def interval_overlap_join(
             olr: rl[ri], ohr: rh[ri],
         })
 
-    return u.groupby("__bucket").map_groups(bucket, batch_format="pyarrow")
+    return cogroup([(lp, "cell", cols), (rp, "cell", cols)], bucket, num_buckets)
 
 
 def bloom_semi_join(

@@ -29,6 +29,9 @@ import pandas as pd
 
 import ray.data
 
+from whoiswho_ray.stages.cluster import _cc_num_buckets
+from whoiswho_ray.stages.joins import cogroup
+
 
 def temporal_split(
     ds: "ray.data.Dataset",
@@ -42,8 +45,8 @@ def temporal_split(
     ``int(len*0.8)`` split point."""
     order_cols = order_cols or [ts_col]
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns=["__bucket"]).sort_values(
+    def kernel(t) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(
             [key_col] + order_cols, kind="stable").reset_index(drop=True)
         gb = df.groupby(key_col, sort=False)
         size = gb[key_col].transform("size").to_numpy()
@@ -52,10 +55,7 @@ def temporal_split(
         df["is_unassigned"] = pos >= cut
         return df
 
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
-
-    return _bucket_by(ds, key_col, _cc_num_buckets()).groupby("__bucket").map_groups(
-        kernel, batch_format="pandas")
+    return cogroup([(ds, key_col)], kernel, _cc_num_buckets())
 
 
 def cap_per_group(
@@ -69,17 +69,14 @@ def cap_per_group(
     profile semantics / per-group top-k, deterministic."""
     asc = ascending if ascending is not None else [True] * len(order_cols)
 
-    def kernel(g: pd.DataFrame) -> pd.DataFrame:
-        df = g.drop(columns=["__bucket"]).sort_values(
+    def kernel(t) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(
             [key_col] + order_cols, ascending=[True] + list(asc),
             kind="stable").reset_index(drop=True)
         pos = df.groupby(key_col, sort=False).cumcount().to_numpy()
         return df[pos < k]
 
-    from whoiswho_ray.stages.cluster import _bucket_by, _cc_num_buckets
-
-    return _bucket_by(ds, key_col, _cc_num_buckets()).groupby("__bucket").map_groups(
-        kernel, batch_format="pandas")
+    return cogroup([(ds, key_col)], kernel, _cc_num_buckets())
 
 
 def kfold_by_weight(

@@ -233,22 +233,11 @@ def sessionize(
         out["session_id"] = out.groupby(user_col).cumcount() + 1
         return out[[user_col, "session_id", "n_events", "session_start", "session_end"]]
 
-    # co-locate each user's events with a hash-bucket groupby, then run the
-    # vectorized kernel once per bucket
-    nb = 64
+    # co-locate each user's events with a hash-bucket co-group, then run
+    # the vectorized kernel once per bucket
+    from whoiswho_ray.stages.joins import cogroup
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        h = pd.util.hash_pandas_object(df[user_col], index=False).to_numpy()
-        df = df.copy()
-        df["__bucket"] = (h % np.uint64(nb)).astype(np.int64)
-        return df
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(lambda g: per_batch(g.drop(columns=["__bucket"])),
-                    batch_format="pandas")
-    )
+    return cogroup([(ds, user_col)], lambda t: per_batch(t.to_pandas()), 64)
 
 def funnel(
     ds: "ray.data.Dataset",
